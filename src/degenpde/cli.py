@@ -19,6 +19,7 @@ CSVs.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -89,7 +90,21 @@ def load_config(path):
             raise ConfigError("unknown config key: %s" % key)
     if "operator" not in cfg:
         cfg["operator"] = dict(DEFAULT_OPERATOR)
+    esec = cfg.get("elliptic")
+    if isinstance(esec, dict) and "lam" in esec:
+        _check_lam(esec["lam"])
     return cfg
+
+
+def _check_lam(value):
+    """elliptic.lam must be [Re lam, Im lam], two finite numbers, Re lam > 0."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+        raise ConfigError("elliptic.lam must be two finite numbers "
+                          "[re, im], got %r" % (value,))
+    if not value[0] > 0:
+        raise ConfigError("elliptic.lam needs Re lam > 0, got %r" % (value,))
 
 
 def _problem(cfg):
@@ -192,11 +207,11 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     return 0
 
 
-def cmd_verify(cfg, suite, out_dir, seed, threads):
+def cmd_verify(cfg, suite, out_dir, seed):
     suite = suite or cfg.get("suite", "default")
     try:
         results = run_suite({"suite": suite, "out_dir": out_dir,
-                             "seed": seed, "threads": threads})
+                             "seed": seed})
     except ValueError as exc:
         raise ConfigError(str(exc))
     bad = 0
@@ -272,7 +287,6 @@ def build_parser():
                         help="suite name for `verify`")
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--refine", type=int, default=0)
     return parser
@@ -291,8 +305,7 @@ def main(argv=None):
         if args.command == "solve_parabolic":
             return cmd_solve_parabolic(cfg, args.out, args.seed, args.refine)
         if args.command == "verify":
-            return cmd_verify(cfg, args.suite, args.out, args.seed,
-                              args.threads)
+            return cmd_verify(cfg, args.suite, args.out, args.seed)
         return cmd_sweep(cfg, args.out, args.seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -16,7 +16,6 @@ graded cells, which is exactly where a window violation concentrates, so
 probe norms grow under refinement once (m+1)/p leaves the admissible range.
 """
 
-import concurrent.futures
 import hashlib
 import os
 
@@ -915,7 +914,7 @@ def run_suite(config=None):
     """Run registered checks; returns a list of EstimateResult.
 
     config keys (all optional): suite (name), checks (explicit id list),
-    out_dir, seed, threads, plus the full flat operator config (all ten keys)
+    out_dir, seed, plus the full flat operator config (all ten keys)
     to override the baseline model context.  Individual check failures are
     recorded in the results, not raised.
     """
@@ -924,7 +923,6 @@ def run_suite(config=None):
     checks = config.pop("checks", None)
     out_dir = config.pop("out_dir", None)
     seed = int(config.pop("seed", 0))
-    threads = int(config.pop("threads", 1))
     if config:
         spec, space = config_to_problem(config)
         model, _ = reduce_to_model(spec, space)
@@ -949,12 +947,7 @@ def run_suite(config=None):
             return EstimateResult(name, False, error="%s: %s"
                                   % (type(exc).__name__, exc))
 
-    if threads > 1 and len(checks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            done = dict(zip(checks, pool.map(run_one, checks)))
-    else:
-        done = {name: run_one(name) for name in checks}
-    results = [done[name] for name in checks]
+    results = [run_one(name) for name in checks]
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

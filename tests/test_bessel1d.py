@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import ive
 
 from degenpde import bessel1d as b1
 from degenpde.grid import make_grid
@@ -140,14 +142,21 @@ def test_resolve_batched_rhs_shape():
         assert np.allclose(U[k], b1.resolve(op, 1.0, F[k]))
 
 
+def _neumann_bessel_heat_kernel(y, rho, c, t):
+    """Closed-form kernel of Dyy + (c/y) Dy w.r.t. rho^c d rho:
+    (2t)^-1 (y rho)^-nu exp(-(y-rho)^2/4t) ive(nu, y rho/2t), nu = (c-1)/2
+    (Borodin & Salminen, Handbook of Brownian Motion)."""
+    nu = 0.5 * (c - 1.0)
+    Y, R = np.meshgrid(y, rho, indexing="ij")
+    return ((2.0 * t) ** -1 * (Y * R) ** -nu
+            * np.exp(-(Y - R) ** 2 / (4.0 * t)) * ive(nu, Y * R / (2.0 * t)))
+
+
 def test_expm_kernel_guards_and_structure():
     g = make_grid(128, 1.0, 2.0)
     op = b1.assemble_form(g, "bessel", c=1.0)
     with pytest.raises(ValueError, match="Re z > 0"):
         b1.expm_kernel(op, -0.1)
-    big = b1.assemble_form(make_grid(1024, 1.0, 2.0), "bessel", c=1.0)
-    with pytest.raises(ValueError, match="J <= 512"):
-        b1.expm_kernel(big, 0.1)
     ker = b1.expm_kernel(op, 0.01)
     P = ker.values
     # symmetric and positive with respect to the weighted measure
@@ -156,6 +165,52 @@ def test_expm_kernel_guards_and_structure():
     # Neumann form preserves constants
     ones = np.ones(g.num_y, dtype=complex)
     assert np.abs(ker.apply(ones) - 1.0).max() < 1e-9
+    # no cap on J: at J = 1024 the kernel still preserves constants and is
+    # closer to the exact Neumann Bessel heat kernel than at J = 512
+    t, c = 0.004, 1.0
+    errors = []
+    for J in (512, 1024):
+        g = make_grid(J, 1.0, 2.0)
+        ker = b1.expm_kernel(b1.assemble_form(g, "bessel", c=c), t)
+        ones = np.ones(g.num_y, dtype=complex)
+        assert np.abs(ker.apply(ones) - 1.0).max() < 1e-9
+        y = g.y_nodes
+        sel = y < 0.5
+        exact = _neumann_bessel_heat_kernel(y[sel], y[sel], c, t)
+        got = ker.values[np.ix_(sel, sel)]
+        errors.append(np.abs(got - exact).max() / np.abs(exact).max())
+    assert errors[1] < errors[0]
+
+
+def _dense_generator(op):
+    F = (np.diag(op.form_diag) + np.diag(op.form_sub, -1)
+         + np.diag(op.form_sup, 1))
+    return -F / op.inner_weight[:, None]
+
+
+@pytest.mark.parametrize("J", [64, 128])
+def test_expm_kernel_matches_dense_expm_oracle(J):
+    g = make_grid(J, 1.0, 2.0)
+    ops = [
+        b1.assemble_form(g, "bessel", c=1.0),
+        b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5, mixing_freq=0.0,
+                         freq_norm2=0.0),
+        b1.assemble_form(g, "bessel_drift", c=1.5, beta=0.8, drift_b=0.6,
+                         potential_coeff=0.5),
+        b1.assemble_form(g, "bessel_drift", c=0.3, beta=0.0, drift_b=1.2,
+                         potential_coeff=0.5),
+    ]
+    for op in ops:
+        M = _dense_generator(op)
+        for z in (0.05, 0.01, 0.02 + 0.01j):
+            exact = expm(z * M) / op.inner_weight[None, :]
+            got = b1.expm_kernel(op, z).values
+            err = np.abs(got - exact).max() / np.abs(exact).max()
+            assert err <= 1e-8, (op.params, z, err)
+    # rotated by arg z = 63 degrees, the numerical range of the oblique form
+    # (half-angle 40 degrees) leaves the region the contour can enclose
+    with pytest.raises(ValueError, match="contour"):
+        b1.expm_kernel(ops[3], 0.01 + 0.02j)
 
 
 def test_weighted_opnorm_at_most_one_on_positive_axis():

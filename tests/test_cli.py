@@ -154,6 +154,19 @@ def test_config_file_missing_or_malformed(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["abc", [0, 0], [-5, 0], [float("nan"), 0]])
+def test_bad_elliptic_lam_is_config_error(tmp_path, capsys, lam):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "elliptic": {"lam": lam}})
+    out_dir = tmp_path / "o"
+    rc = main(["solve_elliptic", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: elliptic.lam" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "operator": SMALL_OPERATOR,

@@ -61,9 +61,9 @@ def test_run_suite_single_check_and_csv(tmp_path):
     assert header == b"estimate_id,pass,constant,drift"
 
 
-def test_run_suite_threaded_keeps_order():
-    checks = ["parameter_roundtrip", "transform_isometries"]
-    results = run_suite({"checks": checks, "threads": 2})
+def test_run_suite_keeps_order():
+    checks = ["transform_isometries", "parameter_roundtrip"]
+    results = run_suite({"checks": checks})
     assert [r.estimate_id for r in results] == checks
     assert all(r.passed for r in results)
 
