@@ -545,8 +545,9 @@ def semigroup_domination_check(grid, c, beta, drift_b, potential_coeff, t,
 
     A is the graded oblique operator, B the pure Bessel operator in the same
     L^2(y^c).  Returns the largest relative pointwise excess over the panel
-    and the kernel-level excess max(|p_A| - p_B) / max p_B (both should be
-    small and vanish under refinement).
+    and the kernel-level excess max(|p_A| - p_B) / max p_B, both signed (a
+    negative excess is the margin by which domination holds; a positive one
+    should be small and vanish under refinement).
     """
     op_b = assemble_form(grid, "bessel_drift", c=c, beta=beta,
                          drift_b=drift_b, potential_coeff=potential_coeff)
@@ -555,7 +556,7 @@ def semigroup_domination_check(grid, c, beta, drift_b, potential_coeff, t,
     ker_0 = expm_kernel(op_0, t)
     if panel is None:
         panel = panels.vertical_panel(grid.y_max, count=6)
-    excess_f = 0.0
+    excess_f = -np.inf
     for prof in panel:
         f = prof(grid.y_nodes).astype(complex)
         lhs = np.abs(ker_b.apply(f))

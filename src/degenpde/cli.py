@@ -93,18 +93,40 @@ def load_config(path):
     esec = cfg.get("elliptic")
     if isinstance(esec, dict) and "lam" in esec:
         _check_lam(esec["lam"])
+    if "parabolic" in cfg:
+        _check_parabolic(_section(cfg, "parabolic", PARABOLIC_KEYS))
     return cfg
+
+
+def _finite_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _check_lam(value):
     """elliptic.lam must be [Re lam, Im lam], two finite numbers, Re lam > 0."""
     if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in value)):
+            and all(_finite_number(v) for v in value)):
         raise ConfigError("elliptic.lam must be two finite numbers "
                           "[re, im], got %r" % (value,))
     if not value[0] > 0:
         raise ConfigError("elliptic.lam needs Re lam > 0, got %r" % (value,))
+
+
+def _check_parabolic(sec):
+    """Integer steps and stride >= 1, finite t_final > 0, a known scheme."""
+    for key in ("steps", "snapshot_stride"):
+        val = sec[key]
+        if not (isinstance(val, int) and not isinstance(val, bool)
+                and val >= 1):
+            raise ConfigError("parabolic.%s must be an integer >= 1, got %r"
+                              % (key, val))
+    if not (_finite_number(sec["t_final"]) and sec["t_final"] > 0):
+        raise ConfigError("parabolic.t_final must be a finite number > 0, "
+                          "got %r" % (sec["t_final"],))
+    if sec["scheme"] not in semigroup.SCHEMES:
+        raise ConfigError("parabolic.scheme must be one of %s, got %r"
+                          % (", ".join(semigroup.SCHEMES), sec["scheme"]))
 
 
 def _problem(cfg):

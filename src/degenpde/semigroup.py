@@ -26,6 +26,8 @@ from .grid import Field, lp_norm, linf_norm, make_grid, write_field_csv
 from .multiplier import FrequencySolvePlan, ModeOperators
 from . import panels
 
+SCHEMES = ("backward_euler", "crank_nicolson")
+
 
 class EvolutionRun:
     """Evolved trajectory: time grid, scheme, snapshots, forcing record."""
@@ -92,9 +94,11 @@ def _forcing_at(forcing, k, t, grid):
 def evolve(u0, forcing, model, grid, scheme="backward_euler", time_grid=None):
     """March (d/dt - L) u = f from u0 over time_grid; returns EvolutionRun.
 
-    scheme: "backward_euler" or "crank_nicolson".  Each step is one
-    frequency-decoupled resolvent call; solve plans are cached per distinct
-    step size.
+    scheme: "backward_euler" or "crank_nicolson".  Each step is one batched
+    sweep of a FrequencySolvePlan, which factors every Fourier mode once;
+    plans are cached per distinct step size, so a uniform time grid reuses
+    one factorisation for all its steps (Crank-Nicolson also applies L
+    through the same plan's bands).
     """
     if time_grid is None:
         raise ValueError("time_grid required")
@@ -103,7 +107,7 @@ def evolve(u0, forcing, model, grid, scheme="backward_euler", time_grid=None):
         raise ValueError("time_grid must be a 1-d array of times")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("time_grid must increase strictly")
-    if scheme not in ("backward_euler", "crank_nicolson"):
+    if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r" % (scheme,))
     u = np.asarray(u0.values if isinstance(u0, Field) else u0, dtype=complex)
     if u.shape != grid.shape:

@@ -167,6 +167,25 @@ def test_bad_elliptic_lam_is_config_error(tmp_path, capsys, lam):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("steps", 0), ("steps", 2.5), ("steps", -3), ("steps", "10"),
+    ("steps", True), ("snapshot_stride", 0), ("snapshot_stride", 1.5),
+    ("t_final", 0), ("t_final", -0.5), ("t_final", float("nan")),
+    ("t_final", float("inf")), ("t_final", "0.5"),
+    ("scheme", "forward_euler"),
+])
+def test_bad_parabolic_value_is_config_error(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "parabolic": {key: value}})
+    out_dir = tmp_path / "o"
+    rc = main(["solve_parabolic", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: parabolic.%s" % key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "operator": SMALL_OPERATOR,

@@ -68,6 +68,18 @@ def test_run_suite_keeps_order():
     assert all(r.passed for r in results)
 
 
+def test_kernel_domination_reports_signed_margin():
+    (res,) = run_suite({"checks": ["kernel_domination"]})
+    assert res.passed
+    by_level = {}
+    for c, beta, b, J, field, kernel in res.rows:
+        by_level.setdefault(J, []).extend([field, kernel])
+    fine, coarse = np.array(by_level[384]), np.array(by_level[192])
+    # the worst J = 384 excess, signed: negative means domination with margin
+    assert res.constant == fine.max() < 0.0
+    assert res.drift == (fine - coarse).max()
+
+
 def test_run_suite_with_operator_override():
     config = {
         "checks": ["parameter_roundtrip"],
