@@ -90,12 +90,16 @@ def load_config(path):
             raise ConfigError("unknown config key: %s" % key)
     if "operator" not in cfg:
         cfg["operator"] = dict(DEFAULT_OPERATOR)
-    esec = cfg.get("elliptic")
-    if isinstance(esec, dict) and "lam" in esec:
-        _check_lam(esec["lam"])
+    num_x = _check_grid(_section(cfg, "grid", GRID_KEYS))
+    if "elliptic" in cfg:
+        _check_elliptic(_section(cfg, "elliptic", ELLIPTIC_KEYS), num_x)
     if "parabolic" in cfg:
-        _check_parabolic(_section(cfg, "parabolic", PARABOLIC_KEYS))
+        _check_parabolic(_section(cfg, "parabolic", PARABOLIC_KEYS), num_x)
     return cfg
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _finite_number(v):
@@ -103,30 +107,73 @@ def _finite_number(v):
             and math.isfinite(v))
 
 
-def _check_lam(value):
-    """elliptic.lam must be [Re lam, Im lam], two finite numbers, Re lam > 0."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(_finite_number(v) for v in value)):
+def _check_positive(name, value):
+    if not (_finite_number(value) and value > 0):
+        raise ConfigError("%s must be a finite number > 0, got %r"
+                          % (name, value))
+
+
+def _check_mode(name, value, num_x):
+    """A Fourier mode k with |k| < num_x / 2, so it is neither truncated nor
+    aliased onto another mode of the x-grid."""
+    if not (_integer(value) and 2 * abs(value) < num_x):
+        raise ConfigError("%s must be an integer with |k| < num_x / 2 = %g, "
+                          "got %r" % (name, num_x / 2, value))
+
+
+def _check_grid(sec):
+    """Integer num_cells >= 4, even integer num_x >= 2, finite positive
+    y_max and box_length, grading null or finite >= 1; returns num_x."""
+    if not (_integer(sec["num_cells"]) and sec["num_cells"] >= 4):
+        raise ConfigError("grid.num_cells must be an integer >= 4, got %r"
+                          % (sec["num_cells"],))
+    num_x = sec["num_x"]
+    if not (_integer(num_x) and num_x >= 2 and num_x % 2 == 0):
+        raise ConfigError("grid.num_x must be an even integer >= 2, got %r"
+                          % (num_x,))
+    _check_positive("grid.y_max", sec["y_max"])
+    _check_positive("grid.box_length", sec["box_length"])
+    grading = sec["grading"]
+    if grading is not None and not (_finite_number(grading)
+                                    and grading >= 1):
+        raise ConfigError("grid.grading must be null or a finite number "
+                          ">= 1, got %r" % (grading,))
+    return num_x
+
+
+def _check_elliptic(sec, num_x):
+    """lam = [Re lam, Im lam] finite with Re lam > 0, manufactured forcing,
+    a resolvable mode, finite center and finite width > 0."""
+    lam = sec["lam"]
+    if not (isinstance(lam, list) and len(lam) == 2
+            and all(_finite_number(v) for v in lam)):
         raise ConfigError("elliptic.lam must be two finite numbers "
-                          "[re, im], got %r" % (value,))
-    if not value[0] > 0:
-        raise ConfigError("elliptic.lam needs Re lam > 0, got %r" % (value,))
+                          "[re, im], got %r" % (lam,))
+    if not lam[0] > 0:
+        raise ConfigError("elliptic.lam needs Re lam > 0, got %r" % (lam,))
+    if sec["forcing"] != "manufactured":
+        raise ConfigError("unknown config key: elliptic.forcing value %r"
+                          % (sec["forcing"],))
+    _check_mode("elliptic.mode", sec["mode"], num_x)
+    if not _finite_number(sec["center"]):
+        raise ConfigError("elliptic.center must be a finite number, got %r"
+                          % (sec["center"],))
+    _check_positive("elliptic.width", sec["width"])
 
 
-def _check_parabolic(sec):
-    """Integer steps and stride >= 1, finite t_final > 0, a known scheme."""
+def _check_parabolic(sec, num_x):
+    """Integer steps and stride >= 1, finite t_final > 0, a known scheme,
+    a resolvable forcing_mode."""
     for key in ("steps", "snapshot_stride"):
         val = sec[key]
-        if not (isinstance(val, int) and not isinstance(val, bool)
-                and val >= 1):
+        if not (_integer(val) and val >= 1):
             raise ConfigError("parabolic.%s must be an integer >= 1, got %r"
                               % (key, val))
-    if not (_finite_number(sec["t_final"]) and sec["t_final"] > 0):
-        raise ConfigError("parabolic.t_final must be a finite number > 0, "
-                          "got %r" % (sec["t_final"],))
+    _check_positive("parabolic.t_final", sec["t_final"])
     if sec["scheme"] not in semigroup.SCHEMES:
         raise ConfigError("parabolic.scheme must be one of %s, got %r"
                           % (", ".join(semigroup.SCHEMES), sec["scheme"]))
+    _check_mode("parabolic.forcing_mode", sec["forcing_mode"], num_x)
 
 
 def _problem(cfg):
@@ -138,14 +185,14 @@ def _problem(cfg):
 
 def _grid_for(cfg, model, refine=0):
     gsec = _section(cfg, "grid", GRID_KEYS)
-    J = int(gsec["num_cells"]) * (2 ** max(0, int(refine)))
+    J = gsec["num_cells"] * (2 ** max(0, int(refine)))
     grading = gsec["grading"]
     if grading is None:
         grading = default_grading(model.alpha)
     box = None
     if model.dim:
-        box = XBox(float(gsec["box_length"]), int(gsec["num_x"]), model.dim)
-    return make_grid(J, float(gsec["y_max"]), float(grading), box)
+        box = XBox(gsec["box_length"], gsec["num_x"], model.dim)
+    return make_grid(J, gsec["y_max"], grading, box)
 
 
 def _write_manifest(out_dir, name, payload):
@@ -176,14 +223,8 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     grid = _grid_for(cfg, model, refine)
     esec = _section(cfg, "elliptic", ELLIPTIC_KEYS)
     lam = complex(esec["lam"][0], esec["lam"][1])
-    if esec["forcing"] == "manufactured":
-        u_exact, f = manufactured_mode_case(model, grid, lam,
-                                            int(esec["mode"]),
-                                            float(esec["center"]),
-                                            float(esec["width"]))
-    else:
-        raise ConfigError("unknown config key: elliptic.forcing value %r"
-                          % (esec["forcing"],))
+    u_exact, f = manufactured_mode_case(model, grid, lam, esec["mode"],
+                                        esec["center"], esec["width"])
     u, info = resolvent_nd(lam, f, model, grid, return_info=True)
     err = (lp_norm(u.values - u_exact.values, model.p, model.m, grid)
            / lp_norm(u_exact.values, model.p, model.m, grid))
@@ -207,19 +248,19 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     model, chain = reduce_to_model(spec, space)
     grid = _grid_for(cfg, model, refine)
     psec = _section(cfg, "parabolic", PARABOLIC_KEYS)
-    steps = int(psec["steps"]) * (2 ** max(0, int(refine)))
-    times = np.linspace(0.0, float(psec["t_final"]), steps + 1)
+    steps = psec["steps"] * (2 ** max(0, int(refine)))
+    times = np.linspace(0.0, psec["t_final"], steps + 1)
     prof = panels.bump_profile(0.4 * grid.y_max, 0.15 * grid.y_max)
     if model.dim:
-        wave = panels.plane_wave(grid.x_box, [int(psec["forcing_mode"])]
-                                 * model.dim)
+        wave = panels.plane_wave(grid.x_box,
+                                 [psec["forcing_mode"]] * model.dim)
         u0 = Field(panels.tensor_values(grid, wave, prof), grid)
     else:
         u0 = Field(prof(grid.y_nodes).astype(complex), grid)
     run = semigroup.evolve(u0, None, model, grid, psec["scheme"], times)
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_base("solve_parabolic", cfg, seed, chain)
-    sub = run.export_csvs(out_dir, "snapshot", int(psec["snapshot_stride"]),
+    sub = run.export_csvs(out_dir, "snapshot", psec["snapshot_stride"],
                           model=model, chain=chain)
     manifest["evolution"] = sub
     _write_manifest(out_dir, "manifest.json", manifest)

@@ -14,8 +14,7 @@ by the cell-length quadrature sum |u|^p y^m (E_{j+1} - E_j) and the x-integral
 by the uniform trapezoid rule on the torus (= uniform weights L/Nx).
 """
 
-import io
-import struct
+import itertools
 
 import numpy as np
 
@@ -325,67 +324,22 @@ def sobolev_report(u, spec, space):
     return SobolevNormReport(terms)
 
 
-_FMT = "%.17g"
-
-
 def write_field_csv(path, field):
-    """Write a Field as CSV with columns: x index per axis, y, Re, Im."""
-    g = field.grid
-    dim = 0 if g.x_box is None else g.x_box.dim
-    header = ",".join(["ix%d" % d for d in range(dim)] + ["y", "re", "im"])
-    vals = field.values.reshape(-1, g.num_y)
-    nx = 1 if dim == 0 else g.x_box.num_points
-    lines = [header]
-    for flat in range(vals.shape[0]):
-        idx = np.unravel_index(flat, (nx,) * dim) if dim else ()
-        prefix = "".join("%d," % i for i in idx)
-        for j in range(g.num_y):
-            v = vals[flat, j]
-            lines.append(prefix + (_FMT % g.y_nodes[j]) + ","
-                         + (_FMT % v.real) + "," + (_FMT % v.imag))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a Field as CSV with columns: x index per axis, y, Re, Im.
 
-
-_BLOB_MAGIC = b"DGP1"
-
-
-def write_field_blob(path_or_fh, field):
-    """Write a Field as a raw little-endian float64 blob.
-
-    Header: magic, dims, J, Nx, L, Y_max; payload: y_nodes, y_weights, then
-    interleaved Re/Im values in C order.
+    Numbers are printed with %.17g, so they read back exactly.  The y column
+    is formatted once; each x-point's J rows are then filled from one
+    template with a single % call and written straight to the file.
     """
     g = field.grid
     dim = 0 if g.x_box is None else g.x_box.dim
-    nx = 0 if g.x_box is None else g.x_box.num_points
-    length = 0.0 if g.x_box is None else g.x_box.length
-    header = _BLOB_MAGIC + struct.pack(
-        "<qqqdd", dim, g.num_y, nx, length, g.y_max)
-    payload = np.concatenate([
-        g.y_nodes, g.y_weights,
-        field.values.astype(complex).view(float).reshape(-1),
-    ]).astype("<f8").tobytes()
-    if isinstance(path_or_fh, (str, bytes)):
-        with open(path_or_fh, "wb") as fh:
-            fh.write(header + payload)
-    else:
-        path_or_fh.write(header + payload)
-
-
-def read_field_blob(path_or_fh):
-    """Read a Field written by write_field_blob."""
-    if isinstance(path_or_fh, (str, bytes)):
-        with open(path_or_fh, "rb") as fh:
-            raw = fh.read()
-    else:
-        raw = path_or_fh.read()
-    if raw[:4] != _BLOB_MAGIC:
-        raise ValueError("not a field blob")
-    dim, J, nx, length, y_max = struct.unpack("<qqqdd", raw[4:4 + 40])
-    data = np.frombuffer(raw[44:], dtype="<f8")
-    nodes, weights = data[:J], data[J:2 * J]
-    box = XBox(length, nx, dim) if dim else None
-    grid = Grid(nodes, weights, y_max, None, box)
-    flat = data[2 * J:].view(complex)
-    return Field(flat.reshape(grid.shape), grid)
+    header = ",".join(["ix%d" % d for d in range(dim)] + ["y", "re", "im"])
+    rows = ["%.17g,%%.17g,%%.17g\n" % y for y in g.y_nodes.tolist()]
+    reim = np.ascontiguousarray(field.values).view(float)
+    nx = 1 if dim == 0 else g.x_box.num_points
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for idx, vals in zip(itertools.product(range(nx), repeat=dim),
+                             reim.reshape(-1, 2 * g.num_y)):
+            prefix = "".join("%d," % i for i in idx)
+            fh.write((prefix + prefix.join(rows)) % tuple(vals.tolist()))

@@ -186,6 +186,72 @@ def test_bad_parabolic_value_is_config_error(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("mode", 2.7), ("mode", 100), ("mode", -8), ("mode", 8), ("mode", "abc"),
+    ("mode", True), ("center", float("nan")), ("center", "0.4"),
+    ("width", -1), ("width", 0), ("width", float("inf")),
+    ("forcing", "point"),
+])
+def test_bad_elliptic_value_is_config_error(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "grid": {"num_cells": 16, "num_x": 16},
+                                   "elliptic": {key: value}})
+    out_dir = tmp_path / "o"
+    rc = main(["solve_elliptic", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error:" in err and "elliptic.%s" % key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", [2.7, 100, 4, -4, "abc", False])
+def test_bad_forcing_mode_is_config_error(tmp_path, capsys, value):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "grid": {"num_cells": 16, "num_x": 8},
+                                   "parabolic": {"forcing_mode": value,
+                                                 "steps": 2}})
+    out_dir = tmp_path / "o"
+    rc = main(["solve_parabolic", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: parabolic.forcing_mode" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_largest_resolvable_modes_solve(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "grid": {"num_cells": 16, "num_x": 8},
+                                   "elliptic": {"mode": -3},
+                                   "parabolic": {"forcing_mode": 3,
+                                                 "steps": 2}})
+    for command in ("solve_elliptic", "solve_parabolic"):
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("num_cells", 2.5), ("num_cells", 3), ("num_cells", "64"),
+    ("num_cells", True), ("num_x", 7), ("num_x", 0), ("num_x", 16.0),
+    ("y_max", float("inf")), ("y_max", 0), ("y_max", -1.0),
+    ("box_length", float("nan")), ("box_length", 0),
+    ("grading", 0.5), ("grading", float("inf")), ("grading", "2"),
+])
+@pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
+def test_bad_grid_value_is_config_error(tmp_path, capsys, command, key,
+                                        value):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "grid": {key: value}})
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: grid.%s" % key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "operator": SMALL_OPERATOR,
