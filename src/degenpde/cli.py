@@ -185,7 +185,7 @@ def _problem(cfg):
 
 def _grid_for(cfg, model, refine=0):
     gsec = _section(cfg, "grid", GRID_KEYS)
-    J = gsec["num_cells"] * (2 ** max(0, int(refine)))
+    J = gsec["num_cells"] * 2 ** refine
     grading = gsec["grading"]
     if grading is None:
         grading = default_grading(model.alpha)
@@ -248,7 +248,7 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     model, chain = reduce_to_model(spec, space)
     grid = _grid_for(cfg, model, refine)
     psec = _section(cfg, "parabolic", PARABOLIC_KEYS)
-    steps = psec["steps"] * (2 ** max(0, int(refine)))
+    steps = psec["steps"] * 2 ** refine
     times = np.linspace(0.0, psec["t_final"], steps + 1)
     prof = panels.bump_profile(0.4 * grid.y_max, 0.15 * grid.y_max)
     if model.dim:
@@ -257,11 +257,11 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
         u0 = Field(panels.tensor_values(grid, wave, prof), grid)
     else:
         u0 = Field(prof(grid.y_nodes).astype(complex), grid)
-    run = semigroup.evolve(u0, None, model, grid, psec["scheme"], times)
+    run = semigroup.evolve(u0, None, model, grid, psec["scheme"], times,
+                           stride=psec["snapshot_stride"])
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_base("solve_parabolic", cfg, seed, chain)
-    sub = run.export_csvs(out_dir, "snapshot", psec["snapshot_stride"],
-                          model=model, chain=chain)
+    sub = run.export_csvs(out_dir, "snapshot", model=model, chain=chain)
     manifest["evolution"] = sub
     _write_manifest(out_dir, "manifest.json", manifest)
     final_norm = lp_norm(run.final.values, model.p, model.m, grid)
@@ -362,6 +362,9 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.refine < 0:
+            raise ConfigError("--refine must be an integer >= 0, got %d"
+                              % args.refine)
         cfg = load_config(args.config)
         if args.command == "solve_elliptic":
             return cmd_solve_elliptic(cfg, args.out, args.seed, args.refine)

@@ -158,6 +158,12 @@ class FrequencySolvePlan:
     is accretive), so no pivoting is needed (Golub & Van Loan, section 4.2);
     a non-finite or zero pivot still raises RuntimeError naming its xi, and
     every solve reports its weighted residual.
+
+    The mode-space entries work on (J, modes) x-Fourier coefficients:
+    `band_product` is F(xi) u (so L u = -F u / W) and `solve_modes` is the
+    sweep with its residual.  `solve` and `apply_operator` wrap them in one
+    forward and one inverse FFT; a time stepper calls them directly and
+    stays in mode space between steps.
     """
 
     def __init__(self, lam, model, grid):
@@ -210,24 +216,46 @@ class FrequencySolvePlan:
             u[i] *= inv_piv[i]
         return u
 
+    def band_product(self, uh):
+        """F(xi) uh for every mode of (J, modes) coefficients."""
+        return _tridiag_apply(self.bands, uh)
+
+    def solve_modes(self, fh):
+        """(lam - M(xi))^(-1) fh for (J, modes) coefficients fh.
+
+        Returns (uh, fu, residual): fu = F(xi) uh is the band product that
+        the weighted residual |(lam - M) uh - fh|_W / |fh|_W is built from,
+        and L uh = -fu / W for a caller that needs it.
+        """
+        uh = self._sweep(fh)
+        fu = self.band_product(uh)
+        w = self.ops.weight[:, None]
+        # W r = F u + (lam u - f) W, and |r|^2_W = sum |W r|^2 / W; the
+        # in-place steps round as the expression would and hold one
+        # temporary, as fu stays alive for the caller
+        wr = self.lam * uh
+        wr -= fh
+        wr *= w
+        wr += fu
+        num = np.abs(wr)
+        num **= 2
+        num /= w
+        den = np.abs(fh)
+        den **= 2
+        den *= w
+        residual = np.sqrt(np.sum(num) / max(np.sum(den), 1e-300))
+        return uh, fu, float(residual)
+
     def apply_operator(self, u):
         """L u through the same per-mode form realization as the solves."""
-        uh = self._to_modes(_values(u))
-        out = _tridiag_apply(self.bands, uh)
+        out = self.band_product(self._to_modes(_values(u)))
         out /= -self.ops.weight[:, None]
         return Field(self._from_modes(out), self.grid)
 
     def solve(self, f):
         """u with (lam - L) u = f, plus the weighted residual of the modes."""
-        fh = self._to_modes(_values(f))
-        uh = self._sweep(fh)
-        w = self.ops.weight[:, None]
-        # W r = F u + (lam u - f) W, and |r|^2_W = sum |W r|^2 / W
-        wr = _tridiag_apply(self.bands, uh) + (self.lam * uh - fh) * w
-        residual = np.sqrt(np.sum(np.abs(wr) ** 2 / w)
-                           / max(np.sum(np.abs(fh) ** 2 * w), 1e-300))
-        u = Field(self._from_modes(uh), self.grid)
-        return u, {"residual": float(residual)}
+        uh, _, residual = self.solve_modes(self._to_modes(_values(f)))
+        return Field(self._from_modes(uh), self.grid), {"residual": residual}
 
     def derived(self, f):
         """(y^alpha Dxx u, [y^alpha Dx_j Dy u], y^alpha B u) and u itself."""

@@ -79,7 +79,7 @@ class OperatorSpec:
         drift_c = float(drift_c)
         alpha1 = float(alpha1)
         alpha2 = float(alpha2)
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         if not alpha2 < 2:
             raise ValueError("alpha2 must be < 2")
@@ -387,6 +387,16 @@ def problem_to_config(spec, space):
     }
 
 
+def _check_finite(key, value):
+    """Reject a non-numeric or non-finite operator number, naming its key."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("operator.%s must be numeric, got %r" % (key, value))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("operator.%s must be finite, got %r" % (key, value))
+
+
 def config_to_problem(cfg):
     """Parse the flat config dict; unknown or missing keys raise ValueError.
 
@@ -400,6 +410,9 @@ def config_to_problem(cfg):
     for key in _CONFIG_KEYS:
         if key not in cfg:
             raise ValueError("missing config key: %r" % (key,))
+    for key in _CONFIG_KEYS:
+        if key != "dimension":
+            _check_finite(key, cfg[key])
     n = int(cfg["dimension"])
     if n < 0:
         raise ValueError("dimension must be >= 0")

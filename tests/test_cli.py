@@ -279,3 +279,34 @@ def test_sweep_requires_section_and_valid_parameter(tmp_path, capsys):
     assert main(["sweep", "--config", cfg2, "--out",
                  str(tmp_path / "o")]) == 2
     assert "sweep.parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
+def test_negative_refine_is_config_error(tmp_path, capsys, command):
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out", str(out_dir), "--refine", "-3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: --refine" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gamma", float("nan")), ("gamma", float("inf")),
+    ("drift_c", float("nan")), ("alpha1", float("-inf")),
+    ("alpha2", float("nan")), ("p", float("nan")), ("m", float("inf")),
+    ("q_matrix", [[float("nan")]]), ("q_vector", [float("nan")]),
+    ("drift_b", [float("inf")]), ("gamma", "abc"),
+])
+def test_non_finite_operator_number_is_config_error(tmp_path, capsys, key,
+                                                    value):
+    cfg = _write_config(tmp_path, {"operator": dict(SMALL_OPERATOR,
+                                                    **{key: value})})
+    out_dir = tmp_path / "o"
+    rc = main(["solve_elliptic", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: operator.%s must be" % key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()

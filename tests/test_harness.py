@@ -80,6 +80,16 @@ def test_kernel_domination_reports_signed_margin():
     assert res.drift == (fine - coarse).max()
 
 
+def test_parabolic_contraction_reports_t_positive_worst_and_margin():
+    (res,) = run_suite({"checks": ["parabolic_contraction"]})
+    assert res.passed
+    main = [v for t, _, v in res.rows if t > 0]
+    worst = max(main + [res.detail["mixing_variant_l2"]])
+    # the t = 0 rows are 1 by definition and no longer pin the constant
+    assert res.constant == worst < 1.0
+    assert res.drift == 1.05 - worst > 0.0
+
+
 def test_run_suite_with_operator_override():
     config = {
         "checks": ["parameter_roundtrip"],

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from degenpde import multiplier as mp
 from degenpde import semigroup as sg
 from degenpde.grid import Field, XBox, make_grid
 from degenpde.params import ModelParams
@@ -40,14 +41,102 @@ def test_run_snapshot_bookkeeping():
     ts = np.linspace(0.0, 0.2, 5)
     run = sg.evolve(u0, None, MODEL, g, "backward_euler", ts)
     assert len(run.snapshots) == 5
+    assert run.kept == [0, 1, 2, 3, 4]
     assert np.array_equal(run.times, ts)
     assert run.final is run.snapshots[-1]
-    with pytest.raises(ValueError, match="one snapshot per time point"):
+    assert 0.0 < run.residual <= 1e-12
+    with pytest.raises(ValueError, match="one snapshot per kept time point"):
         sg.EvolutionRun(ts, "backward_euler", run.snapshots[:-1])
+    with pytest.raises(ValueError, match="final state required"):
+        sg.EvolutionRun(ts, "backward_euler", run.snapshots[::3], stride=3)
+    for stride in (0, 1.5, "2"):
+        with pytest.raises(ValueError, match="stride"):
+            sg.evolve(u0, None, MODEL, g, "backward_euler", ts, stride=stride)
+
+
+@pytest.mark.parametrize("steps,stride,kept", [
+    (6, 2, [0, 2, 4, 6]), (7, 3, [0, 3, 6]), (5, 9, [0]), (4, 4, [0, 4]),
+])
+def test_stride_keeps_every_stride_th_and_the_final(steps, stride, kept):
+    g = _grid(J=32, nx=8)
+    u0 = Field(np.random.default_rng(4).standard_normal(g.shape)
+               .astype(complex), g)
+    ts = np.linspace(0.0, 0.1, steps + 1)
+    full = sg.evolve(u0, None, MODEL, g, "crank_nicolson", ts)
+    run = sg.evolve(u0, None, MODEL, g, "crank_nicolson", ts, stride=stride)
+    assert run.kept == kept and len(run.snapshots) == len(kept)
+    # the march is the same; the stride only skips inverse transforms
+    for k, snap in zip(run.kept, run.snapshots):
+        assert np.array_equal(snap.values, full.snapshots[k].values)
+    assert np.array_equal(run.final.values, full.final.values)
+    assert run.residual == full.residual
+
+
+def _grid_space_oracle(u0, forcing, model, g, scheme, ts):
+    """The grid-space march: apply_operator + solve per step, 4 FFTs each."""
+    u = u0.copy()
+    out = [u.copy()]
+    for k in range(ts.size - 1):
+        dt = ts[k + 1] - ts[k]
+        if scheme == "backward_euler":
+            plan = mp.FrequencySolvePlan(1.0 / dt, model, g)
+            rhs = u / dt
+            fv = sg._forcing_at(forcing, k + 1, ts[k + 1], g)
+            if fv is not None:
+                rhs = rhs + fv
+        else:
+            plan = mp.FrequencySolvePlan(2.0 / dt, model, g)
+            rhs = 2.0 * u / dt + plan.apply_operator(u).values
+            fv = sg._forcing_at(forcing, k, 0.5 * (ts[k] + ts[k + 1]), g)
+            if fv is not None:
+                rhs = rhs + 2.0 * fv
+        u = plan.solve(Field(rhs, g))[0].values
+        out.append(u.copy())
+    return out
+
+
+_MODEL_2D = ModelParams([0.3, -0.2], 0.5, 1.0, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scheme", sg.SCHEMES)
+@pytest.mark.parametrize("kind", ["none", "callable", "sequence"])
+def test_mode_space_march_matches_grid_space_steps(dim, scheme, kind):
+    model = MODEL if dim == 1 else _MODEL_2D
+    g = make_grid(24, 1.0, 2.0, XBox(2.0 * np.pi, 6, dim))
+    rng = np.random.default_rng(dim)
+    u0 = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    # a non-uniform time grid, so two step sizes and two plans are used
+    ts = np.array([0.0, 0.01, 0.02, 0.035, 0.05, 0.065])
+    shape = rng.standard_normal(g.shape)
+    forcing = {"none": None,
+               "callable": lambda t: (1.0 + t) * shape,
+               "sequence": [(0.5 * j) * shape for j in range(ts.size)]}[kind]
+    run = sg.evolve(u0, forcing, model, g, scheme, ts)
+    ref = _grid_space_oracle(u0, forcing, model, g, scheme, ts)
+    assert run.kept == list(range(ts.size))
+    for snap, want in zip(run.snapshots, ref):
+        err = np.linalg.norm(snap.values - want) / np.linalg.norm(want)
+        assert err <= 1e-12
+    assert run.residual <= 1e-12
+
+
+def test_non_finite_step_raises():
+    g = _grid(J=24, nx=8)
+    u0 = np.ones(g.shape, dtype=complex)
+    bad = np.full(g.shape, np.nan)
+    forcing = lambda t: bad if t > 0.012 else None
+    for scheme in sg.SCHEMES:
+        with pytest.raises(RuntimeError, match="step 2 produced non-finite"):
+            sg.evolve(u0, forcing, MODEL, g, scheme,
+                      np.linspace(0.0, 0.04, 5))
 
 
 def test_single_step_is_resolvent():
-    assert sg.resolvent_step_identity(MODEL, _grid()) == 0.0
+    # one backward Euler step vs the monolithic sparse (I - dt L)^-1
+    for seed in (0, 13, 31):
+        assert sg.resolvent_step_identity(MODEL, _grid(J=64), seed=seed) \
+            <= 1e-12
 
 
 def test_semigroup_property_exact_with_shared_step():
@@ -123,10 +212,10 @@ def test_export_csvs_deterministic(tmp_path):
     u0 = Field(np.random.default_rng(2).standard_normal(g.shape)
                .astype(complex), g)
     run = sg.evolve(u0, None, MODEL, g, "backward_euler",
-                    np.linspace(0.0, 0.1, 5))
+                    np.linspace(0.0, 0.1, 5), stride=2)
 
     def export(d):
-        man = run.export_csvs(str(d), stride=2, model=MODEL)
+        man = run.export_csvs(str(d), model=MODEL)
         blobs = {}
         for name in man["snapshots"]:
             with open(os.path.join(str(d), name), "rb") as fh:
@@ -145,4 +234,5 @@ def test_export_csvs_deterministic(tmp_path):
     loaded = json.loads(blobs1["manifest"])
     assert loaded["scheme"] == "backward_euler"
     assert loaded["steps"] == 4
+    assert loaded["times"] == [float(t) for t in np.linspace(0.0, 0.1, 5)]
     assert loaded["model"]["alpha"] == 0.5
