@@ -16,6 +16,7 @@ in the frequency.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from degenpde.bessel1d import (assemble_form, resolve, sector_angle,
                                sector_resolvent_scan, two_route_resolvent,
@@ -29,24 +30,24 @@ grid = make_grid(256, 1.0, default_grading(alpha))
 print("grid: J = %d, y in (0, %g], grading exponent %.3f"
       % (grid.num_y, grid.y_max, grid.grading_exponent))
 
-# the driftless generator B is self-adjoint and nonnegative in L^2(y^c)
+# the driftless generator B is self-adjoint and nonnegative in L^2(y^c):
+# its form is Hermitian, and -B is similar to W^(-1/2) F W^(-1/2)
 op = assemble_form(grid, "bessel", c=c)
-defect = max(np.abs(op.form_sub - np.conj(op.form_sup)).max(),
-             np.abs(op.form_diag.imag).max())
-sqw = np.sqrt(op.inner_weight)
-sym = (np.diag(op.form_diag / op.inner_weight)
-       + np.diag(op.form_sup / sqw[:-1] / sqw[1:], 1)
-       + np.diag(op.form_sub / sqw[:-1] / sqw[1:], -1))
-eigs = np.linalg.eigvalsh(np.real(sym))
-print("\nhermitian defect of the form  = %.3e" % defect)
-print("lowest eigenvalues of -B      = %s" % np.round(eigs[:3], 10).tolist())
+d, e, _ = op.symmetric_bands()
+eigs = eigh_tridiagonal(d.real, e.real, eigvals_only=True)
+print("\nhermitian defect of the form  = %.3e" % op.hermitian_defect())
+print("lowest eigenvalues of -B      = %s"
+      % (np.round(eigs[:3], 10) + 0.0).tolist())
 print("(zero mode = constants, Neumann-type edge behavior)")
 
-# resolvent solve: residual is checked internally against 1e-10
+# resolvent solve: (lam W + F) u = W f by pivoted tridiagonal LU, gated on
+# its componentwise backward error (at most BACKWARD_ERROR_TOL = 1e-13)
 f = panels.bump_profile(0.4, 0.15)(grid.y_nodes).astype(complex)
 lam = 1.0 + 0.5j
 u = resolve(op, lam, f)
-print("\nresolvent solve at lam = %s: max|u| = %.6f" % (lam, np.abs(u).max()))
+berr = op.backward_error(lam, u, op.weight * f)
+print("\nresolvent solve at lam = %s: max|u| = %.6f, backward error %.1e"
+      % (lam, np.abs(u).max(), berr))
 
 # ||lam (lam - B)^(-1)|| = 1 exactly on the positive real axis
 rng = np.random.default_rng(0)

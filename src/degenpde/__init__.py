@@ -30,8 +30,8 @@ from .params import (
     shear_map,
     reduce_to_model,
 )
-from .grid import Grid, Field, make_grid, lp_norm, sobolev_report
-from .bessel1d import DiscreteOperator, Kernel1D, assemble_form, resolve, expm_kernel
+from .grid import Grid, Field, make_grid, lp_norm
+from .bessel1d import TridiagForm, Kernel1D, assemble_form, resolve, expm_kernel
 from .transforms import TransformChain, apply_power, apply_phase, apply_shear
 from .multiplier import FrequencySolvePlan, resolvent_nd, derived_multipliers
 from .semigroup import EvolutionRun, evolve
@@ -42,8 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "OperatorSpec", "SpaceSpec", "ModelParams", "WindowReport",
     "validate_window", "beta_map", "shear_map", "reduce_to_model",
-    "Grid", "Field", "make_grid", "lp_norm", "sobolev_report",
-    "DiscreteOperator", "Kernel1D", "assemble_form", "resolve", "expm_kernel",
+    "Grid", "Field", "make_grid", "lp_norm",
+    "TridiagForm", "Kernel1D", "assemble_form", "resolve", "expm_kernel",
     "TransformChain", "apply_power", "apply_phase", "apply_shear",
     "FrequencySolvePlan", "resolvent_nd", "derived_multipliers",
     "EvolutionRun", "evolve",

@@ -24,14 +24,19 @@ same linear system: their agreement then tests only the independent code
 paths, not the discretization error.  The natural (Neumann-type) flux
 condition y^c Dy u -> 0 is built into the form; no boundary rows are needed.
 
-Operators are tridiagonal; solves use banded LU.  Semigroup kernels never
-form a dense matrix exponential: self-adjoint forms are diagonalised through
-their symmetrised tridiagonal pencil, oblique forms use a parabolic-contour
-quadrature of the banded resolvent, so J is not capped.
+Every operator is a TridiagForm: the tridiagonal form bands F and the
+diagonal weights W, with M = -W^(-1) F.  One operator is solved by LAPACK's
+pivoted tridiagonal LU (gttrf / gttrs), a batch of Fourier modes by a
+vectorised Thomas LU; resolve gates every solve on its componentwise
+backward error.  Semigroup kernels never form a dense matrix exponential:
+self-adjoint forms are diagonalised through their symmetrised tridiagonal
+pencil, oblique forms use a parabolic-contour quadrature of the resolvent,
+so J is not capped.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grid import lp_norm, make_grid, default_grading
 from . import panels
@@ -124,97 +129,154 @@ def node_weights(y, w_exponent):
 
 
 # ---------------------------------------------------------------------------
-# operator container
+# tridiagonal forms
 
 
-class DiscreteOperator:
-    """Tridiagonal realization of a weighted 1-d operator M.
+def _rows(v, ndim):
+    """v with trailing unit axes: it broadcasts along axis 0 of ndim arrays."""
+    return v.reshape(v.shape + (1,) * (ndim - v.ndim))
 
-    Stores the form matrix F with  <-M u, v>_W = v^H F u  and the diagonal
-    inner-product weights W (measure y^w dy at the nodes), so M = -W^(-1) F.
-    bc is 'neumann_form' (natural flux condition only) or 'oblique' (graded
-    drift term, complex flux coupling).
+
+def _band_apply(sub, diag, sup, u):
+    """Tridiagonal (sub, diag, sup) product along axis 0 of u."""
+    sub, diag, sup = (_rows(b, u.ndim) for b in (sub, diag, sup))
+    out = diag * u
+    out[:-1] += sup * u[1:]
+    out[1:] += sub * u[:-1]
+    return out
+
+
+class SingularFormError(np.linalg.LinAlgError):
+    """lam W + F has a zero or non-finite pivot; `column` is the first
+    operator of the batch where it appeared (0 for a single operator)."""
+
+    def __init__(self, column):
+        super().__init__("zero or non-finite pivot in column %d" % column)
+        self.column = int(column)
+
+
+class TridiagForm:
+    """Tridiagonal form F and diagonal weight W of a 1-d operator M.
+
+    <-M u, v>_W = v^H F u, so M = -W^(-1) F, with W the node weights of the
+    measure y^w dy.  Bands of shape (J,) (sub and sup (J - 1,)) describe one
+    operator; bands of shape (J, modes) a batch of Fourier modes sharing W,
+    one column per mode.  Every product and solve acts along axis 0.
     """
 
-    def __init__(self, sub, diag, sup, inner_weight, inner_exponent, bc,
-                 params, grid):
-        self.form_sub = np.asarray(sub, dtype=complex)
-        self.form_diag = np.asarray(diag, dtype=complex)
-        self.form_sup = np.asarray(sup, dtype=complex)
-        self.inner_weight = np.asarray(inner_weight, dtype=float)
-        self.inner_exponent = float(inner_exponent)
-        self.bc = bc
-        self.params = dict(params)
+    def __init__(self, sub, diag, sup, weight, grid=None):
+        self.sub = np.asarray(sub, dtype=complex)
+        self.diag = np.asarray(diag, dtype=complex)
+        self.sup = np.asarray(sup, dtype=complex)
+        self.weight = np.asarray(weight, dtype=float)
         self.grid = grid
 
     @property
     def size(self):
-        return self.form_diag.size
-
-    def form_apply(self, u):
-        """F u along the last axis of u."""
-        u = np.asarray(u)
-        out = self.form_diag * u
-        out[..., :-1] += self.form_sup * u[..., 1:]
-        out[..., 1:] += self.form_sub * u[..., :-1]
-        return out
+        return self.diag.shape[0]
 
     def apply(self, u):
-        """M u = -W^(-1) F u."""
-        return -self.form_apply(u) / self.inner_weight
+        """F u along axis 0 of u."""
+        return _band_apply(self.sub, self.diag, self.sup, u)
 
-    def weighted_inner(self, u, v):
-        """<u, v> in the operator's L^2(y^w) quadrature."""
-        return complex(np.sum(u * np.conj(v) * self.inner_weight))
-
-    def weighted_norm(self, u):
-        return float(np.sqrt(np.sum(np.abs(u) ** 2 * self.inner_weight)))
+    def dense(self):
+        """F of one operator as a dense matrix."""
+        return (np.diag(self.diag) + np.diag(self.sub, -1)
+                + np.diag(self.sup, 1))
 
     def hermitian_defect(self):
         """max |F - F^H| relative to max |F|; 0 for self-adjoint operators."""
-        scale = max(abs(self.form_diag).max(),
-                    abs(self.form_sub).max(), abs(self.form_sup).max())
-        d = max(abs(self.form_diag.imag).max(),
-                abs(self.form_sub - np.conj(self.form_sup)).max())
+        scale = max(abs(self.diag).max(), abs(self.sub).max(),
+                    abs(self.sup).max())
+        d = max(abs(self.diag.imag).max(),
+                abs(self.sub - np.conj(self.sup)).max())
         return float(d / scale)
 
-    def accretivity_defect(self, trials=32, rng=None):
-        """min over probes of Re<-Mu, u>_W / <u, u>_W (should be >= ~0)."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        worst = np.inf
-        for _ in range(trials):
-            u = rng.standard_normal(self.size) + 1j * rng.standard_normal(self.size)
-            num = np.real(np.vdot(u, self.form_apply(u)))
-            den = np.real(np.sum(np.abs(u) ** 2 * self.inner_weight))
-            worst = min(worst, num / den)
-        return float(worst)
+    def symmetric_bands(self):
+        """(diag, sub, sup) of W^(-1/2) F W^(-1/2), a matrix similar to -M."""
+        w = self.weight
+        r = np.sqrt(w[:-1] * w[1:])
+        return self.diag / w, self.sub / r, self.sup / r
 
-    def symmetric_spectrum(self):
-        """Eigenvalues of -M for self-adjoint (b = 0) operators.
+    def _shifted_diag(self, lam):
+        return self.diag + lam * _rows(self.weight, self.diag.ndim)
 
-        Solves the symmetrized pencil W^(-1/2) F W^(-1/2); requires F real.
+    def factor(self, lam):
+        """LU factors of lam W + F.
+
+        One operator: LAPACK gttrf (partial pivoting), whose factors also
+        solve the adjoint system.  A batch: a Thomas LU without pivoting,
+        one forward and one backward sweep over the J rows, each row a vector
+        over all modes; for Re lam > 0 the Hermitian part of lam W + F is
+        positive definite (the form is accretive), so no pivoting is needed
+        (Golub & Van Loan, section 4.2).  A zero pivot, or in a batch a
+        non-finite one, raises SingularFormError.
         """
-        if self.hermitian_defect() > 1e-12:
-            raise ValueError("spectrum helper needs a self-adjoint operator")
-        d, e, _ = _scaled_bands(self)
-        return eigh_tridiagonal(d.real, e.real, eigvals_only=True)
+        with np.errstate(all="ignore"):
+            diag = self._shifted_diag(lam)
+        if diag.ndim == 1:
+            return _PivotedLU(self.sub, diag, self.sup)
+        return _ThomasLU(self.sub, diag, self.sup)
+
+    def backward_error(self, lam, u, b):
+        """Componentwise backward error of u for (lam W + F) u = b.
+
+        max_i |b - A u|_i / (|A| |u| + |b|)_i with A = lam W + F (Oettli &
+        Prager, Numer. Math. 6 (1964)): the smallest relative perturbation
+        of the entries of A and b that u solves exactly.  Unlike a weighted
+        residual it does not grow with the spread of the weights.
+        """
+        diag = self._shifted_diag(lam)
+        r = np.abs(b - _band_apply(self.sub, diag, self.sup, u))
+        scale = _band_apply(np.abs(self.sub), np.abs(diag), np.abs(self.sup),
+                            np.abs(u)) + np.abs(b)
+        return float(np.max(r / np.where(scale > 0, scale, 1.0)))
 
 
-def _scaled_bands(op):
-    """(diag, sub, sup) of W^(-1/2) F W^(-1/2), a matrix similar to -M."""
-    w = op.inner_weight
-    r = np.sqrt(w[:-1] * w[1:])
-    return op.form_diag / w, op.form_sub / r, op.form_sup / r
+class _PivotedLU:
+    """gttrf factors of one tridiagonal matrix; solve and adjoint solve."""
+
+    def __init__(self, sub, diag, sup):
+        *self._lu, info = zgttrf(sub, diag, sup, overwrite_d=True)
+        if info > 0:
+            raise SingularFormError(0)
+
+    def solve(self, b, overwrite_b=False):
+        """A^(-1) b for b of shape (J,) or (J, k)."""
+        return zgttrs(*self._lu, b, overwrite_b=overwrite_b)[0]
+
+    def solve_adjoint(self, b):
+        """A^(-H) b from the same factors."""
+        return zgttrs(*self._lu, b, trans="C")[0]
 
 
-def _solver_bands(op, lam):
-    """Banded matrix of (lam W + F) in solve_banded layout."""
-    J = op.size
-    ab = np.zeros((3, J), dtype=complex)
-    ab[0, 1:] = op.form_sup
-    ab[1, :] = op.form_diag + lam * op.inner_weight
-    ab[2, :-1] = op.form_sub
-    return ab
+class _ThomasLU:
+    """Thomas LU of a (J, modes) batch: multipliers and inverse pivots."""
+
+    def __init__(self, sub, piv, sup):
+        mult = np.empty_like(sub)
+        with np.errstate(all="ignore"):
+            for i in range(1, piv.shape[0]):
+                np.divide(sub[i - 1], piv[i - 1], out=mult[i - 1])
+                piv[i] -= mult[i - 1] * sup[i - 1]
+        bad = np.flatnonzero(~np.all(np.isfinite(piv) & (piv != 0), axis=0))
+        if bad.size:
+            raise SingularFormError(bad[0])
+        self.sup = sup
+        self.mult = mult
+        self.inv_piv = np.reciprocal(piv, out=piv)
+
+    def solve(self, b, overwrite_b=False):
+        """A^(-1) b for (J, modes) b, by one forward and one backward sweep."""
+        u = b if overwrite_b else np.array(b, dtype=complex)
+        sup, mult, inv_piv = self.sup, self.mult, self.inv_piv
+        for i in range(1, u.shape[0]):
+            u[i] -= mult[i - 1] * u[i - 1]
+        u[-1] *= inv_piv[-1]
+        for i in range(u.shape[0] - 2, -1, -1):
+            u[i] -= sup[i] * u[i + 1]
+            u[i] *= inv_piv[i]
+        return u
 
 
 def assemble_form(grid, kind, **params):
@@ -250,9 +312,7 @@ def assemble_form(grid, kind, **params):
         raise ValueError("need c > -1")
 
     if kind == "bessel":
-        sub, diag, sup = stiffness_tridiag(y, c)
-        return DiscreteOperator(sub, diag, sup, W(c), c, "neumann_form",
-                                {"kind": kind, **params}, grid)
+        return TridiagForm(*stiffness_tridiag(y, c), W(c), grid)
 
     if kind in ("model_mode", "model_potential"):
         alpha = float(params["alpha"])
@@ -264,13 +324,10 @@ def assemble_form(grid, kind, **params):
         diag = kd - 2j * s_mix * pd + k2 * W(c)
         sup = ku - 2j * s_mix * pu
         if kind == "model_mode":
-            return DiscreteOperator(sub, diag, sup, W(c - alpha), c - alpha,
-                                    "neumann_form", {"kind": kind, **params},
-                                    grid)
+            return TridiagForm(sub, diag, sup, W(c - alpha), grid)
         lam = complex(params["lam"])
         diag = diag + lam * W(c - alpha)
-        return DiscreteOperator(sub, diag, sup, W(c), c, "neumann_form",
-                                {"kind": kind, **params}, grid)
+        return TridiagForm(sub, diag, sup, W(c), grid)
 
     if kind == "bessel_drift":
         beta = float(params["beta"])
@@ -285,56 +342,32 @@ def assemble_form(grid, kind, **params):
         diag = kd - 1j * b * gd
         sup = ku - 0.5j * b * (gu + gs)
         diag = diag + mu * W(c + 2.0 * beta)
-        bc = "oblique" if b != 0.0 else "neumann_form"
-        return DiscreteOperator(sub, diag, sup, W(c), c, bc,
-                                {"kind": kind, **params}, grid)
+        return TridiagForm(sub, diag, sup, W(c), grid)
 
     raise ValueError("unknown form kind %r" % (kind,))
 
 
-def resolve(op, lam, f, tol=1e-10):
-    """Solve (lam - M) u = f; raises if the relative residual exceeds tol.
+# Gate on the componentwise backward error of every resolve: rounding keeps
+# it near the unit roundoff (at most 8.1e-16 over the default suite), so a
+# solve above this bound is not a rounding effect.
+BACKWARD_ERROR_TOL = 1e-13
 
-    The linear system is (lam W + F) u = W f (banded LU).  On poor residual
-    a condition estimate is attached to the error message.
+
+def resolve(op, lam, f):
+    """Solve (lam - M) u = f, i.e. (lam W + F) u = W f, by pivoted LU.
+
+    f has shape (J,) or (..., J), one right-hand side per leading index.
+    Raises RuntimeError when the componentwise backward error of any
+    right-hand side exceeds BACKWARD_ERROR_TOL.
     """
     f = np.asarray(f, dtype=complex)
-    ab = _solver_bands(op, lam)
-    rhs = op.inner_weight * f
-    if f.ndim > 1:
-        u = solve_banded((1, 1), ab, rhs.reshape(-1, f.shape[-1]).T)
-        u = u.T.reshape(f.shape)
-        return u
-    u = solve_banded((1, 1), ab, rhs)
-    fnorm = max(op.weighted_norm(f), 1e-300)
-    for _ in range(3):
-        system_res = lam * op.inner_weight * u + op.form_apply(u) - rhs
-        # ||(lam - M)u - f||_W with (lam-M)u - f = W^(-1) system_res
-        num = np.sqrt(np.sum(np.abs(system_res) ** 2 / op.inner_weight))
-        rel = num / fnorm
-        if rel <= tol:
-            return u
-        # one round of iterative refinement on the banded system
-        u = u - solve_banded((1, 1), ab, system_res)
-    A = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    cond = np.linalg.cond(A)
-    raise RuntimeError("resolvent residual %.3e exceeds %.1e "
-                       "(condition estimate %.3e)" % (rel, tol, cond))
-
-
-def resolve_adjoint(op, lam, f):
-    """Solve the W-adjoint system: u = (conj(lam) - M*)^(-1) f.
-
-    M* is the adjoint in the weighted inner product, so the system is
-    (conj(lam) W + F^H) u = W f.
-    """
-    f = np.asarray(f, dtype=complex)
-    J = op.size
-    ab = np.zeros((3, J), dtype=complex)
-    ab[0, 1:] = np.conj(op.form_sub)
-    ab[1, :] = np.conj(op.form_diag) + np.conj(lam) * op.inner_weight
-    ab[2, :-1] = np.conj(op.form_sup)
-    return solve_banded((1, 1), ab, op.inner_weight * f)
+    rhs = (op.weight * f).reshape(-1, op.size).T
+    u = op.factor(lam).solve(rhs)
+    err = op.backward_error(lam, u, rhs)
+    if not err <= BACKWARD_ERROR_TOL:
+        raise RuntimeError("resolvent backward error %.3e exceeds %.0e"
+                           % (err, BACKWARD_ERROR_TOL))
+    return u.T.reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +378,21 @@ class Kernel1D:
     """Dense semigroup kernel with respect to the weighted measure.
 
     values[i, j] approximates p(z, y_i, rho_j) in
-    (e^{zM} f)(y_i) = sum_j p(z, y_i, rho_j) f(rho_j) rho_j^w omega_j,
-    where w = measure_exponent.
+    (e^{zM} f)(y_i) = sum_j p(z, y_i, rho_j) f(rho_j) W_j,
+    where W = weight holds the node weights of the measure.
     """
 
-    def __init__(self, z, values, grid, measure_exponent, params):
+    def __init__(self, z, values, grid, weight):
         self.z = complex(z)
         self.values = np.asarray(values, dtype=complex)
         self.grid = grid
-        self.measure_exponent = float(measure_exponent)
-        self.params = dict(params)
+        self.weight = np.asarray(weight, dtype=float)
 
     def apply(self, f):
-        w = node_weights(self.grid.y_nodes, self.measure_exponent)
-        return self.values @ (np.asarray(f, dtype=complex) * w)
+        return self.values @ (np.asarray(f, dtype=complex) * self.weight)
 
     def __repr__(self):
-        return ("Kernel1D(z=%s, J=%d, measure_exponent=%g)"
-                % (self.z, self.values.shape[0], self.measure_exponent))
+        return "Kernel1D(z=%s, J=%d)" % (self.z, self.values.shape[0])
 
 
 # Parabolic contour s(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta),
@@ -416,7 +446,8 @@ def _contour_error_bound(op, z):
     Returns inf when a pole lies inside.
     """
     z = complex(z)
-    angles, support, vertices = _numerical_range_polygon(*_scaled_bands(op))
+    angles, support, vertices = _numerical_range_polygon(
+        *op.symmetric_bands())
     poles = -_NODES / z
     inside = (np.real(np.exp(-1j * angles)[:, None] * poles[None, :])
               <= support[:, None]).all(axis=0)
@@ -444,17 +475,17 @@ def expm_kernel(op, z):
         values = W^(-1/2) V e^{-z Lambda} V^T W^(-1/2).
 
     Other (oblique) forms use the parabolic-contour quadrature of the
-    resolvent, e^{zM} W^(-1) = sum_k c_k (s_k W + z F)^(-1): one banded
-    solve with J right-hand sides per node.  It is used only when
+    resolvent, e^{zM} W^(-1) = sum_k c_k (s_k W + z F)^(-1): one pivoted
+    LU of the form zF at s_k and a solve with J right-hand sides per node.  It is used only when
     _contour_error_bound(op, z) <= 1e-10; a z whose rotated numerical range
     the contour cannot enclose raises ValueError instead.
     """
     z = complex(z)
     if z.real <= 0:
         raise ValueError("need Re z > 0")
-    w = op.inner_weight
+    w = op.weight
     if op.hermitian_defect() <= 1e-12:
-        d, e, _ = _scaled_bands(op)
+        d, e, _ = op.symmetric_bands()
         lam, V = eigh_tridiagonal(d.real, e.real)
         V /= np.sqrt(w)[:, None]
         g = np.exp(-z * lam)
@@ -467,19 +498,15 @@ def expm_kernel(op, z):
             raise ValueError("contour quadrature cannot enclose the rotated "
                              "numerical range of z M at z = %s (error bound "
                              "%.1e > %.0e)" % (z, bound, _CONTOUR_TOL))
-        ab = np.zeros((3, op.size), dtype=complex)
-        ab[0, 1:] = z * op.form_sup
-        ab[2, :-1] = z * op.form_sub
+        zform = TridiagForm(z * op.sub, z * op.diag, z * op.sup, w)
         # Fortran order spares LAPACK a copy of each right-hand-side block
         values = np.zeros((op.size, op.size), dtype=complex, order="F")
         for s, c in zip(_NODES, _COEFFS):
-            ab[1] = s * w + z * op.form_diag
-            X = solve_banded((1, 1), ab,
-                             np.eye(op.size, dtype=complex, order="F"),
-                             overwrite_b=True, check_finite=False)
+            X = zform.factor(s).solve(
+                np.eye(op.size, dtype=complex, order="F"), overwrite_b=True)
             X *= c
             values += X
-    return Kernel1D(z, values, op.grid, op.inner_exponent, op.params)
+    return Kernel1D(z, values, op.grid, w)
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +519,25 @@ def weighted_opnorm_estimate(op, lam, rng, probes=16, iters=3):
     Randomized power iteration on T* T (T = lam R_lam, adjoint in the W inner
     product): `probes` random starts, `iters` power steps each, max taken.
     """
+    w = op.weight
+
+    def norm(v):
+        return float(np.sqrt(np.sum(np.abs(v) ** 2 * w)))
+
+    # T* = conj(lam) (conj(lam) - M*)^(-1), and (conj(lam) - M*)^(-1) g
+    # solves (lam W + F)^H u = W g
+    adjoint = op.factor(lam).solve_adjoint
     best = 0.0
     absl2 = abs(lam) ** 2
     for _ in range(probes):
         v = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
-        v /= op.weighted_norm(v)
+        v /= norm(v)
         for _ in range(iters):
             tv = resolve(op, lam, v)
-            v_new = resolve_adjoint(op, lam, tv)
-            sigma2 = absl2 * np.real(op.weighted_inner(tv, tv))
+            v_new = adjoint(w * tv)
+            sigma2 = absl2 * np.real(np.sum(tv * np.conj(tv) * w))
             v = absl2 * v_new
-            n = op.weighted_norm(v)
+            n = norm(v)
             if n == 0:
                 break
             v /= n
@@ -803,7 +838,6 @@ def two_route_resolvent(grid, alpha, c, mixing_freq, freq_norm2, lam, f):
     op2 = assemble_form(grid, "model_potential", c=c, alpha=alpha,
                         mixing_freq=mixing_freq, freq_norm2=freq_norm2,
                         lam=lam)
-    rhs = op2.inner_weight * (f * grid.y_nodes ** (-float(alpha)))
-    ab = _solver_bands(op2, 0.0)
-    u2 = solve_banded((1, 1), ab, rhs)
+    rhs = op2.weight * (f * grid.y_nodes ** (-float(alpha)))
+    u2 = op2.factor(0.0).solve(rhs)
     return u1, u2

@@ -6,8 +6,8 @@ all nodes are strictly inside (0, Y_max) and the singular coefficients y^s are
 never evaluated at 0.  The grading exponent g = 2/(2-a2) equalizes the mesh in
 the variable y^(1-a2/2), the natural distance of the degenerate operator's
 heat kernel.  The horizontal directions form a periodic box (torus) sampled
-uniformly; x-derivatives are spectral, y-derivatives use 3-point nonuniform
-finite differences (one-sided quadratics at the ends).
+uniformly.  The y-derivative matrices use 3-point nonuniform finite
+differences (one-sided quadratics at the ends).
 
 Norms are the weighted Lebesgue norms of L^p(y^m dx dy), with the y-integral
 by the cell-length quadrature sum |u|^p y^m (E_{j+1} - E_j) and the x-integral
@@ -186,17 +186,6 @@ def linf_norm(u):
     return float(np.abs(values).max())
 
 
-def weighted_l2_inner(u, v, m, grid=None):
-    """Discrete inner product <u, v> in L^2(y^m dx dy)."""
-    uv, g = _split_field(u, grid)
-    vv, _ = _split_field(v, g)
-    wy = g.y_weights * g.y_nodes ** float(m)
-    s = np.sum(uv * np.conj(vv) * wy, axis=-1)
-    if g.x_box is not None:
-        s = np.sum(s) * g.x_box.spacing ** g.x_box.dim
-    return complex(s)
-
-
 def diff1_matrix(y):
     """Dense first-derivative matrix, 3-point nonuniform stencils.
 
@@ -241,87 +230,6 @@ def diff2_matrix(y):
         D[row, i1] = 2.0 / ((t1 - t0) * (t1 - t2))
         D[row, i2] = 2.0 / ((t2 - t0) * (t2 - t1))
     return D
-
-
-def y_derivative(values, grid, order=1):
-    """Apply the nonuniform FD derivative along the last (y) axis."""
-    D = diff1_matrix(grid.y_nodes) if order == 1 else diff2_matrix(grid.y_nodes)
-    return values @ D.T
-
-
-def x_derivative(values, box, axis, order=1):
-    """Spectral derivative along one x-axis of a tensor field."""
-    k = box.wavenumbers()
-    shape = [1] * values.ndim
-    shape[axis] = k.size
-    mult = (1j * k.reshape(shape)) ** order
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
-
-
-class SobolevNormReport:
-    """Weighted norms of u and of its operator-adapted derivative terms.
-
-    terms maps a descriptive name to the L^p(y^m) norm of the weighted
-    derivative: value, y^a1 Dxx (all second x-derivatives, p-aggregated),
-    y^(a1/2) Dx, y^a2 Dyy, y^(a2/2) Dy, y^((a1+a2)/2) Dy Dx, y^(a2-1) Dy.
-    """
-
-    ORDER = ("value", "xx_second", "x_first", "yy_second", "y_first",
-             "mixed_xy", "drift_scale_y")
-
-    def __init__(self, terms):
-        self.terms = dict(terms)
-
-    def as_dict(self):
-        return {k: self.terms[k] for k in self.ORDER}
-
-    def __repr__(self):
-        body = ", ".join("%s=%.4g" % (k, self.terms[k]) for k in self.ORDER)
-        return "SobolevNormReport(%s)" % body
-
-
-def sobolev_report(u, spec, space):
-    """Evaluate the seven weighted derivative norms of the operator's space.
-
-    y-derivatives by the 3-point nonuniform stencils, x-derivatives spectral.
-    Multi-component x-terms (gradient, Hessian, mixed) are aggregated in the
-    same power p as the norm.  Grids with fewer than 8 cells are rejected.
-    """
-    values, g = _split_field(u, None if isinstance(u, Field) else u.grid)
-    if g.num_y < 8:
-        raise ValueError("sobolev_report needs at least 8 cells")
-    p, m = space.p, space.m
-    a1, a2 = spec.alpha1, spec.alpha2
-    y = g.y_nodes
-
-    def wnorm(vals, power):
-        return lp_norm(vals * y ** power, p, m, g)
-
-    def aggregate(norms):
-        return float(np.sum(np.asarray(norms) ** p) ** (1.0 / p))
-
-    dy1 = y_derivative(values, g, 1)
-    dy2 = y_derivative(values, g, 2)
-    terms = {
-        "value": lp_norm(values, p, m, g),
-        "yy_second": wnorm(dy2, a2),
-        "y_first": wnorm(dy1, a2 / 2.0),
-        "drift_scale_y": wnorm(dy1, a2 - 1.0),
-    }
-    if g.x_box is None:
-        terms["xx_second"] = 0.0
-        terms["x_first"] = 0.0
-        terms["mixed_xy"] = 0.0
-    else:
-        n = g.x_box.dim
-        dx = [x_derivative(values, g.x_box, ax) for ax in range(n)]
-        terms["x_first"] = aggregate([wnorm(d, a1 / 2.0) for d in dx])
-        terms["xx_second"] = aggregate(
-            [wnorm(x_derivative(dx[i], g.x_box, jax), a1)
-             for i in range(n) for jax in range(n)])
-        terms["mixed_xy"] = aggregate(
-            [wnorm(y_derivative(d, g, 1), (a1 + a2) / 2.0) for d in dx])
-    return SobolevNormReport(terms)
 
 
 def write_field_csv(path, field):

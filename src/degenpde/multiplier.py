@@ -28,13 +28,13 @@ mode-decoupled path to solver tolerance.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Field, lp_norm
-from .bessel1d import (stiffness_tridiag, transport_tridiag, node_weights,
-                       partition_weights)
+from .bessel1d import (TridiagForm, SingularFormError, stiffness_tridiag,
+                       transport_tridiag, node_weights, partition_weights,
+                       _rows)
 
 
 def _values(f):
@@ -42,35 +42,13 @@ def _values(f):
     return np.asarray(f.values if isinstance(f, Field) else f, dtype=complex)
 
 
-def _banded(sub, diag, sup):
-    """Tridiagonal bands in solve_banded((1, 1), ...) layout."""
-    return np.array([np.r_[0, sup], diag, np.r_[sub, 0]], dtype=complex)
-
-
-def _rows(v, ndim):
-    """v with trailing unit axes: it broadcasts along axis 0 of ndim arrays."""
-    return v.reshape(v.shape + (1,) * (ndim - v.ndim))
-
-
-def _tridiag_apply(bands, u):
-    """Tridiagonal (sub, diag, sup) product along axis 0 of u.
-
-    Bands with one axis act on every column of a (rows, modes) u; bands
-    already laid out as (rows, modes) act column by column.
-    """
-    sub, diag, sup = (_rows(b, u.ndim) for b in bands)
-    out = diag * u
-    out[:-1] += sup * u[1:]
-    out[1:] += sub * u[:-1]
-    return out
-
-
 class ModeOperators:
     """Frequency-independent pieces of M(xi) on a grid, assembled once.
 
-    solver_bands(s, k2, lam) returns (lam W + F(xi)) in solve_banded layout
-    with s = a . xi, k2 = |xi|^2; apply/solve/derivative helpers reuse the
-    same arrays so every consumer sees the identical discretization.
+    form(s, k2) is the TridiagForm of F(xi) with s = a . xi, k2 = |xi|^2 and
+    weight W = W_(c-alpha), so M(xi) = -W^(-1) F(xi); the apply, solve and
+    derivative helpers reuse the same arrays, so every consumer sees the
+    identical discretization.
     """
 
     def __init__(self, grid, c, alpha):
@@ -80,18 +58,18 @@ class ModeOperators:
         self.alpha = float(alpha)
         if not self.c > -1.0:
             raise ValueError("need c > -1")
-        self.stiff = stiffness_tridiag(y, self.c)
-        self.trans = transport_tridiag(y, self.c)
         omega = partition_weights(y)
         self.w_pot = y ** self.c * omega           # |xi|^2 potential weight
         self.weight = y ** (self.c - self.alpha) * omega
         self.y_alpha = y ** self.alpha
+        self.stiff = TridiagForm(*stiffness_tridiag(y, self.c), self.weight)
+        self.trans = TridiagForm(*transport_tridiag(y, self.c), self.weight)
 
     @property
     def size(self):
         return self.weight.size
 
-    def mode_bands(self, s, k2):
+    def form_bands(self, s, k2):
         """(sub, diag, sup) of F(xi) = K - 2 i s P + k2 W_c.
 
         Scalars s, k2 give one mode's bands; 1-d arrays of modes give every
@@ -99,40 +77,36 @@ class ModeOperators:
         """
         s = np.asarray(s, dtype=float)
         k2 = np.asarray(k2, dtype=float)
-        ks, kd, ku = (_rows(b, s.ndim + 1) for b in self.stiff)
-        ps, pd, pu = (_rows(b, s.ndim + 1) for b in self.trans)
-        return (ks - 2j * s * ps,
-                kd - 2j * s * pd + k2 * _rows(self.w_pot, s.ndim + 1),
-                ku - 2j * s * pu)
+        n = s.ndim + 1
+        K, P = self.stiff, self.trans
+        return (_rows(K.sub, n) - 2j * s * _rows(P.sub, n),
+                _rows(K.diag, n) - 2j * s * _rows(P.diag, n)
+                + k2 * _rows(self.w_pot, n),
+                _rows(K.sup, n) - 2j * s * _rows(P.sup, n))
 
-    def form_bands(self, s, k2):
-        """(sub, diag, sup) of F(xi) for the single mode (s, k2)."""
-        return self.mode_bands(s, k2)
-
-    def solver_bands(self, s, k2, lam):
-        sub, diag, sup = self.form_bands(s, k2)
-        return _banded(sub, diag + lam * self.weight, sup)
+    def form(self, s, k2):
+        """TridiagForm of F(xi) with weight W_(c-alpha), one mode or many."""
+        return TridiagForm(*self.form_bands(s, k2), self.weight)
 
     def solve(self, s, k2, lam, fhat):
         """(lam - M(xi))^(-1) fhat for one mode."""
-        ab = self.solver_bands(s, k2, lam)
-        return solve_banded((1, 1), ab, self.weight * fhat)
+        return self.form(s, k2).factor(lam).solve(self.weight * fhat)
 
     def apply(self, s, k2, u):
         """M(xi) u = -W^(-1) F(xi) u."""
-        return -_tridiag_apply(self.form_bands(s, k2), u) / self.weight
+        return -self.form(s, k2).apply(u) / self.weight
 
     def grad_term(self, u):
         """y^alpha Dy u in the weak (form) realization W^(-1) P u.
 
         u is one mode's profile or a (rows, modes) batch."""
         u = np.asarray(u, dtype=complex)
-        return _tridiag_apply(self.trans, u) / _rows(self.weight, u.ndim)
+        return self.trans.apply(u) / _rows(self.weight, u.ndim)
 
     def bessel_term(self, u):
         """y^alpha B u in the weak realization -W^(-1) K u (one or a batch)."""
         u = np.asarray(u, dtype=complex)
-        return -_tridiag_apply(self.stiff, u) / _rows(self.weight, u.ndim)
+        return -self.stiff.apply(u) / _rows(self.weight, u.ndim)
 
     def deriv_coeff(self, mixing_j, xi_j, u):
         """A_j u = (dM/dxi_j) u = 2 i a_j y^alpha Dy u - 2 xi_j y^alpha u."""
@@ -150,14 +124,12 @@ def xi_lattice(box):
 class FrequencySolvePlan:
     """Factor-once solve plan for one (model, grid, lam) triple.
 
-    The bands of F(xi) for every retained mode are (J, modes) arrays, and
-    lam W + F(xi) is factored once by a Thomas LU without pivoting (only the
-    multipliers and inverse pivots are kept): a solve is one forward and one
-    backward sweep over the J rows, each row a vector over all modes.  For
-    Re lam > 0 the Hermitian part of lam W + F is positive definite (the form
-    is accretive), so no pivoting is needed (Golub & Van Loan, section 4.2);
-    a non-finite or zero pivot still raises RuntimeError naming its xi, and
-    every solve reports its weighted residual.
+    The form of F(xi) for every retained mode is one batched TridiagForm
+    with (J, modes) bands, and lam W + F(xi) is factored once by its
+    Thomas LU: a solve is one forward and one backward sweep over the J
+    rows, each row a vector over all modes.  A non-finite or zero pivot
+    raises RuntimeError naming its xi, and every solve reports its weighted
+    residual.
 
     The mode-space entries work on (J, modes) x-Fourier coefficients:
     `band_product` is F(xi) u (so L u = -F u / W) and `solve_modes` is the
@@ -179,20 +151,12 @@ class FrequencySolvePlan:
         self.xi_flat = xi_lattice(grid.x_box).reshape(-1, model.dim)
         self.mix_flat = self.xi_flat @ model.mixing
         self.k2_flat = np.sum(self.xi_flat ** 2, axis=1)
-        self.bands = self.ops.mode_bands(self.mix_flat, self.k2_flat)
-        sub, diag, sup = self.bands
-        mult = np.empty_like(sub)
-        with np.errstate(all="ignore"):
-            piv = diag + self.lam * self.ops.weight[:, None]
-            for i in range(1, piv.shape[0]):
-                np.divide(sub[i - 1], piv[i - 1], out=mult[i - 1])
-                piv[i] -= mult[i - 1] * sup[i - 1]
-        bad = np.flatnonzero(~np.all(np.isfinite(piv) & (piv != 0), axis=0))
-        if bad.size:
+        self.form = self.ops.form(self.mix_flat, self.k2_flat)
+        try:
+            self.lu = self.form.factor(self.lam)
+        except SingularFormError as exc:
             raise RuntimeError("mode factorisation failed at xi=%r: non-finite"
-                               " or zero pivot" % (self.xi_flat[bad[0]],))
-        self.mult = mult
-        self.inv_piv = np.reciprocal(piv, out=piv)
+                               " or zero pivot" % (self.xi_flat[exc.column],))
         self._axes = tuple(range(model.dim))
 
     def _to_modes(self, values):
@@ -206,19 +170,11 @@ class FrequencySolvePlan:
 
     def _sweep(self, fh):
         """(lam - M(xi))^(-1) fh for every mode: W fh through the factors."""
-        sup, mult, inv_piv = self.bands[2], self.mult, self.inv_piv
-        u = self.ops.weight[:, None] * fh
-        for i in range(1, u.shape[0]):
-            u[i] -= mult[i - 1] * u[i - 1]
-        u[-1] *= inv_piv[-1]
-        for i in range(u.shape[0] - 2, -1, -1):
-            u[i] -= sup[i] * u[i + 1]
-            u[i] *= inv_piv[i]
-        return u
+        return self.lu.solve(self.ops.weight[:, None] * fh, overwrite_b=True)
 
     def band_product(self, uh):
         """F(xi) uh for every mode of (J, modes) coefficients."""
-        return _tridiag_apply(self.bands, uh)
+        return self.form.apply(uh)
 
     def solve_modes(self, fh):
         """(lam - M(xi))^(-1) fh for (J, modes) coefficients fh.
@@ -418,8 +374,8 @@ def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
         for lam in lambda_set:
             for xi in xi_set:
                 xi = np.asarray(xi, dtype=float)
-                ab = ops.solver_bands(float(a @ xi), float(xi @ xi), lam)
-                R = solve_banded((1, 1), ab, w_rhs)
+                form = ops.form(float(a @ xi), float(xi @ xi))
+                R = form.factor(lam).solve(w_rhs)
                 A = [2j * a[j] * grad - 2.0 * xi[j] * y_alpha
                      for j in range(n)]
                 if family == "scaled":
@@ -481,8 +437,8 @@ def monolithic_sparse_solve(lam, f, model, grid):
     D1 = spectral_derivative_matrix(box, 1)
     D2 = spectral_derivative_matrix(box, 2)
     Winv = sp.diags(1.0 / ops.weight)
-    K = sp.diags([ops.stiff[0], ops.stiff[1], ops.stiff[2]], [-1, 0, 1])
-    P = sp.diags([ops.trans[0], ops.trans[1], ops.trans[2]], [-1, 0, 1])
+    K = sp.diags([ops.stiff.sub, ops.stiff.diag, ops.stiff.sup], [-1, 0, 1])
+    P = sp.diags([ops.trans.sub, ops.trans.diag, ops.trans.sup], [-1, 0, 1])
     Ix = sp.identity(nx)
     L2d = (sp.kron(Ix, -Winv @ K)
            + 2.0 * model.mixing[0] * sp.kron(sp.csr_matrix(D1), Winv @ P)
@@ -496,20 +452,21 @@ def monolithic_sparse_solve(lam, f, model, grid):
 # reduction consistency (general coefficients, N = 1)
 
 
-def _pin_top(ab, rhs):
-    """Homogeneous Dirichlet row at the artificial top truncation.
+def _pinned_solve(form, lam, fhat):
+    """(lam W + F) u = W fhat with a homogeneous Dirichlet row at the top.
 
     The domain is (0, infinity); y_max is a truncation artifact, and the
     reduction routes transform the natural flux condition differently there
     (an O(1) mismatch).  Pinning u(y_max) = 0 in BOTH routes makes the
     truncation condition shared; the intrinsic y -> 0 condition stays
     natural, where the routes differ only by O(y_1^c), vanishing under
-    refinement.
+    refinement.  The last row of F becomes the unit row and its weight 0,
+    so that row of lam W + F is e_J^T and its right-hand side vanishes.
     """
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    rhs[-1] = 0.0
-    return ab, rhs
+    sub, diag, weight = form.sub.copy(), form.diag.copy(), form.weight.copy()
+    sub[-1], diag[-1], weight[-1] = 0.0, 1.0, 0.0
+    rhs = weight * np.asarray(fhat, dtype=complex)
+    return TridiagForm(sub, diag, form.sup, weight).factor(lam).solve(rhs)
 
 
 def general_mode_solve(spec, lam, xi, fhat, grid):
@@ -543,10 +500,7 @@ def general_mode_solve(spec, lam, xi, fhat, grid):
             + Q * xi ** 2 * y ** (a1 + w_exp) * omega
             - 1j * b * xi * y ** (cg - 1.0) * omega)
     sup = g * ku - 2j * q * xi * pu
-    ab = _banded(sub, diag + lam * weight, sup)
-    rhs = weight * np.asarray(fhat, dtype=complex)
-    _pin_top(ab, rhs)
-    return solve_banded((1, 1), ab, rhs)
+    return _pinned_solve(TridiagForm(sub, diag, sup, weight), lam, fhat)
 
 
 def reduced_mode_solve(spec, space, lam, xi, fhat, grid):
@@ -577,10 +531,7 @@ def reduced_mode_solve(spec, space, lam, xi, fhat, grid):
     gt = power_image_grid(grid, beta)
     ops = ModeOperators(gt, model.c_bessel, model.alpha)
     s_mix = float(model.mixing[0]) * eta if model.dim else 0.0
-    ab = ops.solver_bands(s_mix, eta * eta, lam / scale)
-    rhs = ops.weight * (g / scale)
-    _pin_top(ab, rhs)
-    u = solve_banded((1, 1), ab, rhs)
+    u = _pinned_solve(ops.form(s_mix, eta * eta), lam / scale, g / scale)
     if "shear" in steps:
         u = u * np.exp(-1j * xi * shift * y)
     return u

@@ -387,12 +387,19 @@ def problem_to_config(spec, space):
     }
 
 
+_SCALAR_KEYS = ("gamma", "drift_c", "alpha1", "alpha2", "p", "m")
+
+
 def _check_finite(key, value):
-    """Reject a non-numeric or non-finite operator number, naming its key."""
+    """Reject a non-numeric or non-finite operator number, or a list where
+    one number belongs, naming its key."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError("operator.%s must be numeric, got %r" % (key, value))
+    if key in _SCALAR_KEYS and arr.ndim:
+        raise ValueError("operator.%s must be a single number, got %r"
+                         % (key, value))
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator.%s must be finite, got %r" % (key, value))
 
@@ -413,9 +420,11 @@ def config_to_problem(cfg):
     for key in _CONFIG_KEYS:
         if key != "dimension":
             _check_finite(key, cfg[key])
-    n = int(cfg["dimension"])
-    if n < 0:
-        raise ValueError("dimension must be >= 0")
+    n = cfg["dimension"]
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
+                                   and n >= 0):
+        raise ValueError("operator.dimension must be an integer >= 0, got %r"
+                         % (n,))
     qm = np.asarray(cfg["q_matrix"], dtype=float).reshape(-1)
     if qm.size != n * n:
         raise ValueError("q_matrix must have dimension^2 = %d entries, got %d"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import ive
 
 from degenpde import bessel1d as b1
@@ -79,8 +79,8 @@ def test_bessel_form_selfadjoint_nonnegative():
     g = make_grid(128, 1.0, 2.0)
     op = b1.assemble_form(g, "bessel", c=1.0)
     assert op.hermitian_defect() <= 1e-15
-    assert op.accretivity_defect() >= -1e-12
-    ev = op.symmetric_spectrum()
+    d, e, _ = op.symmetric_bands()
+    ev = eigh_tridiagonal(d.real, e.real, eigvals_only=True)
     assert ev.min() >= -1e-8          # nonnegative up to pencil rounding
     assert abs(ev.min()) < 1e-8       # constants are in the kernel
 
@@ -102,15 +102,14 @@ def test_drift_form_real_part_is_drift_free():
     kw = dict(c=1.0, beta=0.5, potential_coeff=0.3)
     op_b = b1.assemble_form(g, "bessel_drift", drift_b=0.7, **kw)
     op_0 = b1.assemble_form(g, "bessel_drift", drift_b=0.0, **kw)
-    assert np.allclose(op_b.form_diag.real, op_0.form_diag.real)
-    assert np.allclose(op_b.form_sub.real, op_0.form_sub.real)
+    assert np.allclose(op_b.diag.real, op_0.diag.real)
+    assert np.allclose(op_b.sub.real, op_0.sub.real)
     # the b-dependent part X = F(b) - F(0) satisfies X^H = -X
-    x_diag = op_b.form_diag - op_0.form_diag
-    x_sub = op_b.form_sub - op_0.form_sub
-    x_sup = op_b.form_sup - op_0.form_sup
+    x_diag = op_b.diag - op_0.diag
+    x_sub = op_b.sub - op_0.sub
+    x_sup = op_b.sup - op_0.sup
     assert np.abs(x_diag.real).max() == 0.0
     assert np.allclose(x_sub, -np.conj(x_sup))
-    assert op_b.bc == "oblique" and op_0.bc == "neumann_form"
 
 
 def test_resolve_residual_guarantee_and_adjoint():
@@ -121,15 +120,67 @@ def test_resolve_residual_guarantee_and_adjoint():
     f = rng.standard_normal(g.num_y) + 1j * rng.standard_normal(g.num_y)
     lam = 2.0 + 1.0j
     u = b1.resolve(op, lam, f)
-    res = lam * u - op.apply(u) - f
-    rel = (np.sqrt(np.sum(np.abs(res) ** 2 * op.inner_weight))
-           / op.weighted_norm(f))
+    w = op.weight
+    res = lam * u + op.apply(u) / w - f
+    rel = (np.sqrt(np.sum(np.abs(res) ** 2 * w))
+           / np.sqrt(np.sum(np.abs(f) ** 2 * w)))
     assert rel <= 1e-10
-    # adjoint identity <R f, gv>_W == <f, R* gv>_W
+    # adjoint identity <R f, gv>_W == <f, R* gv>_W, R* gv solving
+    # (lam W + F)^H v = W gv from the same factors
     gv = rng.standard_normal(g.num_y) + 1j * rng.standard_normal(g.num_y)
-    lhs = op.weighted_inner(u, gv)
-    rhs = op.weighted_inner(f, b1.resolve_adjoint(op, lam, gv))
+    lhs = np.sum(u * np.conj(gv) * w)
+    rhs = np.sum(f * np.conj(op.factor(lam).solve_adjoint(w * gv)) * w)
     assert abs(lhs - rhs) / abs(lhs) < 1e-11
+
+
+def test_backward_error_flags_one_perturbed_entry():
+    # the two-route operator at alpha = -0.5 on its graded grid: W spans
+    # 11 decades, which a weighted residual magnifies
+    g = make_grid(256, 1.0, 2.0)
+    op = b1.assemble_form(g, "model_mode", c=1.0, alpha=-0.5,
+                          mixing_freq=0.3, freq_norm2=1.0)
+    assert op.weight.min() < 1e-10 * op.weight.max()
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(g.num_y) + 1j * rng.standard_normal(g.num_y)
+    for lam in (0.1, 1.0 + 2.0j, 10.0):
+        b = op.weight * f
+        u = op.factor(lam).solve(b)
+        assert op.backward_error(lam, u, b) <= 1e-15
+        for j in (0, g.num_y // 2, g.num_y - 1):
+            bad = u.copy()
+            bad[j] *= 1.0 + 1e-10
+            assert op.backward_error(lam, bad, b) > b1.BACKWARD_ERROR_TOL
+
+
+def test_tridiag_form_matches_dense_and_batches():
+    g = make_grid(48, 1.0, 2.0)
+    rng = np.random.default_rng(2)
+    ops = [b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
+                            mixing_freq=s, freq_norm2=k2)
+           for s, k2 in ((0.0, 0.0), (0.4, 1.0), (-1.3, 9.0))]
+    lam = 2.0 + 1.0j
+    u = rng.standard_normal((g.num_y, 3)) + 1j * rng.standard_normal(
+        (g.num_y, 3))
+    batch = b1.TridiagForm(*(np.stack([getattr(op, k) for op in ops], axis=1)
+                             for k in ("sub", "diag", "sup")),
+                           ops[0].weight)
+    Fu = batch.apply(u)
+    x = batch.factor(lam).solve(u)
+    for k, op in enumerate(ops):
+        A = op.dense() + lam * np.diag(op.weight)
+        assert np.allclose(op.apply(u[:, k]), op.dense() @ u[:, k],
+                           rtol=1e-14, atol=0)
+        assert np.array_equal(Fu[:, k], op.apply(u[:, k]))
+        # pivoted LU of one operator and the batch's Thomas LU
+        x1 = op.factor(lam).solve(u[:, k])
+        assert np.abs(A @ x1 - u[:, k]).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(x[:, k] - x1).max() <= 1e-12 * np.abs(x1).max()
+        xa = op.factor(lam).solve_adjoint(u[:, k])
+        assert np.abs(A.conj().T @ xa - u[:, k]).max() <= 1e-12 * np.abs(
+            u).max()
+    with pytest.raises(b1.SingularFormError, match="column 1"):
+        b1.TridiagForm(batch.sub, batch.diag * [1.0, np.nan, 1.0], batch.sup,
+                       batch.weight).factor(lam)
 
 
 def test_resolve_batched_rhs_shape():
@@ -140,6 +191,13 @@ def test_resolve_batched_rhs_shape():
     assert U.shape == (3, g.num_y)
     for k in range(3):
         assert np.allclose(U[k], b1.resolve(op, 1.0, F[k]))
+    # every column is guarded: one bad right-hand side fails the batch as
+    # it fails on its own
+    F[1, 5] = np.nan
+    with pytest.raises(RuntimeError, match="backward error"):
+        b1.resolve(op, 1.0, F[1])
+    with pytest.raises(RuntimeError, match="backward error"):
+        b1.resolve(op, 1.0, F)
 
 
 def _neumann_bessel_heat_kernel(y, rho, c, t):
@@ -183,9 +241,7 @@ def test_expm_kernel_guards_and_structure():
 
 
 def _dense_generator(op):
-    F = (np.diag(op.form_diag) + np.diag(op.form_sub, -1)
-         + np.diag(op.form_sup, 1))
-    return -F / op.inner_weight[:, None]
+    return -op.dense() / op.weight[:, None]
 
 
 @pytest.mark.parametrize("J", [64, 128])
@@ -200,13 +256,13 @@ def test_expm_kernel_matches_dense_expm_oracle(J):
         b1.assemble_form(g, "bessel_drift", c=0.3, beta=0.0, drift_b=1.2,
                          potential_coeff=0.5),
     ]
-    for op in ops:
+    for k, op in enumerate(ops):
         M = _dense_generator(op)
         for z in (0.05, 0.01, 0.02 + 0.01j):
-            exact = expm(z * M) / op.inner_weight[None, :]
+            exact = expm(z * M) / op.weight[None, :]
             got = b1.expm_kernel(op, z).values
             err = np.abs(got - exact).max() / np.abs(exact).max()
-            assert err <= 1e-8, (op.params, z, err)
+            assert err <= 1e-8, (k, z, err)
     # rotated by arg z = 63 degrees, the numerical range of the oblique form
     # (half-angle 40 degrees) leaves the region the contour can enclose
     with pytest.raises(ValueError, match="contour"):

@@ -297,7 +297,9 @@ def test_negative_refine_is_config_error(tmp_path, capsys, command):
     ("drift_c", float("nan")), ("alpha1", float("-inf")),
     ("alpha2", float("nan")), ("p", float("nan")), ("m", float("inf")),
     ("q_matrix", [[float("nan")]]), ("q_vector", [float("nan")]),
-    ("drift_b", [float("inf")]), ("gamma", "abc"),
+    ("drift_b", [float("inf")]), ("gamma", "abc"), ("gamma", [1.0]),
+    ("p", [2.0, 3.0]), ("dimension", 1.7), ("dimension", float("nan")),
+    ("dimension", -1), ("dimension", "1"), ("dimension", True),
 ])
 def test_non_finite_operator_number_is_config_error(tmp_path, capsys, key,
                                                     value):

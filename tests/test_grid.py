@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from degenpde.grid import (XBox, Field, make_grid, default_grading, lp_norm,
-                           linf_norm, weighted_l2_inner, diff1_matrix,
-                           diff2_matrix, y_derivative, x_derivative,
-                           write_field_csv, sobolev_report)
-from degenpde.params import OperatorSpec, SpaceSpec
+                           linf_norm, diff1_matrix, diff2_matrix,
+                           write_field_csv)
 
 
 def test_uniform_grid_frozen_nodes():
@@ -58,8 +56,6 @@ def test_lp_norm_weighted():
         want = (1.0 / (m + 1.0)) ** (1.0 / p)
         assert lp_norm(u, p, m, g) == pytest.approx(want, rel=1e-3)
     assert linf_norm(Field((1j * u).astype(complex), g)) == 1.0
-    ip = weighted_l2_inner(u, u, 1.0, g)
-    assert ip.real == pytest.approx(0.5, rel=1e-4) and ip.imag == 0.0
 
 
 def test_stencil_orders_on_nonuniform_nodes():
@@ -78,20 +74,6 @@ def test_stencil_orders_on_nonuniform_nodes():
     g = make_grid(64, 1.0, 2.0)
     quad = 3.0 * g.y_nodes ** 2 - g.y_nodes
     assert np.abs(diff2_matrix(g.y_nodes) @ quad - 6.0).max() < 1e-8
-
-
-def test_x_derivative_spectral():
-    box = XBox(2.0 * np.pi, 32, 2)
-    g = make_grid(16, 1.0, 1.0, box)
-    x = box.nodes()
-    vals = (np.sin(3.0 * x)[:, None, None]
-            * np.cos(2.0 * x)[None, :, None]
-            * np.ones((1, 1, g.num_y))).astype(complex)
-    d0 = x_derivative(vals, box, 0)
-    want = 3.0 * np.cos(3.0 * x)[:, None, None] * np.cos(2.0 * x)[None, :, None]
-    assert np.abs(d0 - want).max() < 1e-10
-    dy = y_derivative(vals, g)
-    assert np.abs(dy).max() < 1e-10
 
 
 def test_field_shape_guard():
@@ -157,17 +139,3 @@ def test_field_csv_matches_per_row_oracle(tmp_path, box, header):
     assert lines[0] == header
     assert len(lines) == 1 + int(np.prod(g.shape))
     assert lines[1].endswith(",-0,inf")
-
-
-def test_sobolev_report_finite():
-    spec = OperatorSpec([[1.0]], [0.0], 1.0, [0.0], 1.0, 0.5, 0.5)
-    space = SpaceSpec(2.0, 0.5)
-    box = XBox(2.0 * np.pi, 16, 1)
-    g = make_grid(64, 1.0, 2.0, box)
-    vals = (np.exp(1j * box.nodes())[:, None]
-            * np.exp(-g.y_nodes ** 2)[None, :]).astype(complex)
-    rep = sobolev_report(Field(vals, g), spec, space)
-    d = rep.as_dict()
-    for key in ("value", "xx_second", "x_first", "yy_second", "y_first",
-                "mixed_xy", "drift_scale_y"):
-        assert np.isfinite(d[key])

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from degenpde import harness
+from degenpde import harness, panels
+from degenpde.bessel1d import node_weights, two_route_resolvent
 from degenpde.harness import (REGISTRY, SUITES, EstimateResult, run_suite,
                               square_function_ratio)
 from degenpde.grid import make_grid
@@ -78,6 +79,35 @@ def test_kernel_domination_reports_signed_margin():
     # the worst J = 384 excess, signed: negative means domination with margin
     assert res.constant == fine.max() < 0.0
     assert res.drift == (fine - coarse).max()
+
+
+# seeds whose draw tripped the weighted-residual guard that resolve used
+# before it gated on the componentwise backward error
+@pytest.mark.parametrize("seed", [28, 32, 35, 63, 69, 71, 133, 136, 141, 183,
+                                  188, 214, 231, 242, 259])
+def test_two_route_identity_passes_on_every_seed(seed):
+    (res,) = run_suite({"checks": ["resolvent_two_route_identity"],
+                        "seed": seed})
+    assert res.error == "" and res.passed
+    assert res.constant == max(r[-1] for r in res.rows) <= 1e-8
+
+
+def test_two_route_rows_hold_each_case_own_max():
+    ctx = harness.default_context(seed=0)
+    res = harness._check_two_route(ctx)
+    grid = make_grid(256, 1.0, 2.0)
+    profs = panels.vertical_panel(
+        1.0, count=3, rng=ctx.rng("resolvent_two_route_identity"))
+    assert len(res.rows) == 12
+    for alpha, lam, got in res.rows:
+        w = node_weights(grid.y_nodes, 1.0 - alpha)
+        diffs = []
+        for prof in profs:
+            u1, u2 = two_route_resolvent(grid, alpha, 1.0, 0.3, 1.0, lam,
+                                         prof(grid.y_nodes).astype(complex))
+            diffs.append(np.sqrt(np.sum(np.abs(u1 - u2) ** 2 * w)
+                                 / np.sum(np.abs(u1) ** 2 * w)))
+        assert got == pytest.approx(max(diffs), rel=1e-12, abs=0.0)
 
 
 def test_parabolic_contraction_reports_t_positive_worst_and_margin():
