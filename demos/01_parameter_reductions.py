@@ -19,6 +19,7 @@ import numpy as np
 from degenpde.params import (OperatorSpec, SpaceSpec, beta_map, compose_beta,
                              invert_beta, reduce_to_model, shear_map,
                              validate_window)
+from degenpde.harness import decay_order, refinement_study
 from degenpde.transforms import similarity_check_power
 
 # a genuinely anisotropic example: two x-dimensions, oblique drift,
@@ -79,9 +80,11 @@ print("exponent-map composition error = %.3e" % err_comp)
 
 # the power substitution is not only an algebra on exponents: applied to
 # discrete fields it intertwines the two operators up to O(h) consistency
-res = similarity_check_power(alpha1=0.5, alpha2=1.0, c=1.2)
-print("\ndiscrete similarity (power substitution), J = %s:"
-      % res["levels"])
-print("  defects  =", ["%.3e" % e for e in res["errors"]])
+levels = (128, 256, 512)
+res, _ = refinement_study(levels, lambda J: similarity_check_power(
+    alpha1=0.5, alpha2=1.0, c=1.2, J=J))
+errors = [e for e, _ in res]
+print("\ndiscrete similarity (power substitution), J = %s:" % list(levels))
+print("  defects  =", ["%.3e" % e for e in errors])
 print("  order    = %.2f   norm-factor error = %.2e"
-      % (res["order"], res["coeff_rel_err"]))
+      % (decay_order(levels, errors), max(cc for _, cc in res)))

@@ -18,7 +18,7 @@ in the frequency.
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from degenpde.bessel1d import (assemble_form, resolve, sector_angle,
+from degenpde.bessel1d import (assemble_form, resolve,
                                sector_resolvent_scan, two_route_resolvent,
                                uniform_frequency_bound_scan,
                                weighted_opnorm_estimate)

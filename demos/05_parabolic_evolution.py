@@ -19,6 +19,7 @@ import tempfile
 import numpy as np
 
 from degenpde.grid import Field, XBox, lp_norm, make_grid
+from degenpde.harness import refinement_study
 from degenpde.params import ModelParams
 from degenpde.semigroup import (contraction_check, evolve,
                                 heat_closed_form_check,
@@ -26,12 +27,13 @@ from degenpde.semigroup import (contraction_check, evolve,
 
 # exact-solution benchmark: alpha = c = 0 and one separated Fourier-Neumann
 # mode, so the only errors are O(dt) + O(grid)
-rep = heat_closed_form_check(levels=((64, 16), (128, 32)))
+levels = ((64, 16), (128, 32))
+errors, _ = refinement_study(levels, lambda lv: heat_closed_form_check(*lv))
 print("heat benchmark (backward Euler), joint dt/grid refinement:")
-for (J, K), err in zip(rep["levels"], rep["errors"]):
+for (J, K), err in zip(levels, errors):
     print("  J = %3d, K = %3d:  rel error = %.4e" % (J, K, err))
 print("  ratio = %.2f  (first order: halves under joint halving)"
-      % rep["ratio"])
+      % (errors[0] / errors[-1]))
 
 # time order in isolation: fix the grid, compare against a fine-step run of
 # the same discretization; Crank-Nicolson gains ~16x per 4x step refinement
@@ -68,10 +70,11 @@ for t, worst in sorted(report.items()):
 
 # maximal regularity: both summands of D_t u - L u = f are bounded by f in
 # the L^q(L^p) norm; the ratio is O(1) and stable under joint refinement
-mr = maximal_regularity_check(model_a, make_grid(64, 1.0, 4.0 / 3.0, box),
-                              2.0, np.linspace(0.0, 0.5, 17))
+(ratio, refined), drift = refinement_study((1, 2), lambda k: (
+    maximal_regularity_check(model_a, make_grid(64 * k, 1.0, 4.0 / 3.0, box),
+                             2.0, np.linspace(0.0, 0.5, 16 * k + 1))))
 print("\nmaximal-regularity ratio: %.3f  refined: %.3f  drift: %.4f"
-      % (mr["ratio"], mr["ratio_refined"], mr["drift"]))
+      % (ratio, refined, drift))
 
 # trajectories keep every stride-th snapshot (and the final state) and
 # export them to CSV with a manifest for exact reproduction

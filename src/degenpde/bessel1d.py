@@ -687,9 +687,8 @@ def model_kernel_fit(kernel, c, alpha, t, bins=20):
 # estimate checks (strong-form panels, grid-converged)
 
 
-def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2,
-                                levels=(128, 256, 512), y_max=1.0,
-                                panel_count=6):
+def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2, J,
+                                y_max=1.0, panel_count=6):
     """Conjugation identity between the model mode and the graded oblique form.
 
     Checks, on a panel of edge-avoiding test functions f,
@@ -701,10 +700,10 @@ def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2,
     bt = 2 s (beta+1), mu = (beta+1)^2 (k2 - s^2): T the vertical power
     isometry of exponent -alpha/2 (L^2(y^ct) -> L^2(y^(c-alpha))) and S the
     unimodular phase exp(-i s y^(2/(2-alpha))).  Both sides are evaluated with
-    the 3-point nonuniform stencils on matched grids; the max relative
-    discrepancy must decay at first order or better under refinement.
+    the 3-point nonuniform stencils on matched J-cell grids.
 
-    Returns {"levels", "errors", "order"}.
+    Returns the max relative discrepancy over the panel; it must decay at
+    first order or better under refinement.
     """
     from .transforms import apply_power, apply_phase, power_image_grid
     from .grid import Field, diff1_matrix, diff2_matrix
@@ -719,76 +718,56 @@ def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2,
     bt = 2.0 * s * (beta + 1.0)
     mu = (beta + 1.0) ** 2 * (k2 - s * s)
 
-    errors = []
-    for J in levels:
-        g = make_grid(J, y_max, default_grading(a))
-        gt = power_image_grid(g, -a / 2.0)   # nodes y^(1-alpha/2)
-        y = g.y_nodes
-        rho = gt.y_nodes
-        D1, D2 = diff1_matrix(y), diff2_matrix(y)
-        D1t, D2t = diff1_matrix(rho), diff2_matrix(rho)
-        prof_panel = panels.vertical_panel(y_max, count=panel_count,
-                                           kind="interior")
-        worst = 0.0
-        for prof in prof_panel:
-            f = prof(y).astype(complex)
-            lhs = y ** a * (D2 @ f + (c / y) * (D1 @ f)
-                            + 2j * s * (D1 @ f) - k2 * f)
-            # (T o S)^(-1) f: power map back, then remove the phase
-            w = apply_power(Field(f, g), -a / 2.0, p=2.0, inverse=True,
-                            target_grid=gt).values
-            w = apply_phase(Field(w, gt), mixing_freq=s,
-                            power=2.0 / (2.0 - a), inverse=True).values
-            aw = (D2t @ w + (ct / rho) * (D1t @ w)
-                  - 0.5j * bt * (ct + beta) * rho ** (beta - 1.0) * w
-                  - mu * rho ** (2.0 * beta) * w)
-            aw /= (beta + 1.0) ** 2
-            back = apply_phase(Field(aw, gt), mixing_freq=s,
-                               power=2.0 / (2.0 - a)).values
-            rhs = apply_power(Field(back, gt), -a / 2.0, p=2.0,
-                              target_grid=g).values
-            scale = np.abs(lhs).max()
-            worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
-        errors.append(worst)
-    order = _decay_order(levels, errors)
-    return {"levels": list(levels), "errors": errors, "order": order}
+    g = make_grid(J, y_max, default_grading(a))
+    gt = power_image_grid(g, -a / 2.0)   # nodes y^(1-alpha/2)
+    y = g.y_nodes
+    rho = gt.y_nodes
+    D1, D2 = diff1_matrix(y), diff2_matrix(y)
+    D1t, D2t = diff1_matrix(rho), diff2_matrix(rho)
+    worst = 0.0
+    for prof in panels.vertical_panel(y_max, count=panel_count,
+                                      kind="interior"):
+        f = prof(y).astype(complex)
+        lhs = y ** a * (D2 @ f + (c / y) * (D1 @ f)
+                        + 2j * s * (D1 @ f) - k2 * f)
+        # (T o S)^(-1) f: power map back, then remove the phase
+        w = apply_power(Field(f, g), -a / 2.0, p=2.0, inverse=True,
+                        target_grid=gt).values
+        w = apply_phase(Field(w, gt), mixing_freq=s,
+                        power=2.0 / (2.0 - a), inverse=True).values
+        aw = (D2t @ w + (ct / rho) * (D1t @ w)
+              - 0.5j * bt * (ct + beta) * rho ** (beta - 1.0) * w
+              - mu * rho ** (2.0 * beta) * w)
+        aw /= (beta + 1.0) ** 2
+        back = apply_phase(Field(aw, gt), mixing_freq=s,
+                           power=2.0 / (2.0 - a)).values
+        rhs = apply_power(Field(back, gt), -a / 2.0, p=2.0,
+                          target_grid=g).values
+        scale = np.abs(lhs).max()
+        worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
+    return worst
 
 
-def _decay_order(levels, errors):
-    """Least-squares slope of log error against log (1/J); 'inf' if exact."""
-    lv = np.asarray(levels, dtype=float)
-    er = np.asarray(errors, dtype=float)
-    if np.all(er < 1e-13):
-        return float("inf")
-    er = np.maximum(er, 1e-300)
-    slope = np.polyfit(np.log(lv), np.log(er), 1)[0]
-    return float(-slope)
-
-
-def interpolation_inequality_fit(alpha, c, p, m, levels=(128, 256),
-                                 y_max=1.0, panel_count=20):
+def interpolation_constant(alpha, c, p, m, J, y_max=1.0, panel_count=20):
     """Best constant in ||y^a Dy u|| <= C ||y^a B u||^(1/2) ||y^a u||^(1/2).
 
-    Norms in L^p(y^m) by grid quadrature; derivatives exact (closed-form
-    panel).  Returns per-level constants; they must be finite and stable.
+    Norms in L^p(y^m) by quadrature on one J-cell grid; derivatives exact
+    (closed-form panel).  The constant must be finite and stable under
+    refinement.
     """
-    consts = []
-    for J in levels:
-        g = make_grid(J, y_max, default_grading(alpha))
-        y = g.y_nodes
-        best = 0.0
-        prof_panel = panels.vertical_panel(y_max, count=panel_count)
-        for prof in prof_panel:
-            u = prof(y)
-            du = prof.d1(y)
-            bu = prof.d2(y) + (c / y) * du
-            num = lp_norm(y ** alpha * du, p, m, g)
-            den = (lp_norm(y ** alpha * bu, p, m, g) ** 0.5
-                   * lp_norm(y ** alpha * u, p, m, g) ** 0.5)
-            if den > 0:
-                best = max(best, num / den)
-        consts.append(float(best))
-    return {"levels": list(levels), "constants": consts}
+    g = make_grid(J, y_max, default_grading(alpha))
+    y = g.y_nodes
+    best = 0.0
+    for prof in panels.vertical_panel(y_max, count=panel_count):
+        u = prof(y)
+        du = prof.d1(y)
+        bu = prof.d2(y) + (c / y) * du
+        num = lp_norm(y ** alpha * du, p, m, g)
+        den = (lp_norm(y ** alpha * bu, p, m, g) ** 0.5
+               * lp_norm(y ** alpha * u, p, m, g) ** 0.5)
+        if den > 0:
+            best = max(best, num / den)
+    return float(best)
 
 
 def uniform_frequency_bound_scan(alpha, c, mixing, p, m, J=256, y_max=1.0,

@@ -6,6 +6,8 @@ Commands
                       residual line, writes solution.csv and manifest.json.
     solve_parabolic   time evolution with snapshot CSVs and a manifest.
     verify SUITE      run a registered check suite; exit 1 if any check fails.
+                      Reads only the config's suite key; a config that sets
+                      operator is rejected (each check builds its own).
     sweep             re-evaluate window margins and the sector sup while one
                       operator parameter ranges over configured values.
 
@@ -31,8 +33,7 @@ from .grid import XBox, Field, make_grid, default_grading, lp_norm, \
     write_field_csv
 from .harness import manufactured_mode_case, run_suite
 from .multiplier import resolvent_nd
-from .params import (config_to_problem, problem_to_config, reduce_to_model,
-                     validate_window, SpaceSpec, OperatorSpec)
+from .params import config_to_problem, reduce_to_model, validate_window
 
 
 class ConfigError(ValueError):
@@ -75,7 +76,7 @@ def _section(cfg, name, defaults):
 
 def load_config(path):
     if path is None:
-        return {"operator": dict(DEFAULT_OPERATOR)}
+        return {}
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
     try:
@@ -88,8 +89,6 @@ def load_config(path):
     for key in cfg:
         if key not in TOP_KEYS:
             raise ConfigError("unknown config key: %s" % key)
-    if "operator" not in cfg:
-        cfg["operator"] = dict(DEFAULT_OPERATOR)
     num_x = _check_grid(_section(cfg, "grid", GRID_KEYS))
     if "elliptic" in cfg:
         _check_elliptic(_section(cfg, "elliptic", ELLIPTIC_KEYS), num_x)
@@ -271,6 +270,9 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
 
 
 def cmd_verify(cfg, suite, out_dir, seed):
+    if "operator" in cfg:
+        raise ConfigError("verify reads only the suite key; every check "
+                          "builds its own operator, so 'operator' is not used")
     suite = suite or cfg.get("suite", "default")
     try:
         results = run_suite({"suite": suite, "out_dir": out_dir,
@@ -366,12 +368,14 @@ def main(argv=None):
             raise ConfigError("--refine must be an integer >= 0, got %d"
                               % args.refine)
         cfg = load_config(args.config)
+        # verify rejects a file that sets operator, so default it only here
+        if args.command == "verify":
+            return cmd_verify(cfg, args.suite, args.out, args.seed)
+        cfg.setdefault("operator", dict(DEFAULT_OPERATOR))
         if args.command == "solve_elliptic":
             return cmd_solve_elliptic(cfg, args.out, args.seed, args.refine)
         if args.command == "solve_parabolic":
             return cmd_solve_parabolic(cfg, args.out, args.seed, args.refine)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite, args.out, args.seed)
         return cmd_sweep(cfg, args.out, args.seed)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -13,9 +13,10 @@ exactly at the discrete level.
 The maximal-regularity check measures the discrete L^q([0,T]; L^p_m) norms
 of the one-sided difference quotient D_t u and of L u = D_t u - f (the
 backward Euler identity makes this exact), and reports the split ratio
-(|D_t u| + |L u|) / |f| together with its drift under joint time/space
-refinement.  Domination and positivity checks quantify their slack so
-refinement studies can confirm it vanishes.
+(|D_t u| + |L u|) / |f| on one time and space grid.  Domination and
+positivity checks quantify their slack on one grid.  Each check measures a
+single level; the harness runs them coarse to fine to confirm the ratio is
+stable and the slack vanishes.
 """
 
 import json
@@ -23,9 +24,11 @@ import os
 
 import numpy as np
 
-from .grid import Field, lp_norm, linf_norm, make_grid, write_field_csv
+from .grid import (Field, XBox, lp_norm, linf_norm, make_grid,
+                   write_field_csv)
 from .multiplier import (FrequencySolvePlan, ModeOperators,
                          monolithic_sparse_solve)
+from .params import ModelParams
 from . import panels
 
 SCHEMES = ("backward_euler", "crank_nicolson")
@@ -217,116 +220,66 @@ def contraction_check(model, grid, t_set, probes=8, steps=20, p_sample=(1.5,
     return report
 
 
-def positivity_check(model, grid_levels, t=0.2, steps=16, seed=5):
+def positivity_check(model, grid, t=0.2, steps=16):
     """Relative undershoot of backward Euler from nonnegative data/forcing.
 
-    Returns the list of max(0, -min u / max u) over the run, one entry per
-    grid level; the slack must shrink under refinement (exact zero when
-    a = 0, where the lumped system is an M-matrix).
+    Returns max(0, -min u / max u) over the run on one grid; the slack must
+    shrink under refinement (exact zero when a = 0, where the lumped system
+    is an M-matrix).
     """
-    out = []
-    for grid in grid_levels:
-        y = grid.y_nodes
-        prof = panels.bump_profile(0.3 * grid.y_max, 0.12 * grid.y_max)
-        vals = np.ones(grid.shape, dtype=complex)
-        shape_y = prof(y)
-        if grid.x_box is not None:
-            x = grid.x_box.nodes()
-            base = 1.0 + 0.5 * np.cos(2.0 * np.pi * x / grid.x_box.length)
-            mesh = np.meshgrid(*([base] * grid.x_box.dim), indexing="ij")
-            xpart = np.ones(grid.shape[:-1])
-            for m in mesh:
-                xpart = xpart * m
-            vals = xpart[..., None] * shape_y[None, :]
-        else:
-            vals = shape_y.astype(complex)
-        run = evolve(Field(vals.astype(complex), grid), None, model, grid,
-                     "backward_euler", np.linspace(0.0, t, steps + 1))
-        under = 0.0
-        for snap in run.snapshots:
-            re = snap.values.real
-            under = max(under, -float(re.min()) / float(np.abs(re).max()))
-        out.append(max(0.0, under))
-    return out
+    def x_part(*xs):
+        return np.prod([1.0 + 0.5 * np.cos(2.0 * np.pi * x / grid.x_box.length)
+                        for x in xs], axis=0)
+
+    prof = panels.bump_profile(0.3 * grid.y_max, 0.12 * grid.y_max)
+    u0 = Field(panels.tensor_values(grid, x_part, prof), grid)
+    run = evolve(u0, None, model, grid, "backward_euler",
+                 np.linspace(0.0, t, steps + 1))
+    under = 0.0
+    for snap in run.snapshots:
+        re = snap.values.real
+        under = max(under, -float(re.min()) / float(np.abs(re).max()))
+    return max(0.0, under)
 
 
 # ---------------------------------------------------------------------------
 # maximal regularity
 
 
-def _space_norm(values, p, m, grid):
-    return lp_norm(values, p, m, grid)
-
-
-def maximal_regularity_check(model, grid, q, time_grid, forcing_panel=None,
-                             refine=True, seed=11):
+def maximal_regularity_check(model, grid, q, time_grid, seed=11):
     """Split-norm ratio (|D_t u|_qp + |L u|_qp) / |f|_qp for u(0) = 0.
 
     D_t is the scheme's own one-sided quotient, so D_t u - L u = f holds
     exactly for backward Euler and the content is the size of each summand.
-    With refine=True the same panel is rerun at doubled time and space
-    resolution and the drift of the ratio is reported.
+    Returns the worst ratio over a seeded panel of three forcings on one
+    time and space grid.
     """
-    times = np.asarray(time_grid, dtype=float)
-    rng = np.random.default_rng(seed)
+    ts = np.asarray(time_grid, dtype=float)
+    profs = panels.vertical_panel(grid.y_max, count=3, kind="interior",
+                                  rng=np.random.default_rng(seed))
+    worst = 0.0
+    for i, prof in enumerate(profs):
+        def x_part(*xs):
+            return np.prod([np.cos(2.0 * np.pi * (i + 1) * x
+                                   / grid.x_box.length) for x in xs], axis=0)
 
-    def make_panel(g):
-        if forcing_panel is not None:
-            return [f(g) if callable(f) else f for f in forcing_panel]
-        out = []
-        profs = panels.vertical_panel(g.y_max, count=3, kind="interior",
-                                      rng=np.random.default_rng(seed))
-        for i, prof in enumerate(profs):
-            shape_y = prof(g.y_nodes)
-            if g.x_box is not None:
-                x = g.x_box.nodes()
-                base = np.cos(2.0 * np.pi * (i + 1) * x / g.x_box.length)
-                mesh = np.meshgrid(*([base] * g.x_box.dim), indexing="ij")
-                xpart = np.ones(g.shape[:-1])
-                for mm in mesh:
-                    xpart = xpart * mm
-                vals = xpart[..., None] * shape_y[None, :]
-            else:
-                vals = shape_y
-            out.append(np.asarray(vals, dtype=complex))
-        return out
-
-    def one_ratio(g, ts):
-        panel_fields = make_panel(g)
-        worst = 0.0
-        for fv in panel_fields:
-            forcing = lambda t, fv=fv: fv
-            run = evolve(Field(np.zeros(g.shape, dtype=complex), g), forcing,
-                         model, g, "backward_euler", ts)
-            dt_terms = []
-            l_terms = []
-            f_terms = []
-            for k in range(1, ts.size):
-                dt = ts[k] - ts[k - 1]
-                dtu = (run.snapshots[k].values
-                       - run.snapshots[k - 1].values) / dt
-                lu = dtu - fv
-                dt_terms.append(_space_norm(dtu, model.p, model.m, g) ** q
-                                * dt)
-                l_terms.append(_space_norm(lu, model.p, model.m, g) ** q * dt)
-                f_terms.append(_space_norm(fv, model.p, model.m, g) ** q * dt)
-            num = (sum(dt_terms) ** (1.0 / q) + sum(l_terms) ** (1.0 / q))
-            den = sum(f_terms) ** (1.0 / q)
-            worst = max(worst, float(num / max(den, 1e-300)))
-        return worst
-
-    ratio0 = one_ratio(grid, times)
-    report = {"ratio": ratio0, "q": float(q)}
-    if refine:
-        if grid.grading_exponent is None:
-            raise ValueError("refinement needs a structured grid")
-        g2 = make_grid(2 * grid.num_y, grid.y_max, grid.grading_exponent,
-                       grid.x_box)
-        t2 = np.linspace(times[0], times[-1], 2 * (times.size - 1) + 1)
-        ratio1 = one_ratio(g2, t2)
-        report["ratio_refined"] = ratio1
-        report["drift"] = abs(ratio1 - ratio0) / max(abs(ratio0), 1e-300)
-    return report
+        fv = panels.tensor_values(grid, x_part, prof)
+        run = evolve(Field(np.zeros(grid.shape, dtype=complex), grid),
+                     lambda t, fv=fv: fv, model, grid, "backward_euler", ts)
+        dt_terms = []
+        l_terms = []
+        f_terms = []
+        for k in range(1, ts.size):
+            dt = ts[k] - ts[k - 1]
+            dtu = (run.snapshots[k].values - run.snapshots[k - 1].values) / dt
+            lu = dtu - fv
+            dt_terms.append(lp_norm(dtu, model.p, model.m, grid) ** q * dt)
+            l_terms.append(lp_norm(lu, model.p, model.m, grid) ** q * dt)
+            f_terms.append(lp_norm(fv, model.p, model.m, grid) ** q * dt)
+        num = (sum(dt_terms) ** (1.0 / q) + sum(l_terms) ** (1.0 / q))
+        den = sum(f_terms) ** (1.0 / q)
+        worst = max(worst, float(num / max(den, 1e-300)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -377,67 +330,57 @@ def resolvent_step_identity(model, grid, dt=0.05, seed=13):
     return float(num / max(den, 1e-300))
 
 
-def mode_domination_check(c, alpha, mixing_s, k2, grid_levels, t=0.3,
-                          steps=24, seed=17):
+def mode_domination_check(c, alpha, mixing_s, k2, grid, rng, t=0.3,
+                          steps=24):
     """Per-mode magnitudes vs the potential-only evolution of |f|.
 
     Evolves one frozen mode with s = a.xi mixing by backward Euler and the
-    s = 0 comparison evolution started from |f|; returns the relative excess
-    max(|u_s| - v_0)/max(v_0) per grid level (refinement-vanishing slack).
+    s = 0 comparison evolution started from |f|, whose phases are drawn from
+    `rng`; returns the relative excess max(|u_s| - v_0)/max(v_0) on one grid
+    (a slack that must vanish under refinement).
     """
-    out = []
-    rng = np.random.default_rng(seed)
-    for grid in grid_levels:
-        ops = ModeOperators(grid, c, alpha)
-        prof = panels.bump_profile(0.3 * grid.y_max, 0.1 * grid.y_max)
-        f = prof(grid.y_nodes).astype(complex)
-        f *= np.exp(1j * rng.uniform(0, 2 * np.pi, f.size))
-        u = f.copy()
-        v = np.abs(f)
-        dt = t / steps
-        lam = 1.0 / dt
-        for _ in range(steps):
-            u = ops.solve(mixing_s, k2, lam, u / dt)
-            v = ops.solve(0.0, k2, lam, v / dt)
-        excess = float(np.max(np.abs(u) - v.real) / np.max(np.abs(v)))
-        out.append(max(0.0, excess))
-    return out
+    ops = ModeOperators(grid, c, alpha)
+    prof = panels.bump_profile(0.3 * grid.y_max, 0.1 * grid.y_max)
+    f = prof(grid.y_nodes).astype(complex)
+    f *= np.exp(1j * rng.uniform(0, 2 * np.pi, f.size))
+    u = f.copy()
+    v = np.abs(f)
+    dt = t / steps
+    lam = 1.0 / dt
+    for _ in range(steps):
+        u = ops.solve(mixing_s, k2, lam, u / dt)
+        v = ops.solve(0.0, k2, lam, v / dt)
+    excess = float(np.max(np.abs(u) - v.real) / np.max(np.abs(v)))
+    return max(0.0, excess)
 
 
 # ---------------------------------------------------------------------------
 # closed-form heat comparison
 
 
-def heat_closed_form_check(levels=((64, 16), (128, 32)), y_max=1.0,
-                           box_length=2.0 * np.pi, nx=16, t_final=0.1):
+def heat_closed_form_check(J, K, y_max=1.0, box_length=2.0 * np.pi, nx=16,
+                           t_final=0.1):
     """Heat equation (a = 0, alpha = 0, c = 0) vs the separated exact solution.
 
     Initial datum cos(2 pi x / L) cos(pi y / Y) + 1 evolves exactly by
     Fourier-Neumann modes; the backward Euler + P1 error is O(dt) + O(grid).
-    Returns per-level relative errors at t_final.
+    Returns the relative error at t_final with J cells and K time steps.
     """
-    from .params import ModelParams
-    from .grid import XBox
-
     model = ModelParams(mixing=np.array([0.0]), alpha=0.0, c_bessel=0.0,
                         m=0.0, p=2.0)
-    errs = []
-    for (J, K) in levels:
-        box = XBox(box_length, nx, 1)
-        grid = make_grid(J, y_max, 1.0, box)
-        x = box.nodes()
-        y = grid.y_nodes
-        xi = 2.0 * np.pi / box_length
-        eta = np.pi / y_max
-        u0 = (np.cos(xi * x)[:, None] * np.cos(eta * y)[None, :]
-              + np.ones((nx, J)))
-        exact = (np.exp(-(xi ** 2 + eta ** 2) * t_final)
-                 * np.cos(xi * x)[:, None] * np.cos(eta * y)[None, :]
-                 + np.ones((nx, J)))
-        run = evolve(Field(u0.astype(complex), grid), None, model, grid,
-                     "backward_euler", np.linspace(0.0, t_final, K + 1))
-        err = lp_norm(run.final.values - exact, 2.0, 0.0, grid)
-        ref = lp_norm(exact, 2.0, 0.0, grid)
-        errs.append(float(err / ref))
-    return {"levels": [list(l) for l in levels], "errors": errs,
-            "ratio": errs[0] / max(errs[-1], 1e-300)}
+    box = XBox(box_length, nx, 1)
+    grid = make_grid(J, y_max, 1.0, box)
+    x = box.nodes()
+    y = grid.y_nodes
+    xi = 2.0 * np.pi / box_length
+    eta = np.pi / y_max
+    u0 = (np.cos(xi * x)[:, None] * np.cos(eta * y)[None, :]
+          + np.ones((nx, J)))
+    exact = (np.exp(-(xi ** 2 + eta ** 2) * t_final)
+             * np.cos(xi * x)[:, None] * np.cos(eta * y)[None, :]
+             + np.ones((nx, J)))
+    run = evolve(Field(u0.astype(complex), grid), None, model, grid,
+                 "backward_euler", np.linspace(0.0, t_final, K + 1))
+    err = lp_norm(run.final.values - exact, 2.0, 0.0, grid)
+    ref = lp_norm(exact, 2.0, 0.0, grid)
+    return float(err / ref)

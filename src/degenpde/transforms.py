@@ -183,9 +183,9 @@ def apply_shear(field, shift, inverse=False):
     return Field(np.fft.ifftn(vh, axes=axes), g)
 
 
-def similarity_check_power(alpha1, alpha2, c, gamma=1.0, q_mixed=0.0,
-                           q_diag=1.0, xi=1.0, p=2.0, levels=(128, 256, 512),
-                           y_max=1.0, panel_count=6):
+def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0,
+                           q_diag=1.0, xi=1.0, p=2.0, y_max=1.0,
+                           panel_count=6):
     """Conjugation identity of the power map, per horizontal frequency.
 
     For tensor fields e^(i xi x) v(y) the full operator (with b = 0) acts as
@@ -200,58 +200,48 @@ def similarity_check_power(alpha1, alpha2, c, gamma=1.0, q_mixed=0.0,
           + gamma (beta+1)^2 y^at2 (Dyy + (ct/y) Dy),
 
     at1/at2/ct from the parameter action.  Both sides are evaluated with the
-    3-point stencils on matched grids over a panel of edge-avoiding profiles.
-    Additionally the vertical-diffusion coefficient is recovered by least
-    squares and compared against gamma (beta+1)^2.
+    3-point stencils on matched J-cell grids over a panel of edge-avoiding
+    profiles.  Additionally the vertical-diffusion coefficient is recovered
+    by least squares and compared against gamma (beta+1)^2.
 
-    Returns {"levels", "errors", "order", "coeff_rel_err"}.
+    Returns (error, coeff_rel_err): the max relative defect over the panel,
+    which must decay at first order under refinement, and the relative
+    error of the recovered coefficient.
     """
     a1, a2 = float(alpha1), float(alpha2)
     beta = 0.5 * (a1 - a2)
     at1, at2, ct, _ = beta_map(beta, a1, a2, c / gamma, 0.0, p)
-    errors = []
-    coeff_err = 0.0
-    for J in levels:
-        g = make_grid(J, y_max, default_grading(max(a2, at2)))
-        gt = power_image_grid(g, beta)
-        y, rho = g.y_nodes, gt.y_nodes
-        D1, D2 = diff1_matrix(y), diff2_matrix(y)
-        D1t, D2t = diff1_matrix(rho), diff2_matrix(rho)
-        worst = 0.0
-        lhs_all, comps_all = [], []
-        for prof in panels.vertical_panel(y_max ** (beta + 1.0),
-                                          count=panel_count, kind="interior"):
-            v = prof(rho).astype(complex)
-            u = apply_power(Field(v, gt), beta, p, target_grid=g).values
-            w = (-q_diag * xi ** 2 * y ** a1 * u
-                 + 2j * q_mixed * xi * y ** (0.5 * (a1 + a2)) * (D1 @ u)
-                 + gamma * y ** a2 * (D2 @ u + (c / gamma) * (D1 @ u) / y))
-            lhs = apply_power(Field(w, g), beta, p, target_grid=gt,
-                              inverse=True).values
-            bess = D2t @ v + (ct / rho) * (D1t @ v)
-            comps = np.stack([
-                -q_diag * xi ** 2 * rho ** at1 * v,
-                2j * q_mixed * xi * rho ** (0.5 * (at1 + at2)) * (D1t @ v),
-                rho ** at2 * bess,
-            ], axis=1)
-            rhs = (comps[:, 0] + (beta + 1.0) * comps[:, 1]
-                   + gamma * (beta + 1.0) ** 2 * comps[:, 2])
-            worst = max(worst, float(np.abs(lhs - rhs).max()
-                                     / np.abs(lhs).max()))
-            lhs_all.append(lhs)
-            comps_all.append(comps)
-        # recover the vertical-diffusion coefficient by least squares
-        A = np.concatenate(comps_all, axis=0)
-        bvec = np.concatenate(lhs_all, axis=0)
-        coef = np.linalg.lstsq(A, bvec, rcond=None)[0]
-        target = gamma * (beta + 1.0) ** 2
-        coeff_err = max(coeff_err, float(abs(coef[2] - target) / abs(target)))
-        errors.append(worst)
-    lv = np.asarray(levels, dtype=float)
-    er = np.maximum(np.asarray(errors, dtype=float), 1e-300)
-    if np.all(er < 1e-13):
-        order = float("inf")
-    else:
-        order = float(-np.polyfit(np.log(lv), np.log(er), 1)[0])
-    return {"levels": list(levels), "errors": errors, "order": order,
-            "coeff_rel_err": coeff_err}
+    g = make_grid(J, y_max, default_grading(max(a2, at2)))
+    gt = power_image_grid(g, beta)
+    y, rho = g.y_nodes, gt.y_nodes
+    D1, D2 = diff1_matrix(y), diff2_matrix(y)
+    D1t, D2t = diff1_matrix(rho), diff2_matrix(rho)
+    worst = 0.0
+    lhs_all, comps_all = [], []
+    for prof in panels.vertical_panel(y_max ** (beta + 1.0),
+                                      count=panel_count, kind="interior"):
+        v = prof(rho).astype(complex)
+        u = apply_power(Field(v, gt), beta, p, target_grid=g).values
+        w = (-q_diag * xi ** 2 * y ** a1 * u
+             + 2j * q_mixed * xi * y ** (0.5 * (a1 + a2)) * (D1 @ u)
+             + gamma * y ** a2 * (D2 @ u + (c / gamma) * (D1 @ u) / y))
+        lhs = apply_power(Field(w, g), beta, p, target_grid=gt,
+                          inverse=True).values
+        bess = D2t @ v + (ct / rho) * (D1t @ v)
+        comps = np.stack([
+            -q_diag * xi ** 2 * rho ** at1 * v,
+            2j * q_mixed * xi * rho ** (0.5 * (at1 + at2)) * (D1t @ v),
+            rho ** at2 * bess,
+        ], axis=1)
+        rhs = (comps[:, 0] + (beta + 1.0) * comps[:, 1]
+               + gamma * (beta + 1.0) ** 2 * comps[:, 2])
+        worst = max(worst, float(np.abs(lhs - rhs).max()
+                                 / np.abs(lhs).max()))
+        lhs_all.append(lhs)
+        comps_all.append(comps)
+    # recover the vertical-diffusion coefficient by least squares
+    A = np.concatenate(comps_all, axis=0)
+    bvec = np.concatenate(lhs_all, axis=0)
+    coef = np.linalg.lstsq(A, bvec, rcond=None)[0]
+    target = gamma * (beta + 1.0) ** 2
+    return worst, float(abs(coef[2] - target) / abs(target))

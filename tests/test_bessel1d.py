@@ -7,6 +7,7 @@ from scipy.special import ive
 
 from degenpde import bessel1d as b1
 from degenpde.grid import make_grid
+from degenpde.harness import decay_order, refinement_study
 
 
 def _uniform_nodes():
@@ -319,10 +320,11 @@ def test_semigroup_domination_small():
 
 
 def test_equivalence_transform_check_converges():
-    rep = b1.equivalence_transform_check(0.5, 1.0, 0.3, 1.0,
-                                         levels=(128, 256))
-    assert rep["order"] > 0.9
-    assert rep["errors"][-1] < rep["errors"][0]
+    levels = (128, 256)
+    errors, _ = refinement_study(levels, lambda J: (
+        b1.equivalence_transform_check(0.5, 1.0, 0.3, 1.0, J)))
+    assert decay_order(levels, errors) > 0.9
+    assert errors[-1] < errors[0]
 
 
 def test_two_route_resolvent_agreement():
@@ -338,11 +340,10 @@ def test_two_route_resolvent_agreement():
 
 
 def test_interpolation_inequality_stable():
-    rep = b1.interpolation_inequality_fit(0.5, 1.0, 2.0, 0.5,
-                                          levels=(96, 192))
-    c1, c2 = rep["constants"]
+    (c1, c2), drift = refinement_study((96, 192), lambda J: (
+        b1.interpolation_constant(0.5, 1.0, 2.0, 0.5, J)))
     assert 0.0 < c2 < 5.0
-    assert abs(c2 - c1) / c1 < 0.2
+    assert drift == abs(c2 - c1) / c1 < 0.2
 
 
 def test_uniform_frequency_bound_scan_bounded():

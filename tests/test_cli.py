@@ -101,6 +101,20 @@ def test_verify_unknown_suite_is_config_error(tmp_path, capsys):
     assert "config error: unknown suite" in err
 
 
+def test_verify_reads_only_suite(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
+                                   "suite": "spectral_1d"})
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "'operator'" in err
+    assert not os.path.exists(str(tmp_path / "v"))
+    cfg = _write_config(tmp_path, {"suite": "spectral_1d"}, "suite.json")
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert "verify spectral_1d: 3/3" in capsys.readouterr().out
+
+
 def test_unknown_top_level_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
                                    "bogus_section": {}})

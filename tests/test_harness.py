@@ -7,7 +7,8 @@ import pytest
 
 from degenpde import harness, panels
 from degenpde.bessel1d import node_weights, two_route_resolvent
-from degenpde.harness import (REGISTRY, SUITES, EstimateResult, run_suite,
+from degenpde.harness import (REGISTRY, SUITES, EstimateResult, decay_order,
+                              refinement_study, run_suite,
                               square_function_ratio)
 from degenpde.grid import make_grid
 
@@ -93,7 +94,7 @@ def test_two_route_identity_passes_on_every_seed(seed):
 
 
 def test_two_route_rows_hold_each_case_own_max():
-    ctx = harness.default_context(seed=0)
+    ctx = harness.SuiteContext(seed=0)
     res = harness._check_two_route(ctx)
     grid = make_grid(256, 1.0, 2.0)
     profs = panels.vertical_panel(
@@ -120,7 +121,9 @@ def test_parabolic_contraction_reports_t_positive_worst_and_margin():
     assert res.drift == 1.05 - worst > 0.0
 
 
-def test_run_suite_with_operator_override():
+def test_run_suite_rejects_operator_keys():
+    # every check builds its own models, so an operator config would be
+    # silently ignored; it is rejected instead
     config = {
         "checks": ["parameter_roundtrip"],
         "q_matrix": [[2.0]],
@@ -134,8 +137,58 @@ def test_run_suite_with_operator_override():
         "m": 0.2,
         "dimension": 1,
     }
-    results = run_suite(config)
-    assert results[0].passed
+    with pytest.raises(ValueError, match="unknown run_suite key.*gamma"):
+        run_suite(config)
+
+
+def test_refinement_study_runs_levels_in_order_and_returns_floats():
+    calls = []
+
+    def measure(J):
+        calls.append(J)
+        return np.float64(J) if J < 300 else np.array(2.5 * J)
+
+    values, drift = refinement_study((100, 200, 400), measure)
+    assert calls == [100, 200, 400]
+    assert values == [100.0, 200.0, 1000.0]
+    assert all(type(v) is float for v in values)
+    assert type(drift) is float and drift == 9.0
+
+    values, drift = refinement_study((1, 2), lambda k: (1.0, np.float64(-k)))
+    assert values == [(1.0, -1.0), (1.0, -2.0)]
+    assert all(type(c) is float for v in values for c in v)
+    assert drift == 1.0     # worst component: |-2 - -1| / |-1|
+
+
+def test_refinement_study_nonfinite_level_gives_inf_drift():
+    values, drift = refinement_study((1, 2, 3),
+                                     lambda k: [1.0, np.nan, 1.05][k - 1])
+    assert np.isnan(values[1])
+    assert drift == np.inf
+    _, drift = refinement_study((1, 2),
+                                lambda k: (1.0, 2.0 if k == 1 else np.inf))
+    assert drift == np.inf
+
+
+def test_decay_order_fits_slope_and_flags_exact():
+    assert decay_order((128, 256, 512), [4e-3, 1e-3, 2.5e-4]) \
+        == pytest.approx(2.0)
+    assert decay_order((128, 256), [3e-14, 9e-14]) == np.inf
+
+
+def test_kernel_fit_fails_on_a_nonfinite_level(monkeypatch):
+    real_fit = harness.bessel_kernel_fit
+
+    def fit(kernel, c, t):
+        rep = dict(real_fit(kernel, c, t))
+        if kernel.grid.num_y == 512:
+            rep["kappa"] = np.inf
+        return rep
+
+    monkeypatch.setattr(harness, "bessel_kernel_fit", fit)
+    (res,) = run_suite({"checks": ["kernel_gaussian_fit_bessel"]})
+    assert res.error == ""
+    assert not res.passed and res.drift == np.inf
 
 
 def test_estimate_result_repr_and_defaults():

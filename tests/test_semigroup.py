@@ -9,6 +9,7 @@ import pytest
 from degenpde import multiplier as mp
 from degenpde import semigroup as sg
 from degenpde.grid import Field, XBox, make_grid
+from degenpde.harness import refinement_study
 from degenpde.params import ModelParams
 
 
@@ -157,26 +158,33 @@ def test_positivity_exact_for_pure_bessel():
     model0 = ModelParams([0.0], 0.0, 0.0, 0.0, 2.0)
     grids = [make_grid(J, 1.0, 1.0, XBox(2.0 * np.pi, 8, 1))
              for J in (32, 64)]
-    assert sg.positivity_check(model0, grids, steps=6) == [0.0, 0.0]
+    values, _ = refinement_study(
+        grids, lambda g: sg.positivity_check(model0, g, steps=6))
+    assert values == [0.0, 0.0]
 
 
 def test_mode_domination_slack_nonpositive():
-    grids = [make_grid(J, 1.0, 2.0) for J in (64, 128)]
-    out = sg.mode_domination_check(1.0, 0.5, 0.4, 1.0, grids, steps=8)
+    rng = np.random.default_rng(17)
+    out, _ = refinement_study((64, 128), lambda J: sg.mode_domination_check(
+        1.0, 0.5, 0.4, 1.0, make_grid(J, 1.0, 2.0), rng, steps=8))
     assert all(v <= 1e-10 for v in out)
 
 
 def test_maximal_regularity_ratio_stable():
-    rep = sg.maximal_regularity_check(MODEL, _grid(), 2.0,
-                                      np.linspace(0.0, 0.3, 9))
-    assert np.isfinite(rep["ratio"]) and rep["ratio"] < 10.0
-    assert rep["drift"] < 0.2
+    # joint time/space refinement: 48 cells and 8 steps, then 96 and 16
+    (ratio, _), drift = refinement_study((1, 2), lambda k: (
+        sg.maximal_regularity_check(MODEL, _grid(J=48 * k), 2.0,
+                                    np.linspace(0.0, 0.3, 8 * k + 1))))
+    assert np.isfinite(ratio) and ratio < 10.0
+    assert drift < 0.2
 
 
 def test_heat_closed_form_first_order_in_time():
-    rep = sg.heat_closed_form_check(levels=((48, 8), (96, 16)))
-    assert rep["errors"][1] < rep["errors"][0]
-    assert 1.5 <= rep["ratio"] <= 3.0  # joint dt/grid halving, O(dt) leads
+    errors, _ = refinement_study(((48, 8), (96, 16)),
+                                 lambda lv: sg.heat_closed_form_check(*lv))
+    assert errors[1] < errors[0]
+    # joint dt/grid halving, O(dt) leads
+    assert 1.5 <= errors[0] / errors[1] <= 3.0
 
 
 def test_crank_nicolson_second_order_in_time():

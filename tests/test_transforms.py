@@ -5,6 +5,7 @@ import pytest
 
 from degenpde import panels
 from degenpde.grid import Field, XBox, lp_norm, make_grid
+from degenpde.harness import decay_order, refinement_study
 from degenpde.params import beta_map, invert_beta
 from degenpde.transforms import (TransformChain, TransformStep, apply_phase,
                                  apply_power, apply_shear, power_image_grid,
@@ -188,8 +189,10 @@ def test_chain_linear_x_step_refuses_field_application():
 
 
 def test_similarity_check_power_converges():
-    rep = similarity_check_power(0.5, 1.0, 1.2, gamma=1.0, q_mixed=0.3,
-                                 levels=(128, 256))
-    assert rep["order"] > 0.9
-    assert rep["errors"][-1] < rep["errors"][0]
-    assert rep["coeff_rel_err"] < 0.02
+    levels = (128, 256)
+    values, _ = refinement_study(levels, lambda J: similarity_check_power(
+        0.5, 1.0, 1.2, J, gamma=1.0, q_mixed=0.3))
+    errors = [e for e, _ in values]
+    assert decay_order(levels, errors) > 0.9
+    assert errors[-1] < errors[0]
+    assert max(cc for _, cc in values) < 0.02
