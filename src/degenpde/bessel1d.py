@@ -61,11 +61,9 @@ def power_moment(a, b, s):
 
 
 def _element_moments(y, s):
-    """I_k = Int_{y_j}^{y_{j+1}} y^(s+k) dy for k = 0, 1, 2 (per element)."""
+    """I_k = Int_{y_j}^{y_{j+1}} y^(s+k) dy for k = 0, 1 (per element)."""
     a, b = y[:-1], y[1:]
-    return (power_moment(a, b, s),
-            power_moment(a, b, s + 1.0),
-            power_moment(a, b, s + 2.0))
+    return power_moment(a, b, s), power_moment(a, b, s + 1.0)
 
 
 def _accumulate(J, ll, lr, rl, rr):
@@ -94,22 +92,10 @@ def transport_tridiag(y, s):
     y = np.asarray(y, dtype=float)
     a, b = y[:-1], y[1:]
     h = b - a
-    i0, i1, _ = _element_moments(y, s)
+    i0, i1 = _element_moments(y, s)
     left = (b * i0 - i1) / h ** 2    # Int phi_L y^s / h
     right = (i1 - a * i0) / h ** 2   # Int phi_R y^s / h
     return _accumulate(y.size, -left, left, -right, right)
-
-
-def mass_tridiag(y, s):
-    """Consistent Galerkin mass M[i,j] = Int phi_i phi_j y^s, exact."""
-    y = np.asarray(y, dtype=float)
-    a, b = y[:-1], y[1:]
-    h = b - a
-    i0, i1, i2 = _element_moments(y, s)
-    ll = (b * b * i0 - 2.0 * b * i1 + i2) / h ** 2
-    lr = (-a * b * i0 + (a + b) * i1 - i2) / h ** 2
-    rr = (a * a * i0 - 2.0 * a * i1 + i2) / h ** 2
-    return _accumulate(y.size, ll, lr, lr, rr)
 
 
 def partition_weights(y):
@@ -518,31 +504,23 @@ def weighted_opnorm_estimate(op, lam, rng, probes=16, iters=3):
 
     Randomized power iteration on T* T (T = lam R_lam, adjoint in the W inner
     product): `probes` random starts, `iters` power steps each, max taken.
+    The probes run as one block, rows of a (probes, J) array: a power step is
+    one resolve and one adjoint solve for all of them.
     """
     w = op.weight
-
-    def norm(v):
-        return float(np.sqrt(np.sum(np.abs(v) ** 2 * w)))
-
+    v = np.array([rng.standard_normal(op.size)
+                  + 1j * rng.standard_normal(op.size) for _ in range(probes)])
+    v /= np.sqrt(np.sum(np.abs(v) ** 2 * w, axis=1))[:, None]
     # T* = conj(lam) (conj(lam) - M*)^(-1), and (conj(lam) - M*)^(-1) g
     # solves (lam W + F)^H u = W g
     adjoint = op.factor(lam).solve_adjoint
-    best = 0.0
     absl2 = abs(lam) ** 2
-    for _ in range(probes):
-        v = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
-        v /= norm(v)
-        for _ in range(iters):
-            tv = resolve(op, lam, v)
-            v_new = adjoint(w * tv)
-            sigma2 = absl2 * np.real(np.sum(tv * np.conj(tv) * w))
-            v = absl2 * v_new
-            n = norm(v)
-            if n == 0:
-                break
-            v /= n
-        best = max(best, np.sqrt(max(sigma2, 0.0)))
-    return float(best)
+    for _ in range(iters):
+        tv = resolve(op, lam, v)
+        sigma2 = absl2 * np.real(np.sum(tv * np.conj(tv) * w, axis=1))
+        v = absl2 * adjoint((w * tv).T).T
+        v /= np.sqrt(np.sum(np.abs(v) ** 2 * w, axis=1))[:, None]
+    return float(np.sqrt(max(sigma2.max(), 0.0)))
 
 
 def sector_angle(mixing_norm):
@@ -553,15 +531,15 @@ def sector_angle(mixing_norm):
     return np.pi / 2.0 - np.arctan(a / np.sqrt(1.0 - a * a))
 
 
-def sector_resolvent_scan(op, mixing_norm, rng, margin=0.1, n_radii=8,
-                          n_angles=8, probes=4, iters=3):
-    """sup ||lam R_lam||_W over the sector of half-angle (analyticity - margin).
+def sector_resolvent_scan(op, mixing_norm, rng, n_radii=8, n_angles=8,
+                          probes=4, iters=3):
+    """sup ||lam R_lam||_W over the sector of half-angle (analyticity - 0.1).
 
     lam ranges over 8 log-spaced moduli in [1e-2, 1e2] and 8 arguments
     filling the sector (64 samples).  Returns the supremum, the estimate
     grid and the half-angle used.
     """
-    theta = sector_angle(mixing_norm) - margin
+    theta = sector_angle(mixing_norm) - 0.1
     radii = np.logspace(-2, 2, n_radii)
     angles = np.linspace(-theta, theta, n_angles)
     estimates = np.zeros((n_radii, n_angles))
@@ -574,25 +552,22 @@ def sector_resolvent_scan(op, mixing_norm, rng, margin=0.1, n_radii=8,
             "angle": float(theta)}
 
 
-def semigroup_domination_check(grid, c, beta, drift_b, potential_coeff, t,
-                               panel=None):
+def semigroup_domination_check(grid, c, beta, drift_b, potential_coeff, t):
     """Check |e^{tA} f| <= (e^{tB} |f|) + slack, pointwise, plus kernels.
 
     A is the graded oblique operator, B the pure Bessel operator in the same
-    L^2(y^c).  Returns the largest relative pointwise excess over the panel
-    and the kernel-level excess max(|p_A| - p_B) / max p_B, both signed (a
-    negative excess is the margin by which domination holds; a positive one
-    should be small and vanish under refinement).
+    L^2(y^c).  Returns the largest relative pointwise excess over a panel of
+    six profiles and the kernel-level excess max(|p_A| - p_B) / max p_B,
+    both signed (a negative excess is the margin by which domination holds;
+    a positive one should be small and vanish under refinement).
     """
     op_b = assemble_form(grid, "bessel_drift", c=c, beta=beta,
                          drift_b=drift_b, potential_coeff=potential_coeff)
     op_0 = assemble_form(grid, "bessel", c=c)
     ker_b = expm_kernel(op_b, t)
     ker_0 = expm_kernel(op_0, t)
-    if panel is None:
-        panel = panels.vertical_panel(grid.y_max, count=6)
     excess_f = -np.inf
-    for prof in panel:
+    for prof in panels.vertical_panel(grid.y_max, count=6):
         f = prof(grid.y_nodes).astype(complex)
         lhs = np.abs(ker_b.apply(f))
         rhs = np.abs(ker_0.apply(np.abs(f)))
@@ -603,13 +578,14 @@ def semigroup_domination_check(grid, c, beta, drift_b, potential_coeff, t,
     return {"field_excess": excess_f, "kernel_excess": excess_k}
 
 
-def gaussian_envelope_fit(kernel, t, dist, prefactor, bins=20, thresh=1e-13):
+def gaussian_envelope_fit(kernel, t, dist, prefactor):
     """Fit |p| <= C prefactor(rho) exp(-dist(y, rho)^2 / (kappa t)).
 
     dist: (y_i, rho_j) -> separation in the kernel's natural distance;
     prefactor: rho_j -> on-diagonal envelope (t-dependence included by the
-    caller).  Envelope regression: bin s = dist^2/t, regress the per-bin max
-    of log(|p| / prefactor) linearly in s; kappa = -1/slope and C is the
+    caller).  Envelope regression over the entries |p| >= 1e-13 max |p|:
+    bin s = dist^2/t into 20 bins, regress the per-bin max of
+    log(|p| / prefactor) linearly in s; kappa = -1/slope and C is the
     uniform max of |p| / (prefactor exp(-s/kappa)).
 
     Returns dict with C, kappa and the masked-point count.  kappa = inf when
@@ -619,9 +595,10 @@ def gaussian_envelope_fit(kernel, t, dist, prefactor, bins=20, thresh=1e-13):
     P = np.abs(kernel.values)
     pref = prefactor(y)[None, :] * np.ones((y.size, 1))
     s = dist(y[:, None], y[None, :]) ** 2 / t
-    mask = P >= thresh * P.max()
+    mask = P >= 1e-13 * P.max()
     g = np.log(P[mask] / pref[mask])
     sv = s[mask]
+    bins = 20
     edges = np.linspace(0.0, sv.max() * (1 + 1e-12), bins + 1)
     smax, gmax = [], []
     for k in range(bins):
@@ -642,7 +619,7 @@ def gaussian_envelope_fit(kernel, t, dist, prefactor, bins=20, thresh=1e-13):
     return {"C": C, "kappa": float(kappa), "points": int(mask.sum())}
 
 
-def bessel_kernel_fit(kernel, c, t, bins=20):
+def bessel_kernel_fit(kernel, c, t):
     """Gaussian-envelope fit for the Bessel kernel, distance |y - rho|.
 
     Envelope C t^(-1/2) rho^(-c) min(rho/sqrt(t), 1)^c exp(-|y-rho|^2/(kappa t)),
@@ -654,10 +631,10 @@ def bessel_kernel_fit(kernel, c, t, bins=20):
         return t ** -0.5 * rho ** -float(c) * np.minimum(rho / rt, 1.0) ** float(c)
 
     return gaussian_envelope_fit(kernel, t, lambda yy, rr: np.abs(yy - rr),
-                                 pref, bins=bins)
+                                 pref)
 
 
-def model_kernel_fit(kernel, c, alpha, t, bins=20):
+def model_kernel_fit(kernel, c, alpha, t):
     """Gaussian-envelope fit for the degenerate model kernel.
 
     The substitution z = y^e with e = 1 - alpha/2 turns y^alpha B_c into
@@ -680,18 +657,17 @@ def model_kernel_fit(kernel, c, alpha, t, bins=20):
         return te ** -0.5 * ze ** -ct * np.minimum(ze / rte, 1.0) ** ct
 
     return gaussian_envelope_fit(
-        kernel, te, lambda yy, rr: np.abs(yy ** e - rr ** e), pref, bins=bins)
+        kernel, te, lambda yy, rr: np.abs(yy ** e - rr ** e), pref)
 
 
 # ---------------------------------------------------------------------------
 # estimate checks (strong-form panels, grid-converged)
 
 
-def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2, J,
-                                y_max=1.0, panel_count=6):
+def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2, J):
     """Conjugation identity between the model mode and the graded oblique form.
 
-    Checks, on a panel of edge-avoiding test functions f,
+    Checks, on a panel of six edge-avoiding test functions f on (0, 1],
 
         y^alpha (B_c + 2i s Dy - k2) f
           = (T o S) [ (beta+1)^(-2) A_{bt,beta} ] (T o S)^(-1) f,
@@ -718,15 +694,14 @@ def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2, J,
     bt = 2.0 * s * (beta + 1.0)
     mu = (beta + 1.0) ** 2 * (k2 - s * s)
 
-    g = make_grid(J, y_max, default_grading(a))
+    g = make_grid(J, 1.0, default_grading(a))
     gt = power_image_grid(g, -a / 2.0)   # nodes y^(1-alpha/2)
     y = g.y_nodes
     rho = gt.y_nodes
     D1, D2 = diff1_matrix(y), diff2_matrix(y)
     D1t, D2t = diff1_matrix(rho), diff2_matrix(rho)
     worst = 0.0
-    for prof in panels.vertical_panel(y_max, count=panel_count,
-                                      kind="interior"):
+    for prof in panels.vertical_panel(1.0, count=6, kind="interior"):
         f = prof(y).astype(complex)
         lhs = y ** a * (D2 @ f + (c / y) * (D1 @ f)
                         + 2j * s * (D1 @ f) - k2 * f)
@@ -748,17 +723,17 @@ def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2, J,
     return worst
 
 
-def interpolation_constant(alpha, c, p, m, J, y_max=1.0, panel_count=20):
+def interpolation_constant(alpha, c, p, m, J):
     """Best constant in ||y^a Dy u|| <= C ||y^a B u||^(1/2) ||y^a u||^(1/2).
 
-    Norms in L^p(y^m) by quadrature on one J-cell grid; derivatives exact
-    (closed-form panel).  The constant must be finite and stable under
-    refinement.
+    Norms in L^p(y^m) by quadrature on one J-cell grid over (0, 1];
+    derivatives exact (a closed-form panel of 20 profiles).  The constant
+    must be finite and stable under refinement.
     """
-    g = make_grid(J, y_max, default_grading(alpha))
+    g = make_grid(J, 1.0, default_grading(alpha))
     y = g.y_nodes
     best = 0.0
-    for prof in panels.vertical_panel(y_max, count=panel_count):
+    for prof in panels.vertical_panel(1.0, count=20):
         u = prof(y)
         du = prof.d1(y)
         bu = prof.d2(y) + (c / y) * du

@@ -102,8 +102,10 @@ def _integer(v):
 
 
 def _finite_number(v):
+    # an int beyond the float range is not finite here: it fails the
+    # comparison instead of overflowing in math.isfinite
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) < math.inf)
 
 
 def _check_positive(name, value):
@@ -116,8 +118,8 @@ def _check_mode(name, value, num_x):
     """A Fourier mode k with |k| < num_x / 2, so it is neither truncated nor
     aliased onto another mode of the x-grid."""
     if not (_integer(value) and 2 * abs(value) < num_x):
-        raise ConfigError("%s must be an integer with |k| < num_x / 2 = %g, "
-                          "got %r" % (name, num_x / 2, value))
+        raise ConfigError("%s must be an integer with |k| < num_x / 2 = %d, "
+                          "got %r" % (name, num_x // 2, value))
 
 
 def _check_grid(sec):

@@ -54,35 +54,29 @@ class XBox:
 
 
 class Grid:
-    """Cell-centered graded vertical mesh, optionally tensored with an XBox."""
+    """Cell-centered graded vertical mesh, optionally tensored with an XBox.
 
-    def __init__(self, y_nodes, y_weights, y_max, grading_exponent=None,
-                 x_box=None, y_edges=None):
+    The y-weights are the cell lengths E_{j+1} - E_j of the edges y_edges.
+    """
+
+    def __init__(self, y_nodes, y_edges, y_max, grading_exponent, x_box):
         y_nodes = np.asarray(y_nodes, dtype=float)
-        y_weights = np.asarray(y_weights, dtype=float)
-        if y_nodes.ndim != 1 or y_nodes.shape != y_weights.shape:
-            raise ValueError("y_nodes and y_weights must be equal-length 1-d")
+        y_edges = np.asarray(y_edges, dtype=float)
+        if y_nodes.ndim != 1 or y_edges.shape != (y_nodes.size + 1,):
+            raise ValueError("y_nodes must be 1-d with one more y_edge")
         if y_nodes[0] <= 0 or np.any(np.diff(y_nodes) <= 0):
             raise ValueError("y_nodes must be strictly increasing and positive")
         if y_nodes[-1] > y_max:
             raise ValueError("y_nodes must not exceed Y_max")
+        y_weights = np.diff(y_edges)
         if np.any(y_weights <= 0):
-            raise ValueError("y_weights must be positive")
+            raise ValueError("y_edges must increase strictly")
         self.y_nodes = y_nodes
+        self.y_edges = y_edges
         self.y_weights = y_weights
         self.y_max = float(y_max)
-        self.grading_exponent = (None if grading_exponent is None
-                                 else float(grading_exponent))
+        self.grading_exponent = float(grading_exponent)
         self.x_box = x_box
-        self._y_edges = None if y_edges is None else np.asarray(y_edges, float)
-
-    @property
-    def y_edges(self):
-        """Cell edges E_0 = 0 < E_1 < ... < E_J; cumulative if not stored."""
-        if self._y_edges is None:
-            self._y_edges = np.concatenate(
-                [[0.0], np.cumsum(self.y_weights)])
-        return self._y_edges
 
     @property
     def num_y(self):
@@ -153,8 +147,7 @@ def make_grid(num_cells, y_max=1.0, grading=1.0, x_box=None):
     j = np.arange(J, dtype=float)
     nodes = y_max * ((j + 0.5) / J) ** grading
     edges = y_max * (np.arange(J + 1, dtype=float) / J) ** grading
-    weights = np.diff(edges)
-    return Grid(nodes, weights, y_max, grading, x_box, y_edges=edges)
+    return Grid(nodes, edges, y_max, grading, x_box)
 
 
 def _split_field(u, grid):

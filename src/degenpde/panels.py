@@ -10,8 +10,8 @@ second derivatives.  Two families:
   * quartic: exp(-t^4), effectively supported on |t| <~ 3 (tails < 1e-35),
     cheaper and free of the support-edge rounding of the bump.
 
-Profiles are callables with .d1 and .d2 closures; panel builders return lists
-of (profile, label).  Centers and widths are chosen inside (0, Y_max/2) so the
+Profiles are callables with .d1 and .d2 closures; vertical_panel returns a
+list of them.  Centers and widths are chosen inside (0, Y_max/2) so the
 domain truncation never matters.
 """
 
@@ -34,7 +34,7 @@ class Profile:
         return "Profile(%s)" % self.label
 
 
-def bump_profile(center, width, label=None):
+def bump_profile(center, width):
     """exp(-1/(1-t^2)) with t = (y-center)/width, support [c-w, c+w]."""
     c, w = float(center), float(width)
 
@@ -69,10 +69,10 @@ def bump_profile(center, width, label=None):
                              - (2.0 + 6.0 * ti * ti) / g ** 3) / w ** 2
         return out
 
-    return Profile(f, d1, d2, label or "bump(c=%g,w=%g)" % (c, w))
+    return Profile(f, d1, d2, "bump(c=%g,w=%g)" % (c, w))
 
 
-def quartic_profile(center, width, label=None):
+def quartic_profile(center, width):
     """exp(-t^4) with t = (y-center)/width; tails below 1e-35 for |t| > 3."""
     c, w = float(center), float(width)
 
@@ -91,30 +91,7 @@ def quartic_profile(center, width, label=None):
         t = t_of(y)
         return np.exp(-t ** 4) * (16.0 * t ** 6 - 12.0 * t ** 2) / w ** 2
 
-    return Profile(f, d1, d2, label or "quartic(c=%g,w=%g)" % (c, w))
-
-
-def edge_plateau_profile(width, label=None):
-    """exp(-(y/width)^4): constant-to-fourth-order at y = 0, decays by ~3w.
-
-    Models the admissible class that is flat at the degenerate edge: the
-    derivative vanishes cubically at 0, so y^(s) Dy stays bounded there.
-    """
-    w = float(width)
-
-    def f(y):
-        t = np.asarray(y, dtype=float) / w
-        return np.exp(-t ** 4)
-
-    def d1(y):
-        t = np.asarray(y, dtype=float) / w
-        return np.exp(-t ** 4) * (-4.0 * t ** 3) / w
-
-    def d2(y):
-        t = np.asarray(y, dtype=float) / w
-        return np.exp(-t ** 4) * (16.0 * t ** 6 - 12.0 * t ** 2) / w ** 2
-
-    return Profile(f, d1, d2, label or "edge_plateau(w=%g)" % w)
+    return Profile(f, d1, d2, "quartic(c=%g,w=%g)" % (c, w))
 
 
 def vertical_panel(y_max, count=10, kind="mixed", rng=None):

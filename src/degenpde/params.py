@@ -371,22 +371,6 @@ def reduce_to_model(spec, space):
     return model, chain
 
 
-def problem_to_config(spec, space):
-    """Serialize an (OperatorSpec, SpaceSpec) pair to the flat config dict."""
-    return {
-        "q_matrix": [float(v) for v in spec.q_matrix.reshape(-1)],
-        "q_vector": [float(v) for v in spec.q_vector],
-        "gamma": spec.gamma,
-        "drift_b": [float(v) for v in spec.drift_b],
-        "drift_c": spec.drift_c,
-        "alpha1": spec.alpha1,
-        "alpha2": spec.alpha2,
-        "p": space.p,
-        "m": space.m,
-        "dimension": spec.dim,
-    }
-
-
 _SCALAR_KEYS = ("gamma", "drift_c", "alpha1", "alpha2", "p", "m")
 
 
@@ -395,7 +379,7 @@ def _check_finite(key, value):
     one number belongs, naming its key."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("operator.%s must be numeric, got %r" % (key, value))
     if key in _SCALAR_KEYS and arr.ndim:
         raise ValueError("operator.%s must be a single number, got %r"

@@ -35,7 +35,7 @@ SCHEMES = ("backward_euler", "crank_nicolson")
 
 
 class EvolutionRun:
-    """Evolved trajectory: time grid, scheme, kept snapshots, forcing record.
+    """Evolved trajectory: time grid, scheme and kept snapshots.
 
     `snapshots` holds one Field per kept time index, `kept` =
     0, stride, 2 stride, ...; `final` is the state at the last time, kept
@@ -43,12 +43,11 @@ class EvolutionRun:
     residual over the steps' mode solves; it is not exported.
     """
 
-    def __init__(self, times, scheme, snapshots, forcing_label="", stride=1,
-                 final=None, residual=0.0):
+    def __init__(self, times, scheme, snapshots, stride=1, final=None,
+                 residual=0.0):
         self.times = np.asarray(times, dtype=float)
         self.scheme = scheme
         self.snapshots = snapshots
-        self.forcing_label = forcing_label
         self.kept = list(range(0, self.times.size, int(stride)))
         self.residual = float(residual)
         if len(snapshots) != len(self.kept):
@@ -60,10 +59,10 @@ class EvolutionRun:
             final = snapshots[-1]
         self.final = final
 
-    def export_csvs(self, outdir, basename="snapshot", model=None, chain=None,
-                    extra=None):
+    def export_csvs(self, outdir, basename="snapshot", model=None, chain=None):
         """Write the kept snapshots' CSVs and a manifest JSON; returns the
-        manifest."""
+        manifest.  "forcing" is empty: the command-line runs that write
+        manifests are unforced."""
         os.makedirs(outdir, exist_ok=True)
         paths = []
         for k, snap in zip(self.kept, self.snapshots):
@@ -75,7 +74,7 @@ class EvolutionRun:
             "steps": int(self.times.size - 1),
             "times": [float(t) for t in self.times],
             "snapshots": paths,
-            "forcing": self.forcing_label,
+            "forcing": "",
         }
         if model is not None:
             manifest["model"] = {
@@ -87,8 +86,6 @@ class EvolutionRun:
             }
         if chain is not None:
             manifest["transform_chain"] = chain.to_dict()
-        if extra:
-            manifest.update(extra)
         with open(os.path.join(outdir, basename + "_manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         return manifest
@@ -182,16 +179,15 @@ def evolve(u0, forcing, model, grid, scheme="backward_euler", time_grid=None,
 # contractivity and positivity
 
 
-def contraction_check(model, grid, t_set, probes=8, steps=20, p_sample=(1.5,
-                                                                        4.0),
-                      seed=3):
-    """Probe-estimated norm of e^{tL} on L^2_{c-alpha}, sampled L^p, L^inf.
+def contraction_check(model, grid, t_set, probes=8, steps=20, seed=3):
+    """Probe-estimated norm of e^{tL} on L^2_{c-alpha}, L^1.5, L^4, L^inf.
 
     Evolves random data with zero forcing by backward Euler and records the
     worst norm ratio per horizon; t = 0 entries are exactly 1.
     """
     rng = np.random.default_rng(seed)
     w = model.c_bessel - model.alpha
+    p_sample = (1.5, 4.0)
     report = {}
     for t in t_set:
         worst = {"l2_weighted": 0.0, "linf": 0.0}
@@ -220,8 +216,8 @@ def contraction_check(model, grid, t_set, probes=8, steps=20, p_sample=(1.5,
     return report
 
 
-def positivity_check(model, grid, t=0.2, steps=16):
-    """Relative undershoot of backward Euler from nonnegative data/forcing.
+def positivity_check(model, grid, steps=16):
+    """Relative undershoot of backward Euler from nonnegative data to t = 0.2.
 
     Returns max(0, -min u / max u) over the run on one grid; the slack must
     shrink under refinement (exact zero when a = 0, where the lumped system
@@ -234,7 +230,7 @@ def positivity_check(model, grid, t=0.2, steps=16):
     prof = panels.bump_profile(0.3 * grid.y_max, 0.12 * grid.y_max)
     u0 = Field(panels.tensor_values(grid, x_part, prof), grid)
     run = evolve(u0, None, model, grid, "backward_euler",
-                 np.linspace(0.0, t, steps + 1))
+                 np.linspace(0.0, 0.2, steps + 1))
     under = 0.0
     for snap in run.snapshots:
         re = snap.values.real
@@ -286,9 +282,8 @@ def maximal_regularity_check(model, grid, q, time_grid, seed=11):
 # structural checks
 
 
-def semigroup_property_check(model, grid, t=0.3, s=0.2, steps_t=12,
-                             steps_s=8, seed=9):
-    """Two-leg vs one-shot evolution.
+def semigroup_property_check(model, grid, seed=9):
+    """Two-leg vs one-shot evolution: t = 0.3 in 12 steps, then s = 0.2.
 
     Same step size on both paths makes backward Euler compose exactly; a
     second comparison with mismatched steps exposes the scheme-order error.
@@ -296,6 +291,7 @@ def semigroup_property_check(model, grid, t=0.3, s=0.2, steps_t=12,
     """
     rng = np.random.default_rng(seed)
     u0 = Field(rng.standard_normal(grid.shape).astype(complex), grid)
+    t, s, steps_t = 0.3, 0.2, 12
     dt = t / steps_t
     steps_s_same = int(round(s / dt))
     s_adj = steps_s_same * dt
@@ -316,12 +312,13 @@ def semigroup_property_check(model, grid, t=0.3, s=0.2, steps_t=12,
     return {"exact": float(exact), "scheme_order": float(order_err)}
 
 
-def resolvent_step_identity(model, grid, dt=0.05, seed=13):
-    """Backward Euler single step vs (I - dt L)^(-1) u0 by the monolithic
-    sparse solve on the full tensor grid (N = 1): an independent route to
-    the same discrete resolvent, so the two agree to round-off."""
+def resolvent_step_identity(model, grid, seed=13):
+    """Backward Euler single step of dt = 0.05 vs (I - dt L)^(-1) u0 by the
+    monolithic sparse solve on the full tensor grid (N = 1): an independent
+    route to the same discrete resolvent, so the two agree to round-off."""
     rng = np.random.default_rng(seed)
     u0 = Field(rng.standard_normal(grid.shape).astype(complex), grid)
+    dt = 0.05
     run = evolve(u0, None, model, grid, "backward_euler",
                  np.array([0.0, dt]))
     direct = monolithic_sparse_solve(1.0 / dt, u0.values / dt, model, grid)
@@ -330,14 +327,14 @@ def resolvent_step_identity(model, grid, dt=0.05, seed=13):
     return float(num / max(den, 1e-300))
 
 
-def mode_domination_check(c, alpha, mixing_s, k2, grid, rng, t=0.3,
-                          steps=24):
-    """Per-mode magnitudes vs the potential-only evolution of |f|.
+def mode_domination_check(c, alpha, mixing_s, k2, grid, rng, steps=24):
+    """Per-mode magnitudes vs the potential-only evolution of |f| to t = 0.3.
 
     Evolves one frozen mode with s = a.xi mixing by backward Euler and the
     s = 0 comparison evolution started from |f|, whose phases are drawn from
-    `rng`; returns the relative excess max(|u_s| - v_0)/max(v_0) on one grid
-    (a slack that must vanish under refinement).
+    `rng`; returns the signed relative excess max(|u_s| - v_0)/max(v_0) on
+    one grid: negative is the margin by which domination holds, a positive
+    slack must vanish under refinement.
     """
     ops = ModeOperators(grid, c, alpha)
     prof = panels.bump_profile(0.3 * grid.y_max, 0.1 * grid.y_max)
@@ -345,42 +342,41 @@ def mode_domination_check(c, alpha, mixing_s, k2, grid, rng, t=0.3,
     f *= np.exp(1j * rng.uniform(0, 2 * np.pi, f.size))
     u = f.copy()
     v = np.abs(f)
-    dt = t / steps
+    dt = 0.3 / steps
     lam = 1.0 / dt
     for _ in range(steps):
         u = ops.solve(mixing_s, k2, lam, u / dt)
         v = ops.solve(0.0, k2, lam, v / dt)
-    excess = float(np.max(np.abs(u) - v.real) / np.max(np.abs(v)))
-    return max(0.0, excess)
+    return float(np.max(np.abs(u) - v.real) / np.max(np.abs(v)))
 
 
 # ---------------------------------------------------------------------------
 # closed-form heat comparison
 
 
-def heat_closed_form_check(J, K, y_max=1.0, box_length=2.0 * np.pi, nx=16,
-                           t_final=0.1):
+def heat_closed_form_check(J, K):
     """Heat equation (a = 0, alpha = 0, c = 0) vs the separated exact solution.
 
-    Initial datum cos(2 pi x / L) cos(pi y / Y) + 1 evolves exactly by
-    Fourier-Neumann modes; the backward Euler + P1 error is O(dt) + O(grid).
-    Returns the relative error at t_final with J cells and K time steps.
+    On the 16-point x-box of length 2 pi over (0, 1], the initial datum
+    cos(x) cos(pi y) + 1 evolves exactly by Fourier-Neumann modes; the
+    backward Euler + P1 error is O(dt) + O(grid).  Returns the relative error
+    at t = 0.1 with J cells and K time steps.
     """
     model = ModelParams(mixing=np.array([0.0]), alpha=0.0, c_bessel=0.0,
                         m=0.0, p=2.0)
-    box = XBox(box_length, nx, 1)
-    grid = make_grid(J, y_max, 1.0, box)
+    box = XBox(2.0 * np.pi, 16, 1)
+    grid = make_grid(J, 1.0, 1.0, box)
     x = box.nodes()
     y = grid.y_nodes
-    xi = 2.0 * np.pi / box_length
-    eta = np.pi / y_max
+    xi = 2.0 * np.pi / box.length
+    eta = np.pi
     u0 = (np.cos(xi * x)[:, None] * np.cos(eta * y)[None, :]
-          + np.ones((nx, J)))
-    exact = (np.exp(-(xi ** 2 + eta ** 2) * t_final)
+          + np.ones((16, J)))
+    exact = (np.exp(-(xi ** 2 + eta ** 2) * 0.1)
              * np.cos(xi * x)[:, None] * np.cos(eta * y)[None, :]
-             + np.ones((nx, J)))
+             + np.ones((16, J)))
     run = evolve(Field(u0.astype(complex), grid), None, model, grid,
-                 "backward_euler", np.linspace(0.0, t_final, K + 1))
+                 "backward_euler", np.linspace(0.0, 0.1, K + 1))
     err = lp_norm(run.final.values - exact, 2.0, 0.0, grid)
     ref = lp_norm(exact, 2.0, 0.0, grid)
     return float(err / ref)

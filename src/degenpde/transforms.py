@@ -14,18 +14,14 @@ Three concrete maps move fields between the full operator and its model form:
 
 A TransformChain records the sequence produced by the parameter reduction
 (shear, then linear x-map, then power substitution) together with the scalar
-similarity factor; chains serialize to plain dicts.  The linear x-map acts on
-parameters only (whitening the diffusion matrix); resampling a periodic grid
-under a general linear map is out of scope, so applying such a step to a
-Field raises.
+similarity factor; to_dict serializes it for the manifests.  The linear x-map
+acts on parameters only (whitening the diffusion matrix).
 
 similarity_check_power verifies the conjugation identity of the power map
 against the transformed coefficients in strong form, per horizontal frequency,
 on panels of edge-avoiding profiles, with the finite-difference machinery of
 the grid module; discrepancies must vanish at first order or better.
 """
-
-import json
 
 import numpy as np
 
@@ -36,9 +32,9 @@ from . import panels
 
 
 class TransformStep:
-    """One step of a chain: kind in {power, phase, shear, linear_x} + payload."""
+    """One step of a chain: kind in {power, shear, linear_x} + payload."""
 
-    KINDS = ("power", "phase", "shear", "linear_x")
+    KINDS = ("power", "shear", "linear_x")
 
     def __init__(self, kind, payload):
         if kind not in self.KINDS:
@@ -49,12 +45,6 @@ class TransformStep:
     def to_dict(self):
         return {"kind": self.kind, **self.payload}
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        kind = d.pop("kind")
-        return cls(kind, d)
-
     def __repr__(self):
         return "TransformStep(%s, %r)" % (self.kind, self.payload)
 
@@ -62,8 +52,8 @@ class TransformStep:
 class TransformChain:
     """Ordered sequence of isometry steps with a scalar similarity factor.
 
-    Steps are stored outer-to-inner: applying the chain to a model-side field
-    walks the list in reverse.  scale is the factor s in L = s T M T^(-1).
+    Steps are stored outer-to-inner, as the reduction applies them.  scale is
+    the factor s in L = s T M T^(-1).
     """
 
     def __init__(self, steps, scale=1.0, p=2.0):
@@ -74,31 +64,6 @@ class TransformChain:
     def to_dict(self):
         return {"scale": self.scale, "p": self.p,
                 "steps": [s.to_dict() for s in self.steps]}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls([TransformStep.from_dict(s) for s in d["steps"]],
-                   d.get("scale", 1.0), d.get("p", 2.0))
-
-    def apply_to_model_field(self, field):
-        """Map a model-side Field to the original variables (inner to outer)."""
-        out = field
-        for step in reversed(self.steps):
-            if step.kind == "power":
-                out = apply_power(out, step.payload["beta"], self.p)
-            elif step.kind == "phase":
-                out = apply_phase(out, step.payload["mixing_freq"],
-                                  step.payload["power"])
-            elif step.kind == "shear":
-                out = apply_shear(out, step.payload["shift"])
-            else:
-                raise NotImplementedError(
-                    "linear x-maps act on parameters; grid resampling under "
-                    "a general linear map is not provided")
-        return out
 
     def __repr__(self):
         return ("TransformChain(%s, scale=%g)"
@@ -114,12 +79,8 @@ def power_image_grid(grid, beta):
     e = float(beta) + 1.0
     if e <= 0:
         raise ValueError("power image needs beta > -1")
-    nodes = grid.y_nodes ** e
-    edges = grid.y_edges ** e
-    grading = (None if grid.grading_exponent is None
-               else grid.grading_exponent * e)
-    return Grid(nodes, np.diff(edges), grid.y_max ** e, grading,
-                grid.x_box, y_edges=edges)
+    return Grid(grid.y_nodes ** e, grid.y_edges ** e, grid.y_max ** e,
+                grid.grading_exponent * e, grid.x_box)
 
 
 def apply_power(field, beta, p, target_grid=None, inverse=False):
@@ -183,26 +144,25 @@ def apply_shear(field, shift, inverse=False):
     return Field(np.fft.ifftn(vh, axes=axes), g)
 
 
-def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0,
-                           q_diag=1.0, xi=1.0, p=2.0, y_max=1.0,
-                           panel_count=6):
-    """Conjugation identity of the power map, per horizontal frequency.
+def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0):
+    """Conjugation identity of the power map at horizontal frequency 1.
 
-    For tensor fields e^(i xi x) v(y) the full operator (with b = 0) acts as
+    For tensor fields e^(i x) v(y) the full operator (with Q = 1, b = 0)
+    acts as
 
-        Lhat(xi) = -Q xi^2 y^a1 + 2 i q xi y^((a1+a2)/2) Dy
-                   + gamma y^a2 (Dyy + (c/gamma) Dy / y),
+        Lhat = -y^a1 + 2 i q y^((a1+a2)/2) Dy
+               + gamma y^a2 (Dyy + (c/gamma) Dy / y),
 
-    and with beta = (a1-a2)/2 the power isometry intertwines Lhat with the
-    transformed-coefficient operator
+    and with beta = (a1-a2)/2 the L^2 power isometry intertwines Lhat with
+    the transformed-coefficient operator
 
-        -Q xi^2 y^at1 + 2 i q xi (beta+1) y^((at1+at2)/2) Dy
+        -y^at1 + 2 i q (beta+1) y^((at1+at2)/2) Dy
           + gamma (beta+1)^2 y^at2 (Dyy + (ct/y) Dy),
 
     at1/at2/ct from the parameter action.  Both sides are evaluated with the
-    3-point stencils on matched J-cell grids over a panel of edge-avoiding
-    profiles.  Additionally the vertical-diffusion coefficient is recovered
-    by least squares and compared against gamma (beta+1)^2.
+    3-point stencils on matched J-cell grids over (0, 1] and a panel of six
+    edge-avoiding profiles.  Additionally the vertical-diffusion coefficient
+    is recovered by least squares and compared against gamma (beta+1)^2.
 
     Returns (error, coeff_rel_err): the max relative defect over the panel,
     which must decay at first order under refinement, and the relative
@@ -210,27 +170,26 @@ def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0,
     """
     a1, a2 = float(alpha1), float(alpha2)
     beta = 0.5 * (a1 - a2)
-    at1, at2, ct, _ = beta_map(beta, a1, a2, c / gamma, 0.0, p)
-    g = make_grid(J, y_max, default_grading(max(a2, at2)))
+    at1, at2, ct, _ = beta_map(beta, a1, a2, c / gamma, 0.0, 2.0)
+    g = make_grid(J, 1.0, default_grading(max(a2, at2)))
     gt = power_image_grid(g, beta)
     y, rho = g.y_nodes, gt.y_nodes
     D1, D2 = diff1_matrix(y), diff2_matrix(y)
     D1t, D2t = diff1_matrix(rho), diff2_matrix(rho)
     worst = 0.0
     lhs_all, comps_all = [], []
-    for prof in panels.vertical_panel(y_max ** (beta + 1.0),
-                                      count=panel_count, kind="interior"):
+    for prof in panels.vertical_panel(1.0, count=6, kind="interior"):
         v = prof(rho).astype(complex)
-        u = apply_power(Field(v, gt), beta, p, target_grid=g).values
-        w = (-q_diag * xi ** 2 * y ** a1 * u
-             + 2j * q_mixed * xi * y ** (0.5 * (a1 + a2)) * (D1 @ u)
+        u = apply_power(Field(v, gt), beta, 2.0, target_grid=g).values
+        w = (-y ** a1 * u
+             + 2j * q_mixed * y ** (0.5 * (a1 + a2)) * (D1 @ u)
              + gamma * y ** a2 * (D2 @ u + (c / gamma) * (D1 @ u) / y))
-        lhs = apply_power(Field(w, g), beta, p, target_grid=gt,
+        lhs = apply_power(Field(w, g), beta, 2.0, target_grid=gt,
                           inverse=True).values
         bess = D2t @ v + (ct / rho) * (D1t @ v)
         comps = np.stack([
-            -q_diag * xi ** 2 * rho ** at1 * v,
-            2j * q_mixed * xi * rho ** (0.5 * (at1 + at2)) * (D1t @ v),
+            -rho ** at1 * v,
+            2j * q_mixed * rho ** (0.5 * (at1 + at2)) * (D1t @ v),
             rho ** at2 * bess,
         ], axis=1)
         rhs = (comps[:, 0] + (beta + 1.0) * comps[:, 1]

@@ -52,13 +52,6 @@ def test_transport_tridiag_uniform_unweighted():
     assert np.allclose(sub, [-0.5, -0.5])
 
 
-def test_mass_tridiag_uniform_unweighted():
-    sub, diag, sup = b1.mass_tridiag(_uniform_nodes(), 0.0)
-    assert np.allclose(diag, [1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0])
-    assert np.allclose(sup, [1.0 / 6.0, 1.0 / 6.0])
-    assert np.allclose(sub, sup)
-
-
 def test_stiffness_annihilates_constants_any_weight():
     g = make_grid(64, 1.0, 2.0)
     for s in (-0.5, 0.0, 1.3):

@@ -1,0 +1,57 @@
+"""Random configs at the command-line boundary: accepted or a ConfigError.
+
+Hypothesis draws JSON-able configs, mostly valid sections with a few keys
+replaced by arbitrary values (wrong types, NaN, infinities, nested lists,
+integers beyond the float range).  load_config and the operator parse must
+return or raise ConfigError, which main maps to exit 2; nothing is solved.
+"""
+
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from degenpde import cli
+
+HUGE = st.sampled_from([10 ** 400, -10 ** 400])
+SCALARS = (st.none() | st.booleans() | st.integers() | HUGE
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from(["", "1.5", "x"]))
+VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.lists(
+    st.lists(SCALARS, max_size=3), max_size=3) | st.dictionaries(
+    st.sampled_from(["a", "num_x"]), SCALARS, max_size=2)
+
+
+def _section(defaults):
+    """The defaults with one or two keys, or an unknown one, replaced by
+    arbitrary values; or an arbitrary value in place of the mapping."""
+    edits = st.dictionaries(st.sampled_from(sorted(defaults) + ["bogus"]),
+                            VALUES, min_size=1, max_size=2)
+    return edits.map(lambda e: {**defaults, **e}) | VALUES
+
+
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "operator": _section(cli.DEFAULT_OPERATOR),
+    "grid": _section(cli.GRID_KEYS),
+    "elliptic": _section(cli.ELLIPTIC_KEYS),
+    "parabolic": _section(cli.PARABOLIC_KEYS),
+    "sweep": VALUES,
+    "suite": VALUES,
+    "bogus": VALUES,
+})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(CONFIGS)
+def test_config_boundary_accepts_or_raises_config_error(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        try:
+            loaded = cli.load_config(path)
+            loaded.setdefault("operator", dict(cli.DEFAULT_OPERATOR))
+            cli._problem(loaded)
+        except cli.ConfigError:
+            pass

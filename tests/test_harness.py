@@ -90,7 +90,7 @@ def test_two_route_identity_passes_on_every_seed(seed):
     (res,) = run_suite({"checks": ["resolvent_two_route_identity"],
                         "seed": seed})
     assert res.error == "" and res.passed
-    assert res.constant == max(r[-1] for r in res.rows) <= 1e-8
+    assert res.constant == max(r[-1] for r in res.rows) <= 1e-12
 
 
 def test_two_route_rows_hold_each_case_own_max():

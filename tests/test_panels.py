@@ -35,7 +35,8 @@ def test_quartic_profile_exact_derivatives():
 
 
 def test_edge_plateau_flat_at_origin():
-    prof = panels.edge_plateau_profile(0.3)
+    # the quartic centred on the edge is flat there to fourth order
+    prof = panels.quartic_profile(0.0, 0.3)
     y0 = np.array([0.0])
     assert prof(y0)[0] == pytest.approx(1.0)
     assert prof.d1(y0)[0] == 0.0

@@ -6,8 +6,7 @@ import pytest
 from degenpde.params import (OperatorSpec, SpaceSpec, ModelParams,
                              WindowReport, diffusion_block, validate_window,
                              beta_map, invert_beta, compose_beta, shear_map,
-                             reduce_to_model, problem_to_config,
-                             config_to_problem)
+                             reduce_to_model, config_to_problem)
 
 
 def test_beta_map_identity_at_zero():
@@ -160,13 +159,17 @@ def test_reduce_mixing_is_schur_bounded():
 
 
 def test_config_roundtrip_and_bad_keys():
-    spec = OperatorSpec([[2.0, 0.1], [0.1, 1.0]], [0.2, -0.1], 1.5,
-                        [0.3, 0.0], 0.8, -0.25, 0.5)
-    space = SpaceSpec(2.5, 0.3)
-    cfg = problem_to_config(spec, space)
-    spec2, space2 = config_to_problem(cfg)
-    assert np.abs(spec2.q_matrix - spec.q_matrix).max() == 0.0
-    assert spec2.drift_c == spec.drift_c and space2.p == space.p
+    cfg = {"q_matrix": [2.0, 0.1, 0.1, 1.0], "q_vector": [0.2, -0.1],
+           "gamma": 1.5, "drift_b": [0.3, 0.0], "drift_c": 0.8,
+           "alpha1": -0.25, "alpha2": 0.5, "p": 2.5, "m": 0.3,
+           "dimension": 2}
+    spec, space = config_to_problem(cfg)
+    assert np.array_equal(spec.q_matrix, [[2.0, 0.1], [0.1, 1.0]])
+    assert np.array_equal(spec.q_vector, [0.2, -0.1])
+    assert np.array_equal(spec.drift_b, [0.3, 0.0])
+    assert (spec.gamma, spec.drift_c, spec.alpha1, spec.alpha2) \
+        == (1.5, 0.8, -0.25, 0.5)
+    assert (space.p, space.m) == (2.5, 0.3)
     with pytest.raises(ValueError, match="unknown config key"):
         config_to_problem(dict(cfg, typo_key=1.0))
     short = dict(cfg)

@@ -167,7 +167,8 @@ def test_mode_domination_slack_nonpositive():
     rng = np.random.default_rng(17)
     out, _ = refinement_study((64, 128), lambda J: sg.mode_domination_check(
         1.0, 0.5, 0.4, 1.0, make_grid(J, 1.0, 2.0), rng, steps=8))
-    assert all(v <= 1e-10 for v in out)
+    # the excess is signed: domination holds with a margin
+    assert all(v < 0.0 for v in out)
 
 
 def test_maximal_regularity_ratio_stable():

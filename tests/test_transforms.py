@@ -149,43 +149,14 @@ def test_transform_step_validation_and_roundtrip():
     step = TransformStep("power", {"beta": -0.5})
     d = step.to_dict()
     assert d == {"kind": "power", "beta": -0.5}
-    again = TransformStep.from_dict(d)
-    assert again.kind == "power" and again.payload == {"beta": -0.5}
-    with pytest.raises(ValueError, match="unknown transform kind"):
-        TransformStep("rotate", {})
-
-
-def test_transform_chain_json_roundtrip():
-    chain = TransformChain(
-        [TransformStep("shear", {"shift": [0.5]}),
-         TransformStep("power", {"beta": -0.25})],
-        scale=2.25, p=2.0)
-    blob = chain.to_json()
-    back = TransformChain.from_dict(__import__("json").loads(blob))
-    assert back.scale == pytest.approx(2.25)
-    assert [s.kind for s in back.steps] == ["shear", "power"]
-    assert back.to_json() == blob
-
-
-def test_chain_apply_runs_steps_inner_to_outer():
-    g = make_grid(64, 1.0, 2.0)
-    beta = 0.5
-    chain = TransformChain(
-        [TransformStep("phase", {"mixing_freq": 0.3, "power": 1.0}),
-         TransformStep("power", {"beta": beta})],
-        scale=1.0, p=2.0)
-    u = _bump_field(g)
-    out = chain.apply_to_model_field(u)
-    by_hand = apply_phase(apply_power(u, beta, 2.0), 0.3, 1.0)
-    assert np.allclose(out.values, by_hand.values)
-    assert np.allclose(out.grid.y_nodes, by_hand.grid.y_nodes)
-
-
-def test_chain_linear_x_step_refuses_field_application():
-    chain = TransformChain([TransformStep("linear_x", {"matrix": [[1.0]]})])
-    g = make_grid(32, 1.0, 2.0)
-    with pytest.raises(NotImplementedError):
-        chain.apply_to_model_field(_bump_field(g))
+    chain = TransformChain([TransformStep("shear", {"shift": [0.5]}), step],
+                           scale=2.25, p=2.0)
+    assert chain.to_dict() == {
+        "scale": 2.25, "p": 2.0,
+        "steps": [{"kind": "shear", "shift": [0.5]}, d]}
+    for kind in ("rotate", "phase"):
+        with pytest.raises(ValueError, match="unknown transform kind"):
+            TransformStep(kind, {})
 
 
 def test_similarity_check_power_converges():
