@@ -37,6 +37,7 @@ so J is not capped.
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.sparse.linalg import LinearOperator, svds
 
 from .grid import lp_norm, make_grid, default_grading
 from . import panels
@@ -164,6 +165,11 @@ class TridiagForm:
     def apply(self, u):
         """F u along axis 0 of u."""
         return _band_apply(self.sub, self.diag, self.sup, u)
+
+    def apply_adjoint(self, u):
+        """F^H u along axis 0 of u: the conjugate-transposed bands."""
+        return _band_apply(np.conj(self.sup), np.conj(self.diag),
+                           np.conj(self.sub), u)
 
     def dense(self):
         """F of one operator as a dense matrix."""
@@ -497,6 +503,35 @@ def expm_kernel(op, z):
 
 # ---------------------------------------------------------------------------
 # norm probes and scans
+
+
+# ARPACK's stopping tolerance on the top singular value, and its fixed start
+_NORM_TOL = 1e-12
+_NORM_SEED = 20230925
+
+
+def operator_norm(apply, apply_adjoint, weights):
+    """Exact operator norm of T on l^2(W): the top singular value of
+    W^(1/2) T W^(-1/2), with W = diag(weights), computed matrix-free.
+
+    `apply` is the product T u and `apply_adjoint` the Euclidean adjoint
+    product T^H u, each on one vector of length J.  svds runs ARPACK on the
+    Gram operator of the scaled map with k = 1, tolerance _NORM_TOL and a
+    fixed start vector, so a rerun is bitwise equal; no dense matrix is
+    formed.  When ARPACK does not converge it raises ArpackNoConvergence,
+    and the zero map, whose Krylov space is empty, raises ArpackError:
+    callers skip maps that vanish by construction.
+    """
+    sqw = np.sqrt(np.asarray(weights, dtype=float))
+    n = sqw.size
+    start = np.random.default_rng(_NORM_SEED).standard_normal(n)
+    scaled = LinearOperator(
+        (n, n), dtype=complex,
+        matvec=lambda x: sqw * apply(np.ravel(x) / sqw),
+        rmatvec=lambda x: apply_adjoint(sqw * np.ravel(x)) / sqw)
+    sigma = svds(scaled, k=1, tol=_NORM_TOL, v0=start,
+                 return_singular_vectors=False)
+    return float(sigma[0])
 
 
 def weighted_opnorm_estimate(op, lam, rng, probes=16, iters=3):

@@ -19,8 +19,9 @@ and they sum to lam u - f exactly (same matrices as the solve).  The
 frequency derivatives of the resolvent follow the product formula
 D_j R = R A_j R with A_j = dM/dxi_j = 2i a_j y^alpha Dy - 2 xi_j y^alpha;
 for distinct indexes the second derivative is the two-ordering permutation
-sum.  Mikhlin-type scans tabulate probe-estimated operator norms of
-xi^beta D^beta applied to the three multiplier families for beta in {0,1}^N.
+sum.  Mikhlin-type scans tabulate exact weighted operator norms of
+xi^beta D^beta applied to the three multiplier families for beta in {0,1}^N,
+matrix-free from one factorisation per (lam, xi).
 
 A monolithic sparse solve (N = 1) assembles the same discrete operator as a
 Kronecker sum with dense spectral x-derivative blocks and cross-checks the
@@ -34,12 +35,18 @@ import scipy.sparse.linalg as spla
 from .grid import Field, lp_norm
 from .bessel1d import (TridiagForm, SingularFormError, stiffness_tridiag,
                        transport_tridiag, node_weights, partition_weights,
-                       _rows)
+                       operator_norm, _rows)
 
 
 def _values(f):
     """Complex grid values of a Field or an array."""
     return np.asarray(f.values if isinstance(f, Field) else f, dtype=complex)
+
+
+def _row_squares(z):
+    """sum_k |z[i, k]|^2 for each row i of a complex (rows, k) array."""
+    x = np.ascontiguousarray(z).view(float)
+    return np.einsum("ij,ij->i", x, x)
 
 
 class ModeOperators:
@@ -185,21 +192,17 @@ class FrequencySolvePlan:
         """
         uh = self._sweep(fh)
         fu = self.band_product(uh)
-        w = self.ops.weight[:, None]
-        # W r = F u + (lam u - f) W, and |r|^2_W = sum |W r|^2 / W; the
-        # in-place steps round as the expression would and hold one
-        # temporary, as fu stays alive for the caller
+        w = self.ops.weight
+        # W r = F u + (lam u - f) W, and |r|^2_W = sum_rows |W r|^2 / W; a
+        # row's sum of |.|^2 is the sum of squares of its float view, one
+        # pass with no temporary
         wr = self.lam * uh
         wr -= fh
-        wr *= w
+        wr *= w[:, None]
         wr += fu
-        num = np.abs(wr)
-        num **= 2
-        num /= w
-        den = np.abs(fh)
-        den **= 2
-        den *= w
-        residual = np.sqrt(np.sum(num) / max(np.sum(den), 1e-300))
+        num = _row_squares(wr) @ (1.0 / w)
+        den = _row_squares(fh) @ w
+        residual = np.sqrt(num / max(den, 1e-300))
         return uh, fu, float(residual)
 
     def apply_operator(self, u):
@@ -334,16 +337,63 @@ def xi_derivative_check(lam, model, grid, order=1, base_xi=None, steps=(0.05,
 # Mikhlin-type scans
 
 
+def _composed(terms, pref):
+    """(apply, apply_adjoint) of pref * sum_k terms[k], pref real.
+
+    Each term is a list of (apply, adjoint) factor pairs, a product applied
+    right to left; its adjoint applies the adjoint factors left to right."""
+
+    def apply(u):
+        total = 0.0
+        for term in terms:
+            v = u
+            for factor, _ in reversed(term):
+                v = factor(v)
+            total = total + v
+        return pref * total
+
+    def apply_adjoint(u):
+        total = 0.0
+        for term in terms:
+            v = u
+            for _, adjoint in term:
+                v = adjoint(v)
+            total = total + v
+        return pref * total
+
+    return apply, apply_adjoint
+
+
+def _cell_terms(R, A, S, dS, idx):
+    """The product-formula terms of D^beta (S R) for the indexes idx of
+    beta: S R, then dS_j R + S R A_j R, then for distinct j, l
+    dS_j R A_l R + dS_l R A_j R + S (R A_j R A_l R + R A_l R A_j R).
+    A zero dS_j (None) drops its terms."""
+    if not idx:
+        terms = [[S, R]]
+    elif len(idx) == 1:
+        j, = idx
+        terms = [[dS[j], R], [S, R, A[j], R]]
+    else:
+        j, l = idx
+        terms = [[dS[j], R, A[l], R], [dS[l], R, A[j], R],
+                 [S, R, A[j], R, A[l], R], [S, R, A[l], R, A[j], R]]
+    return [t for t in terms if all(f is not None for f in t)]
+
+
 def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
                        families=("scaled", "potential", "gradient")):
     """Exact weighted norms of xi^beta D^beta T(xi), beta in {0,1}^N.
 
     T ranges over the three multiplier families (lam R, |xi|^2 y^a R,
     xi_0 y^a Dy R), differentiated in xi by the resolvent product formula.
-    Each cell assembles the dense J x J operator from the same bands the
-    solver uses and takes the exact weighted-l2 operator norm
-    ||W^(1/2) T W^(-1/2)||_2 (largest singular value), with W the y^m node
-    measure; plain power iteration is useless here because it converges to
+    Each cell is a matrix-free product composed from the same bands the
+    solver uses: R = (lam W + F)^(-1) W from one factorisation per
+    (lam, xi) (its adjoint W (lam W + F)^(-H) from the same factors),
+    y^a Dy = W^(-1) P and A_j = 2i a_j y^a Dy - 2 xi_j y^a.  The exact
+    weighted-l2 operator norm ||W^(1/2) T W^(-1/2)||_2, with W the y^m
+    node measure, is bessel1d.operator_norm of that product and its
+    adjoint; plain power iteration is useless here because it converges to
     the spectral radius, which the similarity leaves unchanged.  The scan is
     deterministic.  Returns per-family suprema and the full table keyed by
     (family, beta, lam, xi).
@@ -354,17 +404,24 @@ def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
     ops = ModeOperators(grid, model.c_bessel, model.alpha)
     a = model.mixing
     m = model.m if weight_m is None else float(weight_m)
-    sqw = np.sqrt(node_weights(grid.y_nodes, m))
+    norm_weight = node_weights(grid.y_nodes, m)
+    w = ops.weight
+    y_alpha = ops.y_alpha
 
-    grad = ops.grad_term(np.eye(ops.size))                   # y^alpha Dy
-    y_alpha = np.diag(ops.y_alpha.astype(complex))
-    eye = np.eye(ops.size, dtype=complex)
-    zero = np.zeros_like(eye)
-    w_rhs = np.diag(ops.weight.astype(complex))
+    def local(d, c):
+        """(apply, adjoint) of d + c y^a Dy, d a scalar or a node array;
+        None when both vanish, so the terms it enters drop out."""
+        dc, cc = np.conj(d), np.conj(c)
+        if c == 0 and not np.any(d):
+            return None
+        if c == 0:
+            return (lambda u: d * u), (lambda u: dc * u)
+        return ((lambda u: d * u + c * (ops.trans.apply(u) / w)),
+                (lambda u: dc * u + cc * ops.trans.apply_adjoint(u / w)))
 
-    def opnorm(T):
-        return float(np.linalg.svd((sqw[:, None] * T) / sqw[None, :],
-                                   compute_uv=False)[0])
+    def resolvent(lu):
+        """(apply, adjoint) of R = (lam W + F)^(-1) W."""
+        return (lambda u: lu.solve(w * u)), (lambda u: w * lu.solve_adjoint(u))
 
     betas = [tuple(b) for b in np.ndindex(*([2] * n))]
     table = {}
@@ -374,35 +431,31 @@ def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
         for lam in lambda_set:
             for xi in xi_set:
                 xi = np.asarray(xi, dtype=float)
-                form = ops.form(float(a @ xi), float(xi @ xi))
-                R = form.factor(lam).solve(w_rhs)
-                A = [2j * a[j] * grad - 2.0 * xi[j] * y_alpha
+                k2 = float(xi @ xi)
+                R = resolvent(ops.form(float(a @ xi), k2).factor(lam))
+                A = [local(-2.0 * xi[j] * y_alpha, 2j * a[j])
                      for j in range(n)]
                 if family == "scaled":
-                    S = lam * eye
-                    dS = [zero] * n
+                    S = local(lam, 0.0)
+                    dS = [None] * n
                 elif family == "potential":
-                    S = float(xi @ xi) * y_alpha
-                    dS = [2.0 * xi[j] * y_alpha for j in range(n)]
+                    S = local(k2 * y_alpha, 0.0)
+                    dS = [local(2.0 * xi[j] * y_alpha, 0.0)
+                          for j in range(n)]
                 elif family == "gradient":
-                    S = xi[0] * grad
-                    dS = [grad if j == 0 else zero for j in range(n)]
+                    S = local(0.0, xi[0])
+                    dS = [local(0.0, 1.0) if j == 0 else None
+                          for j in range(n)]
                 else:
                     raise ValueError("unknown family %r" % (family,))
-                RA = [R @ A[j] @ R for j in range(n)]
                 for beta in betas:
                     idx = [j for j in range(n) if beta[j]]
                     pref = float(np.prod([xi[j] for j in idx])) if idx else 1.0
-                    if not idx:
-                        T = S @ R
-                    elif len(idx) == 1:
-                        j = idx[0]
-                        T = dS[j] @ R + S @ RA[j]
-                    else:
-                        j, l = idx
-                        T = (dS[j] @ RA[l] + dS[l] @ RA[j]
-                             + S @ (RA[j] @ A[l] @ R + RA[l] @ A[j] @ R))
-                    est = opnorm(pref * T)
+                    terms = _cell_terms(R, A, S, dS, idx)
+                    # a cell with no term left, or pref 0, is the zero map
+                    est = (operator_norm(*_composed(terms, pref),
+                                         norm_weight)
+                           if terms and pref else 0.0)
                     table[(family, beta, complex(lam), tuple(xi))] = est
                     sup = max(sup, est)
         suprema[family] = float(sup)

@@ -374,9 +374,21 @@ def reduce_to_model(spec, space):
 _SCALAR_KEYS = ("gamma", "drift_c", "alpha1", "alpha2", "p", "m")
 
 
+def _leaves(value):
+    """The scalars of a value nested in lists or tuples."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _check_finite(key, value):
     """Reject a non-numeric or non-finite operator number, or a list where
-    one number belongs, naming its key."""
+    one number belongs, naming its key.  Strings and booleans are not
+    numbers, even where numpy would convert them."""
+    if any(isinstance(v, (str, bool, np.bool_)) for v in _leaves(value)):
+        raise ValueError("operator.%s must be numeric, got %r" % (key, value))
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):

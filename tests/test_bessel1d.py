@@ -271,6 +271,54 @@ def test_weighted_opnorm_at_most_one_on_positive_axis():
     assert 0.9 <= est <= 1.0 + 1e-8
 
 
+def _scaled_resolvent_pair(op, lam):
+    """(apply, apply_adjoint) of lam R(lam) = lam (lam W + F)^(-1) W."""
+    lu = op.factor(lam)
+    w = op.weight
+    return ((lambda u: lam * lu.solve(w * u)),
+            (lambda u: np.conj(lam) * w * lu.solve_adjoint(u)))
+
+
+@pytest.mark.parametrize("J", [64, 128])
+def test_operator_norm_matches_spectral_formula_at_mixing_zero(J):
+    # a self-adjoint form: ||lam R(lam)||_W = max_j |lam| / |lam + mu_j|,
+    # mu the spectrum of the symmetrised bands, on and off the real axis
+    g = make_grid(J, 1.0, 2.0)
+    op = b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
+                          mixing_freq=0.0, freq_norm2=1.0)
+    d, e, _ = op.symmetric_bands()
+    mu = eigh_tridiagonal(d.real, e.real, eigvals_only=True)
+    for lam in (1.0, 10.0 * np.exp(0.6j), 100.0, 0.5 * np.exp(2.5j),
+                3.0 * np.exp(-2.0j)):
+        exact = np.max(abs(lam) / np.abs(lam + mu))
+        got = b1.operator_norm(*_scaled_resolvent_pair(op, lam), op.weight)
+        assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_operator_norm_is_the_weighted_norm_and_reruns_bitwise():
+    # a dense oblique operator: the engine equals the top singular value of
+    # W^(1/2) T W^(-1/2), and a rerun returns the same float
+    rng = np.random.default_rng(4)
+    n = 40
+    T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = np.exp(rng.uniform(-6.0, 6.0, n))
+    sqw = np.sqrt(w)
+    dense = np.linalg.svd(sqw[:, None] * T / sqw[None, :], compute_uv=False)
+    first = b1.operator_norm(lambda u: T @ u, lambda u: T.conj().T @ u, w)
+    again = b1.operator_norm(lambda u: T @ u, lambda u: T.conj().T @ u, w)
+    assert first == pytest.approx(dense[0], rel=1e-12)
+    assert first == again
+
+
+def test_tridiag_form_apply_adjoint_is_conjugate_transpose():
+    g = make_grid(24, 1.0, 2.0)
+    op = b1.assemble_form(g, "bessel_drift", c=0.5, beta=0.3, drift_b=0.7,
+                          potential_coeff=0.2)
+    u = np.random.default_rng(2).standard_normal((g.num_y, 3)) + 0j
+    assert np.allclose(op.apply_adjoint(u), op.dense().conj().T @ u,
+                       rtol=0.0, atol=1e-13 * np.abs(op.dense()).max())
+
+
 def test_sector_angle_frozen_values():
     assert b1.sector_angle(0.0) == pytest.approx(np.pi / 2.0)
     assert b1.sector_angle(np.sqrt(0.5)) == pytest.approx(np.pi / 4.0)

@@ -314,6 +314,8 @@ def test_negative_refine_is_config_error(tmp_path, capsys, command):
     ("drift_b", [float("inf")]), ("gamma", "abc"), ("gamma", [1.0]),
     ("p", [2.0, 3.0]), ("dimension", 1.7), ("dimension", float("nan")),
     ("dimension", -1), ("dimension", "1"), ("dimension", True),
+    ("gamma", "1.5"), ("alpha1", True), ("q_vector", ["0.25"]),
+    ("drift_b", [False]), ("q_matrix", [["1.0"]]), ("m", False),
 ])
 def test_non_finite_operator_number_is_config_error(tmp_path, capsys, key,
                                                     value):

@@ -4,12 +4,15 @@ Hypothesis draws JSON-able configs, mostly valid sections with a few keys
 replaced by arbitrary values (wrong types, NaN, infinities, nested lists,
 integers beyond the float range).  load_config and the operator parse must
 return or raise ConfigError, which main maps to exit 2; nothing is solved.
+A parse that returns must have seen numbers only: a string or a boolean
+operator value is rejected.
 """
 
 import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from degenpde import cli
@@ -54,4 +57,31 @@ def test_config_boundary_accepts_or_raises_config_error(cfg):
             loaded.setdefault("operator", dict(cli.DEFAULT_OPERATOR))
             cli._problem(loaded)
         except cli.ConfigError:
-            pass
+            return
+    # an accepted operator holds numbers only: no string or boolean leaf
+    assert not any(isinstance(v, (str, bool)) for value in
+                   loaded["operator"].values() for v in _leaves(value))
+
+
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+LOOKALIKES = st.sampled_from(["1.5", "0", "nan", True, False])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(set(cli.DEFAULT_OPERATOR) - {"dimension"})),
+       LOOKALIKES)
+def test_string_or_boolean_operator_number_is_config_error(key, fake):
+    # the number, or each entry of the list, replaced by a string that
+    # numpy would parse or by a boolean that numpy would cast
+    default = cli.DEFAULT_OPERATOR[key]
+    value = [fake] * len(default) if isinstance(default, list) else fake
+    op = dict(cli.DEFAULT_OPERATOR, **{key: value})
+    with pytest.raises(cli.ConfigError, match="operator.%s must be" % key):
+        cli._problem({"operator": op})

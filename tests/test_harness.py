@@ -218,3 +218,46 @@ def test_square_function_identity_family_is_unit():
 
     r = square_function_ratio(family, 4, 6, 2.0, 0.0, g, seed=1)
     assert r == pytest.approx(1.0, abs=1e-12)
+
+
+class _Pick:
+    """Stand-in rng whose integers() returns one fixed index."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def integers(self, n):
+        return self.index
+
+
+def test_resolvent_family_members_equal_mode_solve_bitwise():
+    g = make_grid(64, 1.0, 2.0)
+    ops = harness.ModeOperators(g, 1.0, 0.5)
+    draw = harness.resolvent_family(ops, 0.3)
+    lattice = harness._sector_lattice(0.3)
+    assert len(lattice) == 24
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(g.num_y) + 1j * rng.standard_normal(g.num_y)
+    for i, lam in enumerate(lattice):
+        member = draw(_Pick(i))
+        assert draw(_Pick(i)) is member
+        assert np.array_equal(member(f), lam * ops.solve(0.3, 1.0, lam, f))
+
+
+def test_square_function_pair_cache_matches_uncached_run():
+    g = make_grid(64, 1.0, 2.0)
+    draw = harness.resolvent_family(harness.ModeOperators(g, 1.0, 0.5), 0.3)
+    profs = [prof(g.y_nodes).astype(complex)
+             for prof in panels.vertical_panel(1.0, count=6)]
+
+    def fresh(rng):
+        # a new callable on every draw, so the pair cache never hits
+        member = draw(rng)
+        return lambda f: member(f)
+
+    cached = square_function_ratio(draw, 8, 12, 2.4, 0.3, g, seed=3,
+                                   profiles=profs)
+    uncached = square_function_ratio(fresh, 8, 12, 2.4, 0.3, g, seed=3,
+                                     profiles=profs)
+    assert cached == uncached
+    assert cached > 0.0

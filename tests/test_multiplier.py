@@ -181,6 +181,63 @@ def test_mikhlin_scan_deterministic_and_bounded():
     assert len(rep["table"]) == 3 * 2 * len(lams) * len(xis)
 
 
+def _dense_mikhlin_table(lams, xis, model, grid):
+    """The scan by dense J x J products and a full SVD, cell by cell."""
+    ops = mp.ModeOperators(grid, model.c_bessel, model.alpha)
+    a, n = model.mixing, model.dim
+    sqw = np.sqrt(mp.node_weights(grid.y_nodes, model.m))
+    grad = ops.grad_term(np.eye(ops.size))
+    ya = np.diag(ops.y_alpha.astype(complex))
+    eye = np.eye(ops.size, dtype=complex)
+    zero = np.zeros_like(eye)
+    table = {}
+    for lam in lams:
+        for xi in xis:
+            xi = np.asarray(xi, dtype=float)
+            k2 = float(xi @ xi)
+            R = ops.form(float(a @ xi), k2).factor(lam).solve(
+                np.diag(ops.weight.astype(complex)))
+            A = [2j * a[j] * grad - 2.0 * xi[j] * ya for j in range(n)]
+            RA = [R @ A[j] @ R for j in range(n)]
+            for family, S, dS in (
+                    ("scaled", lam * eye, [zero] * n),
+                    ("potential", k2 * ya, [2.0 * xi[j] * ya
+                                            for j in range(n)]),
+                    ("gradient", xi[0] * grad, [grad if j == 0 else zero
+                                                for j in range(n)])):
+                for beta in np.ndindex(*([2] * n)):
+                    idx = [j for j in range(n) if beta[j]]
+                    pref = float(np.prod([xi[j] for j in idx]))
+                    if not idx:
+                        T = S @ R
+                    elif len(idx) == 1:
+                        T = dS[idx[0]] @ R + S @ RA[idx[0]]
+                    else:
+                        j, l = idx
+                        T = (dS[j] @ RA[l] + dS[l] @ RA[j]
+                             + S @ (RA[j] @ A[l] @ R + RA[l] @ A[j] @ R))
+                    scaled = sqw[:, None] * (pref * T) / sqw[None, :]
+                    table[(family, tuple(beta), complex(lam), tuple(xi))] = \
+                        np.linalg.svd(scaled, compute_uv=False)[0]
+    return table
+
+
+@pytest.mark.parametrize("J", [64, 128])
+@pytest.mark.parametrize("model,xis", [
+    (ModelParams([0.4], 0.5, 1.0, 0.2, 2.0), ((0.7,), (3.0,), (-1.5,))),
+    (ModelParams([0.3, -0.2], 0.5, 1.0, 0.2, 2.0),
+     ((1.0, 1.0), (2.0, -3.0), (0.0, 0.5))),
+], ids=["1d", "2d"])
+def test_mikhlin_scan_matches_dense_svd_oracle(J, model, xis):
+    g = make_grid(J, 1.0, 2.0)
+    lams = (0.5, 2.0 + 1.0j)
+    rep = mp.mikhlin_bound_scan(lams, xis, model, g)
+    oracle = _dense_mikhlin_table(lams, xis, model, g)
+    assert rep["table"].keys() == oracle.keys()
+    for key, exact in oracle.items():
+        assert rep["table"][key] == pytest.approx(exact, rel=1e-12), key
+
+
 def test_mikhlin_scan_guards():
     g = make_grid(32, 1.0, 2.0)
     model3 = ModelParams([0.3, 0.2, 0.1], 0.5, 1.0, 0.5, 2.0)
