@@ -17,6 +17,7 @@ by the uniform trapezoid rule on the torus (= uniform weights L/Nx).
 import itertools
 
 import numpy as np
+from scipy import sparse
 
 
 class XBox:
@@ -179,50 +180,61 @@ def linf_norm(u):
     return float(np.abs(values).max())
 
 
+def _three_point_matrix(y, interior, end):
+    """CSR J x J matrix of 3-point stencils, built from its 3J entries.
+
+    interior(hl, hr) gives the (left, centre, right) weights of rows
+    1..J-2 from the spacings to the left and right neighbours; end(t, at)
+    the weights of an end row on the nodes t = (t0, t1, t2) with `at` the
+    row's own node.
+    """
+    y = np.asarray(y, dtype=float)
+    J = y.size
+    hl = y[1:-1] - y[:-2]
+    hr = y[2:] - y[1:-1]
+    rows = np.arange(1, J - 1)
+    first, last = np.arange(3), np.arange(J - 3, J)
+    cols = np.concatenate([first, rows - 1, rows, rows + 1, last])
+    vals = np.concatenate([end(y[first], y[0]), *interior(hl, hr),
+                           end(y[last], y[-1])])
+    row_of = np.concatenate([[0, 0, 0], rows, rows, rows, [J - 1] * 3])
+    return sparse.csr_array((vals, (row_of, cols)), shape=(J, J))
+
+
 def diff1_matrix(y):
-    """Dense first-derivative matrix, 3-point nonuniform stencils.
+    """Sparse (CSR) first-derivative matrix, 3-point nonuniform stencils.
 
     Interior rows are the centered quadratic-fit formula; end rows
     differentiate the quadratic through the first/last three nodes.
     """
-    y = np.asarray(y, dtype=float)
-    J = y.size
-    D = np.zeros((J, J))
-    hl = y[1:-1] - y[:-2]
-    hr = y[2:] - y[1:-1]
-    rows = np.arange(1, J - 1)
-    D[rows, rows - 1] = -hr / (hl * (hl + hr))
-    D[rows, rows] = (hr - hl) / (hl * hr)
-    D[rows, rows + 1] = hl / (hr * (hl + hr))
-    for row, (i0, i1, i2) in ((0, (0, 1, 2)), (J - 1, (J - 3, J - 2, J - 1))):
-        t0, t1, t2 = y[[i0, i1, i2]] - y[row]
-        # derivative at t=row of the Lagrange quadratic through t0,t1,t2
-        D[row, i0] = (2 * t0 - t1 - t2) / ((t0 - t1) * (t0 - t2))
-        D[row, i1] = (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
-        D[row, i2] = (2 * t2 - t0 - t1) / ((t2 - t0) * (t2 - t1))
-    return D
+    def interior(hl, hr):
+        return (-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
+                hl / (hr * (hl + hr)))
+
+    def end(t, at):
+        # derivative at `at` of the Lagrange quadratic through t0, t1, t2
+        t0, t1, t2 = t - at
+        return [(2 * t0 - t1 - t2) / ((t0 - t1) * (t0 - t2)),
+                (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2)),
+                (2 * t2 - t0 - t1) / ((t2 - t0) * (t2 - t1))]
+
+    return _three_point_matrix(y, interior, end)
 
 
 def diff2_matrix(y):
-    """Dense second-derivative matrix, 3-point nonuniform stencils.
+    """Sparse (CSR) second-derivative matrix, 3-point nonuniform stencils.
 
     End rows reuse the constant second derivative of the end quadratics.
     """
-    y = np.asarray(y, dtype=float)
-    J = y.size
-    D = np.zeros((J, J))
-    hl = y[1:-1] - y[:-2]
-    hr = y[2:] - y[1:-1]
-    rows = np.arange(1, J - 1)
-    D[rows, rows - 1] = 2.0 / (hl * (hl + hr))
-    D[rows, rows] = -2.0 / (hl * hr)
-    D[rows, rows + 1] = 2.0 / (hr * (hl + hr))
-    for row, (i0, i1, i2) in ((0, (0, 1, 2)), (J - 1, (J - 3, J - 2, J - 1))):
-        t0, t1, t2 = y[[i0, i1, i2]]
-        D[row, i0] = 2.0 / ((t0 - t1) * (t0 - t2))
-        D[row, i1] = 2.0 / ((t1 - t0) * (t1 - t2))
-        D[row, i2] = 2.0 / ((t2 - t0) * (t2 - t1))
-    return D
+    def interior(hl, hr):
+        return 2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr))
+
+    def end(t, at):
+        t0, t1, t2 = t
+        return [2.0 / ((t0 - t1) * (t0 - t2)), 2.0 / ((t1 - t0) * (t1 - t2)),
+                2.0 / ((t2 - t0) * (t2 - t1))]
+
+    return _three_point_matrix(y, interior, end)
 
 
 def write_field_csv(path, field):

@@ -6,7 +6,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import ive
 
 from degenpde import bessel1d as b1
-from degenpde.grid import make_grid
+from degenpde.grid import default_grading, make_grid
 from degenpde.harness import decay_order, refinement_study
 
 
@@ -261,6 +261,168 @@ def test_expm_kernel_matches_dense_expm_oracle(J):
     # (half-angle 40 degrees) leaves the region the contour can enclose
     with pytest.raises(ValueError, match="contour"):
         b1.expm_kernel(ops[3], 0.01 + 0.02j)
+
+
+def _full_spectrum_kernel(op, z):
+    """Kernel of e^{zM} from every eigenpair of the symmetrised bands."""
+    d, e, _ = op.symmetric_bands()
+    lam, V = eigh_tridiagonal(d.real, e.real)
+    V /= np.sqrt(op.weight)[:, None]
+    return (V * np.exp(-z * lam)) @ V.T
+
+
+def _identity_contour_kernel(op, z):
+    """sum_k c_k (s_k W + zF)^(-1), each node solved against the identity."""
+    zform = b1.TridiagForm(z * op.sub, z * op.diag, z * op.sup, op.weight)
+    values = np.zeros((op.size, op.size), dtype=complex, order="F")
+    for s, c in zip(b1._NODES, b1._COEFFS):
+        X = zform.factor(s).solve(
+            np.eye(op.size, dtype=complex, order="F"), overwrite_b=True)
+        X *= c
+        values += X
+    return values
+
+
+def _max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+_DOMINATION_CASES = [(1.0, 0.0, 0.5), (0.5, 0.3, 0.4), (2.0, -0.2, 0.8),
+                     (1.0, 0.5, 1.0), (0.3, 0.0, 1.2), (1.5, 0.8, 0.6)]
+
+
+def _oblique_forms(g):
+    return [b1.assemble_form(g, "bessel_drift", c=1.5, beta=0.8, drift_b=0.6,
+                             potential_coeff=0.5),
+            b1.assemble_form(g, "bessel_drift", c=0.3, beta=0.0, drift_b=1.2,
+                             potential_coeff=0.5)]
+
+
+def test_selfadjoint_kernel_matches_full_eigendecomposition():
+    # the kernel fits' eight forms at J = 256: the dropped modes are
+    # invisible at 1e-9 of max |p|, and so is a complex z
+    g = make_grid(256, 1.0, 2.0)
+    ops = [b1.assemble_form(g, "bessel", c=c)
+           for c in (0.0, 0.5, 1.0, 2.0, -0.5, 1.5)]
+    ops += [b1.assemble_form(make_grid(256, 1.0, default_grading(alpha)),
+                             "model_mode", c=c, alpha=alpha, mixing_freq=0.0,
+                             freq_norm2=0.0)
+            for c, alpha in ((1.0, 0.5), (0.5, -0.5))]
+    for k, op in enumerate(ops):
+        got = b1.expm_kernel(op, 0.02).values
+        assert _max_rel(got, _full_spectrum_kernel(op, 0.02)) <= 1e-9, k
+    z = 0.02 + 0.01j
+    got = b1.expm_kernel(ops[2], z).values
+    assert _max_rel(got, _full_spectrum_kernel(ops[2], z)) <= 1e-9
+
+
+def test_oblique_kernel_matches_identity_contour_oracle():
+    g = make_grid(192, 1.0, 2.0)
+    for c, beta, b in _DOMINATION_CASES:
+        op = b1.assemble_form(g, "bessel_drift", c=c, beta=beta, drift_b=b,
+                              potential_coeff=0.5)
+        got = b1.expm_kernel(op, 0.05).values
+        want = _identity_contour_kernel(op, 0.05)
+        assert _max_rel(got, want) <= 1e-8, (c, beta, b)
+    for J in (64, 128):
+        for op in _oblique_forms(make_grid(J, 1.0, 2.0)):
+            for z in (0.05, 0.01, 0.02 + 0.01j):
+                got = b1.expm_kernel(op, z).values
+                want = _identity_contour_kernel(op, z)
+                assert _max_rel(got, want) <= 1e-8, (J, z)
+
+
+def test_oblique_sketch_grows_until_the_estimate_passes(monkeypatch):
+    # from a 4-column sketch the estimator must grow l before it accepts:
+    # to 32 columns at z = 0.01, whose kernel has the slowest decay
+    widths = []
+    qr = np.linalg.qr
+
+    def spy(a):
+        widths.append(a.shape[1])
+        return qr(a)
+
+    monkeypatch.setattr(b1, "_SKETCH_RANK", 4)
+    monkeypatch.setattr(b1.np.linalg, "qr", spy)
+    for op in _oblique_forms(make_grid(128, 1.0, 2.0)):
+        for z, grown in ((0.05, [4, 8]), (0.01, [4, 8, 16, 32])):
+            widths.clear()
+            got = b1.expm_kernel(op, z).values
+            assert widths == grown
+            assert _max_rel(got, _identity_contour_kernel(op, z)) <= 1e-8
+
+
+def test_oblique_kernel_at_full_width_is_the_identity_contour():
+    # l + p >= J: the sketch is the identity, so the kernel is bitwise the
+    # identity-RHS contour sum
+    op = _oblique_forms(make_grid(32, 1.0, 2.0))[0]
+    assert np.array_equal(b1.expm_kernel(op, 0.05).values,
+                          _identity_contour_kernel(op, 0.05))
+
+
+def test_expm_kernel_reruns_bitwise():
+    g = make_grid(128, 1.0, 2.0)
+    for op in [b1.assemble_form(g, "bessel", c=1.0)] + _oblique_forms(g):
+        for z in (0.05, 0.02 + 0.01j):
+            first = b1.expm_kernel(op, z).values
+            assert np.array_equal(first, b1.expm_kernel(op, z).values)
+
+
+def test_thomas_sweep_is_bitwise_the_reference_sweep():
+    rng = np.random.default_rng(7)
+    J, modes = 65, 9
+    sub, sup = (rng.standard_normal((J - 1, modes))
+                + 1j * rng.standard_normal((J - 1, modes)) for _ in range(2))
+    diag = 4.0 + rng.standard_normal((J, modes)) + 0j
+    b = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
+    lu = b1.TridiagForm(sub, diag, sup, np.ones(J)).factor(1.0)
+    u = b.copy()
+    for i in range(1, J):
+        u[i] -= lu.mult[i - 1] * u[i - 1]
+    u[-1] *= lu.inv_piv[-1]
+    for i in range(J - 2, -1, -1):
+        u[i] -= lu.sup[i] * u[i + 1]
+        u[i] *= lu.inv_piv[i]
+    assert np.array_equal(lu.solve(b), u)
+
+
+def _loop_binned_fit(kernel, t, dist, prefactor):
+    """gaussian_envelope_fit with one masked pass per bin."""
+    y = kernel.grid.y_nodes
+    P = np.abs(kernel.values)
+    pref = prefactor(y)[None, :] * np.ones((y.size, 1))
+    s = dist(y[:, None], y[None, :]) ** 2 / t
+    mask = P >= 1e-13 * P.max()
+    g = np.log(P[mask] / pref[mask])
+    sv = s[mask]
+    edges = np.linspace(0.0, sv.max() * (1 + 1e-12), 21)
+    smax, gmax = [], []
+    for k in range(20):
+        sel = (sv >= edges[k]) & (sv < edges[k + 1])
+        if np.any(sel):
+            smax.append(0.5 * (edges[k] + edges[k + 1]))
+            gmax.append(g[sel].max())
+    slope, _ = np.polyfit(np.asarray(smax), np.asarray(gmax), 1)
+    kappa = -1.0 / slope
+    return {"C": float(np.exp((g + sv / kappa).max())), "kappa": float(kappa),
+            "points": int(mask.sum())}
+
+
+def test_envelope_binning_is_bitwise_the_loop():
+    t = 0.02
+    g = make_grid(128, 1.0, 2.0)
+    for c in (0.0, 1.0, 2.0):
+        ker = b1.expm_kernel(b1.assemble_form(g, "bessel", c=c), t)
+
+        def pref(rho):
+            edge = np.minimum(rho / np.sqrt(t), 1.0)
+            return t ** -0.5 * rho ** -c * edge ** c
+
+        def dist(yy, rr):
+            return np.abs(yy - rr)
+
+        assert (b1.gaussian_envelope_fit(ker, t, dist, pref)
+                == _loop_binned_fit(ker, t, dist, pref))
 
 
 def test_weighted_opnorm_at_most_one_on_positive_axis():
