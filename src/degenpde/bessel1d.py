@@ -40,7 +40,7 @@ up to the identity.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import LinearOperator, svds
 
@@ -588,10 +588,11 @@ def expm_kernel(op, z):
 
 
 # ---------------------------------------------------------------------------
-# norm probes and scans
+# exact operator norms and the sector scan
 
 
-# ARPACK's stopping tolerance on the top singular value, and its fixed start
+# the stopping tolerance on the top singular value, and the fixed seed of the
+# start vector and of any restart
 _NORM_TOL = 1e-12
 _NORM_SEED = 20230925
 
@@ -601,12 +602,19 @@ def operator_norm(apply, apply_adjoint, weights):
     W^(1/2) T W^(-1/2), with W = diag(weights), computed matrix-free.
 
     `apply` is the product T u and `apply_adjoint` the Euclidean adjoint
-    product T^H u, each on one vector of length J.  svds runs ARPACK on the
-    Gram operator of the scaled map with k = 1, tolerance _NORM_TOL and a
-    fixed start vector, so a rerun is bitwise equal; no dense matrix is
-    formed.  When ARPACK does not converge it raises ArpackNoConvergence,
-    and the zero map, whose Krylov space is empty, raises ArpackError:
-    callers skip maps that vanish by construction.
+    product T^H u, each on one vector of length J.  svds runs PROPACK's
+    Golub-Kahan-Lanczos bidiagonalization of the scaled map (Larsen 1998)
+    with k = 1, tolerance _NORM_TOL, a fixed start vector and a fixed
+    generator for restarts, so a rerun is bitwise equal; no dense matrix is
+    formed.  The bidiagonalization of a J x J map ends within J steps, so
+    J is the step cap.  When it does not converge svds raises LinAlgError;
+    the zero map returns 0.
+
+    A Krylov space that closes after a step or two (3 times the identity,
+    say) can make PROPACK report a value above every singular value.  The
+    returned right singular vector v certifies the value instead: ||T v||_W
+    can never exceed ||T||_W, so a value that v does not attain to
+    _NORM_TOL raises LinAlgError.
     """
     sqw = np.sqrt(np.asarray(weights, dtype=float))
     n = sqw.size
@@ -615,33 +623,23 @@ def operator_norm(apply, apply_adjoint, weights):
         (n, n), dtype=complex,
         matvec=lambda x: sqw * apply(np.ravel(x) / sqw),
         rmatvec=lambda x: apply_adjoint(sqw * np.ravel(x)) / sqw)
-    sigma = svds(scaled, k=1, tol=_NORM_TOL, v0=start,
-                 return_singular_vectors=False)
+    _, sigma, vh = svds(scaled, k=1, tol=_NORM_TOL, v0=start, maxiter=n,
+                        solver="propack",
+                        rng=np.random.default_rng(_NORM_SEED),
+                        return_singular_vectors="vh")
+    attained = np.linalg.norm(scaled.matvec(np.conj(vh[0])))
+    if not attained >= (1.0 - _NORM_TOL) * sigma[0]:
+        raise LinAlgError("top singular value %.17g is not attained by its "
+                          "singular vector (%.17g)" % (sigma[0], attained))
     return float(sigma[0])
 
 
-def weighted_opnorm_estimate(op, lam, rng, probes=16, iters=3):
-    """Estimate ||lam (lam - M)^(-1)|| in the W-weighted operator norm.
-
-    Randomized power iteration on T* T (T = lam R_lam, adjoint in the W inner
-    product): `probes` random starts, `iters` power steps each, max taken.
-    The probes run as one block, rows of a (probes, J) array: a power step is
-    one resolve and one adjoint solve for all of them.
-    """
-    w = op.weight
-    v = np.array([rng.standard_normal(op.size)
-                  + 1j * rng.standard_normal(op.size) for _ in range(probes)])
-    v /= np.sqrt(np.sum(np.abs(v) ** 2 * w, axis=1))[:, None]
-    # T* = conj(lam) (conj(lam) - M*)^(-1), and (conj(lam) - M*)^(-1) g
-    # solves (lam W + F)^H u = W g
-    adjoint = op.factor(lam).solve_adjoint
-    absl2 = abs(lam) ** 2
-    for _ in range(iters):
-        tv = resolve(op, lam, v)
-        sigma2 = absl2 * np.real(np.sum(tv * np.conj(tv) * w, axis=1))
-        v = absl2 * adjoint((w * tv).T).T
-        v /= np.sqrt(np.sum(np.abs(v) ** 2 * w, axis=1))[:, None]
-    return float(np.sqrt(max(sigma2.max(), 0.0)))
+def resolvent_pair(form, lam):
+    """(apply, apply_adjoint) of R = (lam W + F)^(-1) W from one factor(lam)
+    of a single-mode form; its Euclidean adjoint is W (lam W + F)^(-H)."""
+    lu = form.factor(lam)
+    w = form.weight
+    return (lambda u: lu.solve(w * u)), (lambda u: w * lu.solve_adjoint(u))
 
 
 def sector_angle(mixing_norm):
@@ -652,24 +650,23 @@ def sector_angle(mixing_norm):
     return np.pi / 2.0 - np.arctan(a / np.sqrt(1.0 - a * a))
 
 
-def sector_resolvent_scan(op, mixing_norm, rng, n_radii=8, n_angles=8,
-                          probes=4, iters=3):
+def sector_resolvent_scan(op, mixing_norm):
     """sup ||lam R_lam||_W over the sector of half-angle (analyticity - 0.1).
 
     lam ranges over 8 log-spaced moduli in [1e-2, 1e2] and 8 arguments
-    filling the sector (64 samples).  Returns the supremum, the estimate
-    grid and the half-angle used.
+    filling the sector (64 samples); each cell is |lam| times the exact
+    operator_norm of R_lam from one factorisation.  Returns the supremum,
+    the (8, 8) grid of norms and the half-angle used.
     """
     theta = sector_angle(mixing_norm) - 0.1
-    radii = np.logspace(-2, 2, n_radii)
-    angles = np.linspace(-theta, theta, n_angles)
-    estimates = np.zeros((n_radii, n_angles))
+    radii = np.logspace(-2, 2, 8)
+    angles = np.linspace(-theta, theta, 8)
+    norms = np.zeros((radii.size, angles.size))
     for i, r in enumerate(radii):
         for k, phi in enumerate(angles):
-            lam = r * np.exp(1j * phi)
-            estimates[i, k] = weighted_opnorm_estimate(
-                op, lam, rng, probes=probes, iters=iters)
-    return {"sup": float(estimates.max()), "estimates": estimates,
+            norms[i, k] = r * operator_norm(
+                *resolvent_pair(op, r * np.exp(1j * phi)), op.weight)
+    return {"sup": float(norms.max()), "norms": norms,
             "angle": float(theta)}
 
 

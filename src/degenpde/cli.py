@@ -308,7 +308,6 @@ def cmd_sweep(cfg, out_dir, seed):
         raise ConfigError("unknown config key: sweep.parameter %r" % (param,))
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
-    rng = np.random.default_rng(seed)
     rows = []
     for v in values:
         op_cfg = dict(cfg["operator"])
@@ -326,7 +325,7 @@ def cmd_sweep(cfg, out_dir, seed):
         op = assemble_form(grid, "model_mode", c=model.c_bessel,
                            alpha=model.alpha, mixing_freq=amod,
                            freq_norm2=1.0)
-        scan = sector_resolvent_scan(op, amod, rng, probes=2, iters=2)
+        scan = sector_resolvent_scan(op, amod)
         rows.append((float(v), window.value, window.lower, window.upper,
                      "yes" if window.passed else "no", scan["sup"]))
     os.makedirs(out_dir, exist_ok=True)
@@ -369,6 +368,9 @@ def main(argv=None):
         if args.refine < 0:
             raise ConfigError("--refine must be an integer >= 0, got %d"
                               % args.refine)
+        if args.seed < 0:
+            raise ConfigError("--seed must be an integer >= 0, got %d"
+                              % args.seed)
         cfg = load_config(args.config)
         # verify rejects a file that sets operator, so default it only here
         if args.command == "verify":

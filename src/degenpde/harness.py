@@ -19,6 +19,7 @@ admissible range.
 """
 
 import hashlib
+import numbers
 import os
 
 import numpy as np
@@ -391,7 +392,6 @@ def _check_selfadjoint_spectrum(ctx):
 
 
 def _check_sector_resolvent(ctx):
-    rng = ctx.rng("sector_resolvent_scan")
     rows = []
     passed = True
     worst = 0.0
@@ -401,7 +401,7 @@ def _check_sector_resolvent(ctx):
             grid = make_grid(J, 1.0, 2.0)
             op = assemble_form(grid, "model_mode", c=1.0, alpha=0.5,
                                mixing_freq=amod, freq_norm2=1.0)
-            scan = sector_resolvent_scan(op, amod, rng)
+            scan = sector_resolvent_scan(op, amod)
             rows.append((amod, J, scan["sup"], scan["angle"]))
             return scan["sup"]
 
@@ -656,11 +656,10 @@ def _check_interpolation_fit(ctx):
 def _check_xi_derivative(ctx):
     grid = make_grid(192, 1.0, 2.0)
     m1 = ModelParams(np.array([0.4]), 0.5, 1.0, 0.2, 2.0)
-    r1 = xi_derivative_check(1.2 + 0.3j, m1, grid, order=1,
-                             base_xi=[1.1], steps=(0.02, 0.01))
+    r1 = xi_derivative_check(1.2 + 0.3j, m1, grid, order=1, base_xi=[1.1])
     m2 = ModelParams(np.array([0.3, -0.2]), 0.5, 1.0, 0.2, 2.0)
     r2 = xi_derivative_check(1.2 + 0.3j, m2, grid, order=2,
-                             base_xi=[0.9, 1.3], steps=(0.02, 0.01))
+                             base_xi=[0.9, 1.3])
     passed = r1["order"] >= 1.9 and r2["order"] >= 1.9
     rows = [(1, r1["errors"][0], r1["errors"][-1], r1["order"]),
             (2, r2["errors"][0], r2["errors"][-1], r2["order"])]
@@ -964,7 +963,8 @@ def run_suite(config=None):
     """Run registered checks; returns a list of EstimateResult.
 
     config keys (all optional): suite (name), checks (explicit id list),
-    out_dir and seed; any other key raises ValueError.  Every check builds
+    out_dir and seed (an integer >= 0); any other key, or a bad seed,
+    raises ValueError.  Every check builds
     its own models and grids.  Individual check failures are recorded in the
     results, not raised.
     """
@@ -972,7 +972,10 @@ def run_suite(config=None):
     suite = config.pop("suite", "default")
     checks = config.pop("checks", None)
     out_dir = config.pop("out_dir", None)
-    ctx = SuiteContext(seed=config.pop("seed", 0))
+    seed = config.pop("seed", 0)
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
+    ctx = SuiteContext(seed=seed)
     if config:
         raise ValueError("unknown run_suite key(s): %s"
                          % ", ".join(sorted(config)))

@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from .grid import Field, lp_norm
 from .bessel1d import (TridiagForm, SingularFormError, stiffness_tridiag,
                        transport_tridiag, node_weights, partition_weights,
-                       operator_norm, _rows)
+                       operator_norm, resolvent_pair, _rows)
 
 
 def _values(f):
@@ -114,11 +114,6 @@ class ModeOperators:
         """y^alpha B u in the weak realization -W^(-1) K u (one or a batch)."""
         u = np.asarray(u, dtype=complex)
         return -self.stiff.apply(u) / _rows(self.weight, u.ndim)
-
-    def deriv_coeff(self, mixing_j, xi_j, u):
-        """A_j u = (dM/dxi_j) u = 2 i a_j y^alpha Dy u - 2 xi_j y^alpha u."""
-        return (2j * mixing_j * self.grad_term(u)
-                - 2.0 * xi_j * self.y_alpha * u)
 
 
 def xi_lattice(box):
@@ -270,16 +265,19 @@ def sum_identity_residual(lam, f, model, grid):
 # frequency derivatives of the resolvent
 
 
-def xi_derivative_check(lam, model, grid, order=1, base_xi=None, steps=(0.05,
-                                                                       0.025),
-                        indexes=(0, 1)):
+# the two centered-difference steps
+_XI_STEPS = (0.02, 0.01)
+
+
+def xi_derivative_check(lam, model, grid, order=1, base_xi=None):
     """Analytic frequency-derivative formulas vs centered differences.
 
-    order 1:  D_j R = R A_j R;   order 2 (distinct j, l):
-    D_j D_l R = R A_j R A_l R + R A_l R A_j R.  Both sides applied to a
-    random test vector (seed 7) at a nonzero base frequency; the
-    centered-difference comparison is run at two steps so the observed order
-    in the step can be fitted (expected >= 2).
+    order 1:  D_0 R = R A_0 R;   order 2:
+    D_0 D_1 R = R A_0 R A_1 R + R A_1 R A_0 R, both built by the product
+    formula of the Mikhlin scans (_cell_terms with S = 1).  Both sides
+    applied to a random test vector (seed 7) at a nonzero base frequency;
+    the centered-difference comparison is run at the two steps _XI_STEPS
+    so the observed order in the step can be fitted (expected >= 2).
 
     Returns {"errors": per-step, "order": fitted}.
     """
@@ -293,43 +291,33 @@ def xi_derivative_check(lam, model, grid, order=1, base_xi=None, steps=(0.05,
     def R(xi, v):
         return ops.solve(float(a @ xi), float(xi @ xi), lam, v)
 
-    def A(i, v):
-        return ops.deriv_coeff(a[i], base_xi[i], v)
-
     def wnorm(v):
         return np.sqrt(np.sum(np.abs(v) ** 2 * ops.weight))
 
     f = rng.standard_normal(ops.size) + 1j * rng.standard_normal(ops.size)
     f /= wnorm(f)
-    rf = R(base_xi, f)
-
-    j = indexes[0]
-    ej = np.zeros(model.dim)
-    ej[j] = 1.0
+    Rb = resolvent_pair(ops.form(float(a @ base_xi), float(base_xi @ base_xi)),
+                        lam)
+    terms = _cell_terms(Rb, _xi_derivatives(ops, a, base_xi),
+                        _local(ops, 1.0, 0.0), [None] * model.dim,
+                        (0, 1)[:order])
+    analytic = _composed(terms, 1.0)[0](f)
+    e = np.eye(model.dim)
     if order == 1:
-        analytic = R(base_xi, A(j, rf))
-
         def fd(h):
-            return (R(base_xi + h * ej, f) - R(base_xi - h * ej, f)) / (2 * h)
+            return (R(base_xi + h * e[0], f)
+                    - R(base_xi - h * e[0], f)) / (2 * h)
     else:
-        l = indexes[1]
-        if l == j:
-            raise ValueError("second derivative implemented for distinct "
-                             "indexes")
-        el = np.zeros(model.dim)
-        el[l] = 1.0
-        analytic = (R(base_xi, A(j, R(base_xi, A(l, rf))))
-                    + R(base_xi, A(l, R(base_xi, A(j, rf)))))
-
         def fd(h):
-            return (R(base_xi + h * (ej + el), f)
-                    - R(base_xi + h * (ej - el), f)
-                    - R(base_xi - h * (ej - el), f)
-                    + R(base_xi - h * (ej + el), f)) / (4 * h * h)
+            return (R(base_xi + h * (e[0] + e[1]), f)
+                    - R(base_xi + h * (e[0] - e[1]), f)
+                    - R(base_xi - h * (e[0] - e[1]), f)
+                    + R(base_xi - h * (e[0] + e[1]), f)) / (4 * h * h)
 
-    errors = [float(wnorm(fd(h) - analytic) / wnorm(analytic)) for h in steps]
+    errors = [float(wnorm(fd(h) - analytic) / wnorm(analytic))
+              for h in _XI_STEPS]
     fitted = float(np.log(errors[0] / errors[-1])
-                   / np.log(steps[0] / steps[-1]))
+                   / np.log(_XI_STEPS[0] / _XI_STEPS[-1]))
     return {"errors": errors, "order": fitted}
 
 
@@ -362,6 +350,27 @@ def _composed(terms, pref):
         return pref * total
 
     return apply, apply_adjoint
+
+
+def _local(ops, d, c):
+    """(apply, adjoint) of d + c y^a Dy on the grid of `ops`, d a scalar or
+    a node array, y^a Dy = W^(-1) P; None when both vanish, so the terms
+    it enters drop out."""
+    w = ops.weight
+    dc, cc = np.conj(d), np.conj(c)
+    if c == 0 and not np.any(d):
+        return None
+    if c == 0:
+        return (lambda u: d * u), (lambda u: dc * u)
+    return ((lambda u: d * u + c * (ops.trans.apply(u) / w)),
+            (lambda u: dc * u + cc * ops.trans.apply_adjoint(u / w)))
+
+
+def _xi_derivatives(ops, a, xi):
+    """(apply, adjoint) of A_j = dM/dxi_j = 2i a_j y^a Dy - 2 xi_j y^a for
+    each index j of the frequency xi."""
+    return [_local(ops, -2.0 * xi[j] * ops.y_alpha, 2j * a[j])
+            for j in range(len(xi))]
 
 
 def _cell_terms(R, A, S, dS, idx):
@@ -405,23 +414,7 @@ def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
     a = model.mixing
     m = model.m if weight_m is None else float(weight_m)
     norm_weight = node_weights(grid.y_nodes, m)
-    w = ops.weight
     y_alpha = ops.y_alpha
-
-    def local(d, c):
-        """(apply, adjoint) of d + c y^a Dy, d a scalar or a node array;
-        None when both vanish, so the terms it enters drop out."""
-        dc, cc = np.conj(d), np.conj(c)
-        if c == 0 and not np.any(d):
-            return None
-        if c == 0:
-            return (lambda u: d * u), (lambda u: dc * u)
-        return ((lambda u: d * u + c * (ops.trans.apply(u) / w)),
-                (lambda u: dc * u + cc * ops.trans.apply_adjoint(u / w)))
-
-    def resolvent(lu):
-        """(apply, adjoint) of R = (lam W + F)^(-1) W."""
-        return (lambda u: lu.solve(w * u)), (lambda u: w * lu.solve_adjoint(u))
 
     betas = [tuple(b) for b in np.ndindex(*([2] * n))]
     table = {}
@@ -432,30 +425,27 @@ def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
             for xi in xi_set:
                 xi = np.asarray(xi, dtype=float)
                 k2 = float(xi @ xi)
-                R = resolvent(ops.form(float(a @ xi), k2).factor(lam))
-                A = [local(-2.0 * xi[j] * y_alpha, 2j * a[j])
-                     for j in range(n)]
+                R = resolvent_pair(ops.form(float(a @ xi), k2), lam)
+                A = _xi_derivatives(ops, a, xi)
                 if family == "scaled":
-                    S = local(lam, 0.0)
+                    S = _local(ops, lam, 0.0)
                     dS = [None] * n
                 elif family == "potential":
-                    S = local(k2 * y_alpha, 0.0)
-                    dS = [local(2.0 * xi[j] * y_alpha, 0.0)
+                    S = _local(ops, k2 * y_alpha, 0.0)
+                    dS = [_local(ops, 2.0 * xi[j] * y_alpha, 0.0)
                           for j in range(n)]
                 elif family == "gradient":
-                    S = local(0.0, xi[0])
-                    dS = [local(0.0, 1.0) if j == 0 else None
+                    S = _local(ops, 0.0, xi[0])
+                    dS = [_local(ops, 0.0, 1.0) if j == 0 else None
                           for j in range(n)]
                 else:
                     raise ValueError("unknown family %r" % (family,))
                 for beta in betas:
                     idx = [j for j in range(n) if beta[j]]
                     pref = float(np.prod([xi[j] for j in idx])) if idx else 1.0
-                    terms = _cell_terms(R, A, S, dS, idx)
-                    # a cell with no term left, or pref 0, is the zero map
-                    est = (operator_norm(*_composed(terms, pref),
-                                         norm_weight)
-                           if terms and pref else 0.0)
+                    est = operator_norm(
+                        *_composed(_cell_terms(R, A, S, dS, idx), pref),
+                        norm_weight)
                     table[(family, beta, complex(lam), tuple(xi))] = est
                     sup = max(sup, est)
         suprema[family] = float(sup)

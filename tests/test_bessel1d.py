@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.sparse.linalg import LinearOperator, svds
 from scipy.special import ive
 
 from degenpde import bessel1d as b1
@@ -425,20 +426,30 @@ def test_envelope_binning_is_bitwise_the_loop():
                 == _loop_binned_fit(ker, t, dist, pref))
 
 
-def test_weighted_opnorm_at_most_one_on_positive_axis():
-    # self-adjoint nonnegative generator: ||lam (lam + B)^(-1)|| = 1 exactly
-    g = make_grid(128, 1.0, 2.0)
-    op = b1.assemble_form(g, "bessel", c=1.0)
-    est = b1.weighted_opnorm_estimate(op, 1.0, np.random.default_rng(0))
-    assert 0.9 <= est <= 1.0 + 1e-8
-
-
 def _scaled_resolvent_pair(op, lam):
     """(apply, apply_adjoint) of lam R(lam) = lam (lam W + F)^(-1) W."""
     lu = op.factor(lam)
     w = op.weight
     return ((lambda u: lam * lu.solve(w * u)),
             (lambda u: np.conj(lam) * w * lu.solve_adjoint(u)))
+
+
+def test_operator_norm_is_one_on_positive_axis():
+    # self-adjoint nonnegative generator: ||lam (lam + B)^(-1)|| = 1 exactly,
+    # attained by the constants
+    g = make_grid(128, 1.0, 2.0)
+    op = b1.assemble_form(g, "bessel", c=1.0)
+    got = b1.operator_norm(*_scaled_resolvent_pair(op, 1.0), op.weight)
+    assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_operator_norm_of_zero_map_and_of_a_closed_krylov_space():
+    # the zero map is 0; on 3 I the bidiagonalization closes after one step
+    # and PROPACK reports a value above 3, which the certificate rejects
+    w = np.linspace(0.5, 2.0, 40)
+    assert b1.operator_norm(lambda u: 0.0 * u, lambda u: 0.0 * u, w) == 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="not attained"):
+        b1.operator_norm(lambda u: 3.0 * u, lambda u: 3.0 * u, w)
 
 
 @pytest.mark.parametrize("J", [64, 128])
@@ -490,15 +501,50 @@ def test_sector_angle_frozen_values():
         b1.sector_angle(-0.1)
 
 
-def test_sector_resolvent_scan_small():
-    g = make_grid(96, 1.0, 2.0)
+def _sector_lambdas(mixing):
+    theta = b1.sector_angle(mixing) - 0.1
+    return (np.logspace(-2, 2, 8)[:, None]
+            * np.exp(1j * np.linspace(-theta, theta, 8))[None, :])
+
+
+def test_sector_scan_matches_spectral_formula_at_mixing_zero():
+    # a self-adjoint form: every cell is max_j |lam| / |lam + mu_j|
+    g = make_grid(128, 1.0, 2.0)
     op = b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
-                          mixing_freq=0.3, freq_norm2=1.0)
-    rep = b1.sector_resolvent_scan(op, 0.3, np.random.default_rng(1),
-                                   n_radii=4, n_angles=4, probes=2, iters=2)
-    assert rep["sup"] <= 4.0
-    assert rep["estimates"].shape == (4, 4)
-    assert rep["angle"] < b1.sector_angle(0.3)
+                          mixing_freq=0.0, freq_norm2=1.0)
+    d, e, _ = op.symmetric_bands()
+    mu = eigh_tridiagonal(d.real, e.real, eigvals_only=True)
+    lams = _sector_lambdas(0.0)
+    exact = np.max(np.abs(lams)[..., None]
+                   / np.abs(lams[..., None] + mu), axis=-1)
+    rep = b1.sector_resolvent_scan(op, 0.0)
+    assert rep["norms"].shape == (8, 8)
+    assert rep["angle"] < b1.sector_angle(0.0)
+    np.testing.assert_allclose(rep["norms"], exact, rtol=1e-10, atol=0.0)
+    assert rep["sup"] == pytest.approx(exact.max(), rel=1e-10)
+
+
+def test_sector_scan_matches_arpack_reference_at_mixing_07():
+    # an oblique form: each cell against ARPACK on the scaled map, built
+    # here from the factors and independent of the engine
+    g = make_grid(256, 1.0, 2.0)
+    op = b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
+                          mixing_freq=0.7, freq_norm2=1.0)
+    sqw = np.sqrt(op.weight)
+    n = op.size
+    start = np.random.default_rng(3).standard_normal(n)
+    reference = np.zeros((8, 8))
+    for idx, lam in np.ndenumerate(_sector_lambdas(0.7)):
+        apply, adjoint = _scaled_resolvent_pair(op, lam)
+        scaled = LinearOperator(
+            (n, n), dtype=complex,
+            matvec=lambda x, apply=apply: sqw * apply(np.ravel(x) / sqw),
+            rmatvec=lambda x, adjoint=adjoint:
+                adjoint(sqw * np.ravel(x)) / sqw)
+        reference[idx] = svds(scaled, k=1, tol=1e-14, v0=start,
+                              return_singular_vectors=False)[0]
+    rep = b1.sector_resolvent_scan(op, 0.7)
+    np.testing.assert_allclose(rep["norms"], reference, rtol=1e-12, atol=0.0)
 
 
 def test_gaussian_envelope_fits_finite():

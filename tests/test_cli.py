@@ -281,6 +281,21 @@ def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     assert flags[0] == "yes" and flags[1] == "no"
 
 
+def test_sweep_table_does_not_depend_on_seed(tmp_path, capsys):
+    # the sector column is an exact norm, so no seed enters sweep.csv
+    cfg = _write_config(tmp_path, {
+        "operator": SMALL_OPERATOR,
+        "sweep": {"parameter": "m", "values": [0.2, 0.6]},
+    })
+    tables = []
+    for seed in (0, 5):
+        d = tmp_path / ("seed%d" % seed)
+        assert main(["sweep", "--config", cfg, "--out", str(d),
+                     "--seed", str(seed)]) == 0
+        tables.append(_read_bytes(d, ["sweep.csv"]))
+    assert tables[0] == tables[1]
+
+
 def test_sweep_requires_section_and_valid_parameter(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR})
     assert main(["sweep", "--config", cfg, "--out",
@@ -302,6 +317,18 @@ def test_negative_refine_is_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 2
     assert "config error: --refine" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "solve_elliptic"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    out_dir = tmp_path / "o"
+    argv = [command] + (["spectral_1d"] if command == "verify" else [])
+    rc = main(argv + ["--out", str(out_dir), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: --seed" in err
     assert "Traceback" not in err
     assert not out_dir.exists()
 

@@ -30,6 +30,9 @@ def test_run_suite_validation():
         run_suite({"suite": "everything"})
     with pytest.raises(ValueError, match="no executable check"):
         run_suite({"checks": ["parameter_roundtrip", "made_up_check"]})
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_suite({"checks": ["parameter_roundtrip"], "seed": seed})
 
 
 def test_check_exception_is_recorded_not_raised(monkeypatch):

@@ -163,8 +163,6 @@ def test_xi_derivative_first_and_second_order():
     assert rep1["errors"][-1] < rep1["errors"][0]
     rep2 = mp.xi_derivative_check(1.0, model2, g, order=2)
     assert rep2["order"] >= 1.9
-    with pytest.raises(ValueError, match="distinct"):
-        mp.xi_derivative_check(1.0, model2, g, order=2, indexes=(0, 0))
 
 
 def test_mikhlin_scan_deterministic_and_bounded():
