@@ -25,9 +25,13 @@ paths, not the discretization error.  The natural (Neumann-type) flux
 condition y^c Dy u -> 0 is built into the form; no boundary rows are needed.
 
 Every operator is a TridiagForm: the tridiagonal form bands F and the
-diagonal weights W, with M = -W^(-1) F.  One operator is solved by LAPACK's
-pivoted tridiagonal LU (gttrf / gttrs), a batch of Fourier modes by a
-vectorised Thomas LU; resolve gates every solve on its componentwise
+diagonal weights W, with M = -W^(-1) F.  ModeOperators builds every
+frozen-frequency model form, of one mode or of a batch of Fourier modes, from
+one assembly of K_c and P_c; the Bessel and potential-route forms are its
+alpha = 0, xi = 0 mode and its shifted form.  One operator is solved by
+LAPACK's pivoted tridiagonal LU (gttrf / gttrs), a batch of Fourier modes by
+a vectorised Thomas LU; resolvent_pair is the one W-weighted resolvent
+(lam W + F)^(-1) W, and resolve gates every solve on its componentwise
 backward error.  Semigroup kernels never form a dense matrix exponential,
 so J is not capped, and each is built at its numerical rank.  Self-adjoint
 forms are diagonalised through their symmetrised tridiagonal pencil, keeping
@@ -285,6 +289,75 @@ class _ThomasLU:
         return u
 
 
+class ModeOperators:
+    """The frozen-frequency model forms on a grid, their pieces assembled once.
+
+    form(s, k2) is the TridiagForm of F(xi) = K_c - 2i s P_c + k2 W_c with
+    s = a . xi, k2 = |xi|^2 and weight W = W_(c-alpha), so
+    M(xi) = -W^(-1) F(xi); s, k2 may be arrays of modes.  Every model-mode
+    form of the package, of one frequency or many, is built here, and the
+    apply, solve and derivative helpers reuse the same arrays, so every
+    consumer sees the identical discretization.
+    """
+
+    def __init__(self, grid, c, alpha):
+        y = grid.y_nodes
+        self.grid = grid
+        self.c = float(c)
+        self.alpha = float(alpha)
+        if not self.c > -1.0:
+            raise ValueError("need c > -1")
+        omega = partition_weights(y)
+        self.w_pot = y ** self.c * omega           # |xi|^2 potential weight
+        self.weight = y ** (self.c - self.alpha) * omega
+        self.y_alpha = y ** self.alpha
+        self.stiff = TridiagForm(*stiffness_tridiag(y, self.c), self.weight)
+        self.trans = TridiagForm(*transport_tridiag(y, self.c), self.weight)
+
+    @property
+    def size(self):
+        return self.weight.size
+
+    def form_bands(self, s, k2):
+        """(sub, diag, sup) of F(xi) = K - 2 i s P + k2 W_c.
+
+        Scalars s, k2 give one mode's bands; 1-d arrays of modes give every
+        band as a (rows, modes) array, built in one vectorised pass.
+        """
+        s = np.asarray(s, dtype=float)
+        k2 = np.asarray(k2, dtype=float)
+        n = s.ndim + 1
+        K, P = self.stiff, self.trans
+        return (_rows(K.sub, n) - 2j * s * _rows(P.sub, n),
+                _rows(K.diag, n) - 2j * s * _rows(P.diag, n)
+                + k2 * _rows(self.w_pot, n),
+                _rows(K.sup, n) - 2j * s * _rows(P.sup, n))
+
+    def form(self, s, k2):
+        """TridiagForm of F(xi) with weight W_(c-alpha), one mode or many."""
+        return TridiagForm(*self.form_bands(s, k2), self.weight, self.grid)
+
+    def solve(self, s, k2, lam, fhat):
+        """(lam - M(xi))^(-1) fhat for one mode."""
+        return resolvent_pair(self.form(s, k2), lam)[0](fhat)
+
+    def apply(self, s, k2, u):
+        """M(xi) u = -W^(-1) F(xi) u."""
+        return -self.form(s, k2).apply(u) / self.weight
+
+    def grad_term(self, u):
+        """y^alpha Dy u in the weak (form) realization W^(-1) P u.
+
+        u is one mode's profile or a (rows, modes) batch."""
+        u = np.asarray(u, dtype=complex)
+        return self.trans.apply(u) / _rows(self.weight, u.ndim)
+
+    def bessel_term(self, u):
+        """y^alpha B u in the weak realization -W^(-1) K u (one or a batch)."""
+        u = np.asarray(u, dtype=complex)
+        return -self.stiff.apply(u) / _rows(self.weight, u.ndim)
+
+
 def assemble_form(grid, kind, **params):
     """Assemble a weighted 1-d operator from its sesquilinear form.
 
@@ -304,51 +377,38 @@ def assemble_form(grid, kind, **params):
         K_c - i(b/2)(P_{c+beta} + P_{c+beta}^T) + mu W_{c+2beta}.  The graded
         transport is exactly skew-Hermitian, so Re of the form is b-free.
 
-    c > -1 is required (integrability of the measure at the edge).
+    The first three are ModeOperators forms (B is the alpha = 0, xi = 0
+    mode).  c > -1 is required (integrability of the measure at the edge).
     """
-    y = grid.y_nodes
-    J = y.size
-    omega = partition_weights(y)
-
-    def W(s):
-        return y ** float(s) * omega
-
     c = float(params["c"])
-    if not c > -1.0:
-        raise ValueError("need c > -1")
-
     if kind == "bessel":
-        return TridiagForm(*stiffness_tridiag(y, c), W(c), grid)
+        return ModeOperators(grid, c, 0.0).form(0.0, 0.0)
 
     if kind in ("model_mode", "model_potential"):
-        alpha = float(params["alpha"])
-        s_mix = float(params["mixing_freq"])
-        k2 = float(params["freq_norm2"])
-        ks, kd, ku = stiffness_tridiag(y, c)
-        ps, pd, pu = transport_tridiag(y, c)
-        sub = ks - 2j * s_mix * ps
-        diag = kd - 2j * s_mix * pd + k2 * W(c)
-        sup = ku - 2j * s_mix * pu
+        ops = ModeOperators(grid, c, params["alpha"])
+        form = ops.form(float(params["mixing_freq"]),
+                        float(params["freq_norm2"]))
         if kind == "model_mode":
-            return TridiagForm(sub, diag, sup, W(c - alpha), grid)
-        lam = complex(params["lam"])
-        diag = diag + lam * W(c - alpha)
-        return TridiagForm(sub, diag, sup, W(c), grid)
+            return form
+        diag = form.diag + complex(params["lam"]) * ops.weight
+        return TridiagForm(form.sub, diag, form.sup, ops.w_pot, grid)
 
     if kind == "bessel_drift":
         beta = float(params["beta"])
         b = float(params["drift_b"])
         mu = float(params["potential_coeff"])
+        if not c > -1.0:
+            raise ValueError("need c > -1")
         if not beta > -1.0:
             raise ValueError("need beta > -1")
+        y = grid.y_nodes
         ks, kd, ku = stiffness_tridiag(y, c)
         gs, gd, gu = transport_tridiag(y, c + beta)
         # symmetrized graded transport: P + P^T multiplies -i b/2
         sub = ks - 0.5j * b * (gs + gu)
-        diag = kd - 1j * b * gd
+        diag = kd - 1j * b * gd + mu * node_weights(y, c + 2.0 * beta)
         sup = ku - 0.5j * b * (gu + gs)
-        diag = diag + mu * W(c + 2.0 * beta)
-        return TridiagForm(sub, diag, sup, W(c), grid)
+        return TridiagForm(sub, diag, sup, node_weights(y, c), grid)
 
     raise ValueError("unknown form kind %r" % (kind,))
 
@@ -595,6 +655,8 @@ def expm_kernel(op, z):
 # start vector and of any restart
 _NORM_TOL = 1e-12
 _NORM_SEED = 20230925
+# the step cap of the first Lanczos run: the suite's maps converge within 15
+_NORM_STEPS = 40
 
 
 def operator_norm(apply, apply_adjoint, weights):
@@ -607,8 +669,11 @@ def operator_norm(apply, apply_adjoint, weights):
     with k = 1, tolerance _NORM_TOL, a fixed start vector and a fixed
     generator for restarts, so a rerun is bitwise equal; no dense matrix is
     formed.  The bidiagonalization of a J x J map ends within J steps, so
-    J is the step cap.  When it does not converge svds raises LinAlgError;
-    the zero map returns 0.
+    J is the step cap.  A first run is capped at _NORM_STEPS steps, and only
+    when it stops unconverged (svds raises LinAlgError) does a second run
+    get all J: the value stays exact, and the Lanczos basis is J x
+    _NORM_STEPS in the usual case.  A LinAlgError of the second run
+    propagates; the zero map returns 0.
 
     A Krylov space that closes after a step or two (3 times the identity,
     say) can make PROPACK report a value above every singular value.  The
@@ -623,10 +688,16 @@ def operator_norm(apply, apply_adjoint, weights):
         (n, n), dtype=complex,
         matvec=lambda x: sqw * apply(np.ravel(x) / sqw),
         rmatvec=lambda x: apply_adjoint(sqw * np.ravel(x)) / sqw)
-    _, sigma, vh = svds(scaled, k=1, tol=_NORM_TOL, v0=start, maxiter=n,
-                        solver="propack",
-                        rng=np.random.default_rng(_NORM_SEED),
-                        return_singular_vectors="vh")
+
+    def top_triplet(maxiter):
+        return svds(scaled, k=1, tol=_NORM_TOL, v0=start, maxiter=maxiter,
+                    solver="propack", rng=np.random.default_rng(_NORM_SEED),
+                    return_singular_vectors="vh")
+
+    try:
+        _, sigma, vh = top_triplet(min(n, _NORM_STEPS))
+    except LinAlgError:
+        _, sigma, vh = top_triplet(n)
     attained = np.linalg.norm(scaled.matvec(np.conj(vh[0])))
     if not attained >= (1.0 - _NORM_TOL) * sigma[0]:
         raise LinAlgError("top singular value %.17g is not attained by its "
@@ -862,39 +933,6 @@ def interpolation_constant(alpha, c, p, m, J):
         if den > 0:
             best = max(best, num / den)
     return float(best)
-
-
-def uniform_frequency_bound_scan(alpha, c, mixing, p, m, J=256, y_max=1.0,
-                                 exponents=range(-3, 7), lams=(0.1, 1.0, 10.0),
-                                 panel_count=8):
-    """Scan of || |xi|^2 y^a u || / || (lam - y^a L + |xi|^2 y^a) u ||.
-
-    xi = 2^k e1 for k in `exponents`; the constant must stay bounded
-    uniformly in xi (and lam with Re lam > 0).  Operator applied in strong
-    form with exact panel derivatives; norms by grid quadrature.
-    """
-    g = make_grid(J, y_max, default_grading(alpha))
-    y = g.y_nodes
-    a1 = float(np.atleast_1d(mixing)[0])
-    per_xi = []
-    prof_panel = panels.vertical_panel(y_max, count=panel_count)
-    for k in exponents:
-        xi = 2.0 ** k
-        s = a1 * xi
-        k2 = xi * xi
-        best = 0.0
-        for lam in lams:
-            for prof in prof_panel:
-                u = prof(y).astype(complex)
-                du, d2u = prof.d1(y), prof.d2(y)
-                lu = y ** alpha * (d2u + (c / y) * du + 2j * s * du - k2 * u)
-                f = lam * u - lu
-                num = lp_norm(k2 * y ** alpha * u, p, m, g)
-                den = lp_norm(f, p, m, g)
-                best = max(best, num / den)
-        per_xi.append(float(best))
-    return {"exponents": list(exponents), "constants": per_xi,
-            "max": float(max(per_xi))}
 
 
 def two_route_resolvent(grid, alpha, c, mixing_freq, freq_norm2, lam, f):

@@ -5,6 +5,7 @@ Commands
                       operator, manufactured or configured forcing; prints a
                       residual line, writes solution.csv and manifest.json.
     solve_parabolic   time evolution with snapshot CSVs and a manifest.
+                      Both solves work on an x-box: operator.dimension >= 1.
     verify SUITE      run a registered check suite; exit 1 if any check fails.
                       Reads only the config's suite key; a config that sets
                       operator is rejected (each check builds its own).
@@ -178,10 +179,16 @@ def _check_parabolic(sec, num_x):
 
 
 def _problem(cfg):
+    """(spec, space) of the operator section for a solve command, which
+    solves on an x-box and so needs at least one horizontal dimension."""
     try:
-        return config_to_problem(cfg["operator"])
+        spec, space = config_to_problem(cfg["operator"])
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if spec.dim == 0:
+        raise ConfigError("operator.dimension must be >= 1 for the solve "
+                          "commands, which solve on an x-box; got 0")
+    return spec, space
 
 
 def _grid_for(cfg, model, refine=0):
@@ -190,9 +197,7 @@ def _grid_for(cfg, model, refine=0):
     grading = gsec["grading"]
     if grading is None:
         grading = default_grading(model.alpha)
-    box = None
-    if model.dim:
-        box = XBox(gsec["box_length"], gsec["num_x"], model.dim)
+    box = XBox(gsec["box_length"], gsec["num_x"], model.dim)
     return make_grid(J, gsec["y_max"], grading, box)
 
 
@@ -252,12 +257,8 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     steps = psec["steps"] * 2 ** refine
     times = np.linspace(0.0, psec["t_final"], steps + 1)
     prof = panels.bump_profile(0.4 * grid.y_max, 0.15 * grid.y_max)
-    if model.dim:
-        wave = panels.plane_wave(grid.x_box,
-                                 [psec["forcing_mode"]] * model.dim)
-        u0 = Field(panels.tensor_values(grid, wave, prof), grid)
-    else:
-        u0 = Field(prof(grid.y_nodes).astype(complex), grid)
+    wave = panels.plane_wave(grid.x_box, [psec["forcing_mode"]] * model.dim)
+    u0 = Field(panels.tensor_values(grid, wave, prof), grid)
     run = semigroup.evolve(u0, None, model, grid, psec["scheme"], times,
                            stride=psec["snapshot_stride"])
     os.makedirs(out_dir, exist_ok=True)

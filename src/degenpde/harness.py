@@ -26,16 +26,16 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import bessel1d, panels, semigroup, transforms
-from .bessel1d import (assemble_form, expm_kernel, sector_angle,
-                       sector_resolvent_scan, bessel_kernel_fit,
+from .bessel1d import (ModeOperators, assemble_form, expm_kernel,
+                       sector_angle, sector_resolvent_scan, bessel_kernel_fit,
                        model_kernel_fit, semigroup_domination_check,
                        two_route_resolvent, interpolation_constant,
-                       uniform_frequency_bound_scan, node_weights)
+                       resolvent_pair, node_weights)
 from .grid import XBox, Field, make_grid, lp_norm, default_grading
-from .multiplier import (ModeOperators, resolvent_nd,
-                         derived_multipliers, sum_identity_residual,
-                         monolithic_sparse_solve, xi_derivative_check,
-                         mikhlin_bound_scan, reduction_consistency_check)
+from .multiplier import (resolvent_nd, derived_multipliers,
+                         sum_identity_residual, monolithic_sparse_solve,
+                         xi_derivative_check, mikhlin_bound_scan,
+                         reduction_consistency_check)
 from .params import (OperatorSpec, SpaceSpec, ModelParams, beta_map,
                      invert_beta, compose_beta, shear_map)
 from .transforms import apply_power, apply_phase, apply_shear
@@ -195,9 +195,10 @@ def _sector_lattice(mixing_norm):
     return [mod * np.exp(1j * ang) for mod in mods for ang in angs]
 
 
-def _scaled_resolvent(lu, lam, weight):
-    """f -> lam (lam W + F)^(-1) W f through the factors lu of lam W + F."""
-    return lambda f: lam * lu.solve(weight * f)
+def _scaled_resolvent(form, lam):
+    """f -> lam (lam W + F)^(-1) W f from one factorisation of lam W + F."""
+    apply = resolvent_pair(form, lam)[0]
+    return lambda f: lam * apply(f)
 
 
 def resolvent_family(ops, mixing_norm):
@@ -212,7 +213,7 @@ def resolvent_family(ops, mixing_norm):
     point is drawn, and a member computes lam * ops.solve(mixing_norm, 1,
     lam, f) bit for bit."""
     form = ops.form(mixing_norm, 1.0)
-    members = [_scaled_resolvent(form.factor(lam), lam, ops.weight)
+    members = [_scaled_resolvent(form, lam)
                for lam in _sector_lattice(mixing_norm)]
 
     def draw(rng):
@@ -632,13 +633,18 @@ def _check_apriori_fit(ctx):
     levels = (96, 192)
     consts, drift = refinement_study(levels, lambda J: _apriori_constant(
         model, make_grid(J, 1.0, 2.0, box), 1.0, rng))
-    scan = uniform_frequency_bound_scan(0.5, 1.0, 0.3, 2.0, 0.2, J=192)
-    passed = drift < DRIFT_TOL and np.isfinite(scan["max"])
+    # the exact sup of || |xi|^2 y^a R(lam) || and its xi-derivative term
+    # over xi = 2^k, k = -3..6, on the check's own model
+    scan = mikhlin_bound_scan(
+        (0.1, 1.0, 10.0), [(2.0 ** k,) for k in range(-3, 7)], model,
+        make_grid(192, 1.0, default_grading(0.5)), families=("potential",))
+    freq_max = scan["suprema"]["potential"]
+    passed = drift < DRIFT_TOL and np.isfinite(freq_max)
     return EstimateResult(
         "apriori_regularity_fit", passed, constant=consts[-1], drift=drift,
         parameters={"lam": 1.0, "model_m": 0.2}, levels=list(levels),
         detail={"constants": dict(zip(levels, consts)),
-                "freq_scan_max": scan["max"]},
+                "freq_scan_max": freq_max},
         rows=list(zip(levels, consts)), header=("J", "constant"))
 
 
@@ -717,10 +723,9 @@ def _check_square_function(ctx):
     ratios = dict(zip(levels, values))
     ident = square_function_ratio(lambda rng: (lambda f: f), 8, 10, p, m,
                                   grid, seed=ctx.seed)
-    ops0 = ModeOperators(grid, 1.0, 0.5)
-    single = square_function_ratio(
-        lambda rng: (lambda f: 2.0 * ops0.solve(0.0, 1.0, 2.0, f)),
-        1, 20, 2.0, 0.5, grid, seed=ctx.seed)
+    half = _scaled_resolvent(ops.form(0.0, 1.0), 2.0)
+    single = square_function_ratio(lambda rng: half, 1, 20, 2.0, 0.5, grid,
+                                   seed=ctx.seed)
     passed = drift < DRIFT_TOL and abs(ident - 1.0) <= 1e-14 \
         and single <= 1.01
     return EstimateResult(

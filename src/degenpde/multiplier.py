@@ -7,9 +7,10 @@ the one-dimensional frozen-mode operator
     M(xi) = y^alpha (B + 2i (a.xi) Dy - |xi|^2),
 
 so (lam - L)^(-1) = IFFT o (lam - M(xi))^(-1) o FFT (the xi = 0 mode is the
-plain Bessel solve).  FrequencySolvePlan factors lam W + F(xi) of every mode
-once and solves all modes in one batched tridiagonal sweep; ModeOperators
-keeps the single-mode operations.  The derived multipliers, per mode:
+plain Bessel solve).  bessel1d.ModeOperators builds the forms F(xi), of one
+mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
+once and solves all modes in one batched tridiagonal sweep.  The derived
+multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),
     y^alpha Dx_j Dy u <->  i xi_j (y^alpha Dy) u(xi),
@@ -33,9 +34,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Field, lp_norm
-from .bessel1d import (TridiagForm, SingularFormError, stiffness_tridiag,
-                       transport_tridiag, node_weights, partition_weights,
-                       operator_norm, resolvent_pair, _rows)
+from .bessel1d import (ModeOperators, TridiagForm, SingularFormError,
+                       stiffness_tridiag, transport_tridiag, node_weights,
+                       partition_weights, operator_norm, resolvent_pair)
 
 
 def _values(f):
@@ -47,73 +48,6 @@ def _row_squares(z):
     """sum_k |z[i, k]|^2 for each row i of a complex (rows, k) array."""
     x = np.ascontiguousarray(z).view(float)
     return np.einsum("ij,ij->i", x, x)
-
-
-class ModeOperators:
-    """Frequency-independent pieces of M(xi) on a grid, assembled once.
-
-    form(s, k2) is the TridiagForm of F(xi) with s = a . xi, k2 = |xi|^2 and
-    weight W = W_(c-alpha), so M(xi) = -W^(-1) F(xi); the apply, solve and
-    derivative helpers reuse the same arrays, so every consumer sees the
-    identical discretization.
-    """
-
-    def __init__(self, grid, c, alpha):
-        y = grid.y_nodes
-        self.grid = grid
-        self.c = float(c)
-        self.alpha = float(alpha)
-        if not self.c > -1.0:
-            raise ValueError("need c > -1")
-        omega = partition_weights(y)
-        self.w_pot = y ** self.c * omega           # |xi|^2 potential weight
-        self.weight = y ** (self.c - self.alpha) * omega
-        self.y_alpha = y ** self.alpha
-        self.stiff = TridiagForm(*stiffness_tridiag(y, self.c), self.weight)
-        self.trans = TridiagForm(*transport_tridiag(y, self.c), self.weight)
-
-    @property
-    def size(self):
-        return self.weight.size
-
-    def form_bands(self, s, k2):
-        """(sub, diag, sup) of F(xi) = K - 2 i s P + k2 W_c.
-
-        Scalars s, k2 give one mode's bands; 1-d arrays of modes give every
-        band as a (rows, modes) array, built in one vectorised pass.
-        """
-        s = np.asarray(s, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
-        n = s.ndim + 1
-        K, P = self.stiff, self.trans
-        return (_rows(K.sub, n) - 2j * s * _rows(P.sub, n),
-                _rows(K.diag, n) - 2j * s * _rows(P.diag, n)
-                + k2 * _rows(self.w_pot, n),
-                _rows(K.sup, n) - 2j * s * _rows(P.sup, n))
-
-    def form(self, s, k2):
-        """TridiagForm of F(xi) with weight W_(c-alpha), one mode or many."""
-        return TridiagForm(*self.form_bands(s, k2), self.weight)
-
-    def solve(self, s, k2, lam, fhat):
-        """(lam - M(xi))^(-1) fhat for one mode."""
-        return self.form(s, k2).factor(lam).solve(self.weight * fhat)
-
-    def apply(self, s, k2, u):
-        """M(xi) u = -W^(-1) F(xi) u."""
-        return -self.form(s, k2).apply(u) / self.weight
-
-    def grad_term(self, u):
-        """y^alpha Dy u in the weak (form) realization W^(-1) P u.
-
-        u is one mode's profile or a (rows, modes) batch."""
-        u = np.asarray(u, dtype=complex)
-        return self.trans.apply(u) / _rows(self.weight, u.ndim)
-
-    def bessel_term(self, u):
-        """y^alpha B u in the weak realization -W^(-1) K u (one or a batch)."""
-        u = np.asarray(u, dtype=complex)
-        return -self.stiff.apply(u) / _rows(self.weight, u.ndim)
 
 
 def xi_lattice(box):

@@ -26,8 +26,8 @@ import numpy as np
 
 from .grid import (Field, XBox, lp_norm, linf_norm, make_grid,
                    write_field_csv)
-from .multiplier import (FrequencySolvePlan, ModeOperators,
-                         monolithic_sparse_solve)
+from .bessel1d import ModeOperators, resolvent_pair
+from .multiplier import FrequencySolvePlan, monolithic_sparse_solve
 from .params import ModelParams
 from . import panels
 
@@ -344,9 +344,11 @@ def mode_domination_check(c, alpha, mixing_s, k2, grid, rng, steps=24):
     v = np.abs(f)
     dt = 0.3 / steps
     lam = 1.0 / dt
+    step_s = resolvent_pair(ops.form(mixing_s, k2), lam)[0]
+    step_0 = resolvent_pair(ops.form(0.0, k2), lam)[0]
     for _ in range(steps):
-        u = ops.solve(mixing_s, k2, lam, u / dt)
-        v = ops.solve(0.0, k2, lam, v / dt)
+        u = step_s(u / dt)
+        v = step_0(v / dt)
     return float(np.max(np.abs(u) - v.real) / np.max(np.abs(v)))
 
 

@@ -91,6 +91,53 @@ def test_assemble_form_validation():
                          potential_coeff=0.0)
 
 
+def _bytes(a):
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+def test_model_forms_equal_the_inline_assembly_bitwise():
+    # the bands K_c - 2i s P_c + k2 W_c and weights that assemble_form wrote
+    # inline before every model-mode form came from ModeOperators
+    lam = 1.0 + 0.5j
+    for J in (16, 33):
+        for alpha in (-0.5, 0.5, 1.2):
+            g = make_grid(J, 1.0, default_grading(alpha))
+            y = g.y_nodes
+            for c in (-0.4, 1.0, 2.5):
+                ks, kd, ku = b1.stiffness_tridiag(y, c)
+                ps, pd, pu = b1.transport_tridiag(y, c)
+                w_c = b1.node_weights(y, c)
+                w_m = b1.node_weights(y, c - alpha)
+                op = b1.assemble_form(g, "bessel", c=c)
+                assert [_bytes(b) for b in (op.sub, op.diag, op.sup)] == \
+                    [_bytes(b) for b in (ks, kd, ku)]
+                assert op.weight.tobytes() == w_c.tobytes()
+                for s in (0.0, 0.7, -1.3):
+                    for k2 in (0.0, 2.0):
+                        sub = ks - 2j * s * ps
+                        diag = kd - 2j * s * pd + k2 * w_c
+                        sup = ku - 2j * s * pu
+                        kw = dict(c=c, alpha=alpha, mixing_freq=s,
+                                  freq_norm2=k2)
+                        mode = b1.assemble_form(g, "model_mode", **kw)
+                        pot = b1.assemble_form(g, "model_potential", lam=lam,
+                                               **kw)
+                        assert [_bytes(b) for b in
+                                (mode.sub, mode.diag, mode.sup)] == \
+                            [_bytes(b) for b in (sub, diag, sup)]
+                        assert mode.weight.tobytes() == w_m.tobytes()
+                        assert [_bytes(b) for b in
+                                (pot.sub, pot.diag, pot.sup)] == \
+                            [_bytes(b) for b in (sub, diag + lam * w_m, sup)]
+                        assert pot.weight.tobytes() == w_c.tobytes()
+                        assert mode.grid is g and pot.grid is g
+
+
+def test_mode_operators_is_the_multiplier_class():
+    from degenpde import multiplier
+    assert multiplier.ModeOperators is b1.ModeOperators
+
+
 def test_drift_form_real_part_is_drift_free():
     # the graded transport enters exactly skew-Hermitian: Re F independent of b
     g = make_grid(96, 1.0, 2.0)
@@ -434,6 +481,22 @@ def _scaled_resolvent_pair(op, lam):
             (lambda u: np.conj(lam) * w * lu.solve_adjoint(u)))
 
 
+def test_operator_norm_reruns_with_all_steps_when_capped(monkeypatch):
+    # diag(linspace(0, 1, 200)) needs about 60 Lanczos steps at tol 1e-12,
+    # more than the first run's cap: the value comes from the uncapped rerun
+    caps = []
+
+    def recording_svds(*args, **kwargs):
+        caps.append(kwargs["maxiter"])
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(b1, "svds", recording_svds)
+    d = np.linspace(0.0, 1.0, 200)
+    got = b1.operator_norm(lambda u: d * u, lambda u: d * u, np.ones(200))
+    assert caps == [b1._NORM_STEPS, 200]
+    assert abs(got - 1.0) <= 1e-12
+
+
 def test_operator_norm_is_one_on_positive_axis():
     # self-adjoint nonnegative generator: ||lam (lam + B)^(-1)|| = 1 exactly,
     # attained by the constants
@@ -594,11 +657,3 @@ def test_interpolation_inequality_stable():
     assert 0.0 < c2 < 5.0
     assert drift == abs(c2 - c1) / c1 < 0.2
 
-
-def test_uniform_frequency_bound_scan_bounded():
-    rep = b1.uniform_frequency_bound_scan(0.5, 1.0, [0.3], 2.0, 0.5, J=128,
-                                          exponents=range(-3, 10))
-    assert rep["max"] < 2.0              # stays bounded as |xi| grows
-    cs = rep["constants"]
-    # saturates toward its limit instead of blowing up with |xi|
-    assert cs[-1] < 1.1 * cs[-2]

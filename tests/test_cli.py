@@ -310,6 +310,37 @@ def test_sweep_requires_section_and_valid_parameter(tmp_path, capsys):
     assert "sweep.parameter" in capsys.readouterr().err
 
 
+VERTICAL_OPERATOR = dict(SMALL_OPERATOR, q_matrix=[], q_vector=[],
+                         drift_b=[], dimension=0)
+
+
+@pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
+def test_dimension_zero_is_config_error_for_solves(tmp_path, capsys,
+                                                   command):
+    # the solve commands work on an x-box; a purely vertical operator is bad
+    # input named at the config boundary, not an internal failure
+    cfg = _write_config(tmp_path, {"operator": VERTICAL_OPERATOR})
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: operator.dimension must be >= 1" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_sweep_accepts_dimension_zero(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "operator": VERTICAL_OPERATOR,
+        "sweep": {"parameter": "m", "values": [0.2, 0.6]},
+    })
+    d = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
+    rows = (d / "sweep.csv").read_text().strip().split("\n")
+    assert len(rows) == 3
+    assert all(r.split(",")[4] in ("yes", "no") for r in rows[1:])
+
+
 @pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
 def test_negative_refine_is_config_error(tmp_path, capsys, command):
     out_dir = tmp_path / "o"

@@ -6,7 +6,7 @@ import pytest
 from degenpde import multiplier as mp
 from degenpde import panels
 from degenpde.bessel1d import sector_angle
-from degenpde.grid import Field, XBox, make_grid
+from degenpde.grid import Field, XBox, default_grading, make_grid
 from degenpde.params import (ModelParams, OperatorSpec, SpaceSpec,
                              config_to_problem, reduce_to_model)
 from degenpde.semigroup import evolve
@@ -38,6 +38,19 @@ def test_mode_operators_validation_and_residual():
     rel = (np.sqrt(np.sum(np.abs(res) ** 2 * ops.weight))
            / np.sqrt(np.sum(np.abs(f) ** 2 * ops.weight)))
     assert rel < 1e-11
+
+
+def test_potential_family_bounded_uniformly_in_xi():
+    # the exact sup over lam of || |xi|^2 y^a R(lam, xi) || in L^2(y^0.5)
+    # per octave xi = 2^k: bounded, and levelling off as |xi| grows
+    exps = range(-3, 10)
+    rep = mp.mikhlin_bound_scan(
+        (0.1, 1.0, 10.0), [(2.0 ** k,) for k in exps], MODEL,
+        make_grid(128, 1.0, default_grading(0.5)), families=("potential",))
+    per_xi = [max(v for (_, beta, _, xi), v in rep["table"].items()
+                  if beta == (0,) and xi == (2.0 ** k,)) for k in exps]
+    assert max(per_xi) < 2.0
+    assert per_xi[-1] < 1.1 * per_xi[-2]
 
 
 def test_xi_lattice_shape_and_values():

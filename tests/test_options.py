@@ -14,8 +14,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "degenpde").glob("*.py"))
 CALLERS = sorted(path for top in ("src", "demos", "perfbench", "tests")
                  for path in (ROOT / top).rglob("*.py"))
-# deleted as a whole by the L^p operator-norm check of the roadmap
-EXEMPT = {"uniform_frequency_bound_scan"}
 
 
 def options(tree):
@@ -109,4 +107,4 @@ def test_every_option_has_a_caller():
     callers = [ast.parse(path.read_text()) for path in CALLERS]
     unset = unset_options([ast.parse(path.read_text()) for path in SOURCES],
                           callers)
-    assert [u for u in unset if u.split(".")[0] not in EXEMPT] == []
+    assert unset == []

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from degenpde import multiplier as mp
+from degenpde import panels
 from degenpde import semigroup as sg
+from degenpde.bessel1d import ModeOperators
 from degenpde.grid import Field, XBox, make_grid
 from degenpde.harness import refinement_study
 from degenpde.params import ModelParams
@@ -169,6 +171,23 @@ def test_mode_domination_slack_nonpositive():
         1.0, 0.5, 0.4, 1.0, make_grid(J, 1.0, 2.0), rng, steps=8))
     # the excess is signed: domination holds with a margin
     assert all(v < 0.0 for v in out)
+
+
+def test_mode_domination_equals_the_per_step_mode_solves():
+    # one factorisation per evolution reproduces the 24 mode solves, each of
+    # which assembles and factors its form again, bit for bit
+    g = make_grid(64, 1.0, 2.0)
+    got = sg.mode_domination_check(1.0, 0.5, 0.4, 1.0, g,
+                                   np.random.default_rng(3))
+    ops = ModeOperators(g, 1.0, 0.5)
+    f = panels.bump_profile(0.3, 0.1)(g.y_nodes).astype(complex)
+    f *= np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, f.size))
+    u, v = f.copy(), np.abs(f)
+    dt = 0.3 / 24
+    for _ in range(24):
+        u = ops.solve(0.4, 1.0, 1.0 / dt, u / dt)
+        v = ops.solve(0.0, 1.0, 1.0 / dt, v / dt)
+    assert got == float(np.max(np.abs(u) - v.real) / np.max(np.abs(v)))
 
 
 def test_maximal_regularity_ratio_stable():
