@@ -4,6 +4,8 @@ Commands
     solve_elliptic    (lam - L) u = f for the model form of the configured
                       operator, manufactured or configured forcing; prints a
                       residual line, writes solution.csv and manifest.json.
+                      A lam outside the analytic sector is solved but
+                      flagged: lam_in_sector false and a stderr warning.
     solve_parabolic   time evolution with snapshot CSVs and a manifest.
                       Both solves work on an x-box: operator.dimension >= 1.
     verify SUITE      run a registered check suite; exit 1 if any check fails.
@@ -29,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__, harness, panels, semigroup
-from .bessel1d import assemble_form, sector_resolvent_scan
+from .bessel1d import assemble_form, sector_angle, sector_resolvent_scan
 from .grid import XBox, Field, make_grid, default_grading, lp_norm, \
     write_field_csv
 from .harness import manufactured_mode_case, run_suite
@@ -229,6 +231,13 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     grid = _grid_for(cfg, model, refine)
     esec = _section(cfg, "elliptic", ELLIPTIC_KEYS)
     lam = complex(esec["lam"][0], esec["lam"][1])
+    # the resolvent bounds hold in the analytic sector; a lam outside it is
+    # solved, but flagged in the manifest and on stderr
+    half_angle = sector_angle(float(np.linalg.norm(model.mixing)))
+    in_sector = bool(abs(np.angle(lam)) < half_angle)
+    if not in_sector:
+        print("warning: lam = %r lies outside the analytic sector "
+              "|arg lam| < %.4f" % (lam, half_angle), file=sys.stderr)
     u_exact, f = manufactured_mode_case(model, grid, lam, esec["mode"],
                                         esec["center"], esec["width"])
     u, info = resolvent_nd(lam, f, model, grid, return_info=True)
@@ -243,6 +252,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     manifest["manufactured_error"] = float(err)
     manifest["window"] = {"value": window.value, "lower": window.lower,
                           "upper": window.upper, "passed": window.passed}
+    manifest["lam_in_sector"] = in_sector
     _write_manifest(out_dir, "manifest.json", manifest)
     print("solve_elliptic: residual %.3e manufactured_error %.3e -> %s"
           % (info["residual"], err, sol_path))

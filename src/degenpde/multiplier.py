@@ -9,8 +9,10 @@ the one-dimensional frozen-mode operator
 so (lam - L)^(-1) = IFFT o (lam - M(xi))^(-1) o FFT (the xi = 0 mode is the
 plain Bessel solve).  bessel1d.ModeOperators builds the forms F(xi), of one
 mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
-once and solves all modes in one batched tridiagonal sweep.  The derived
-multipliers, per mode:
+once and solves all modes in one batched tridiagonal solve: one LAPACK
+gttrs of the stacked block-diagonal system for at most
+bessel1d._STACK_MODES = 128 modes, one vectorised Thomas sweep for more.
+The derived multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),
     y^alpha Dx_j Dy u <->  i xi_j (y^alpha Dy) u(xi),
@@ -61,11 +63,12 @@ class FrequencySolvePlan:
     """Factor-once solve plan for one (model, grid, lam) triple.
 
     The form of F(xi) for every retained mode is one batched TridiagForm
-    with (J, modes) bands, and lam W + F(xi) is factored once by its
-    Thomas LU: a solve is one forward and one backward sweep over the J
-    rows, each row a vector over all modes.  A non-finite or zero pivot
-    raises RuntimeError naming its xi, and every solve reports its weighted
-    residual.
+    with (J, modes) bands, and lam W + F(xi) is factored once by
+    TridiagForm.factor: up to _STACK_MODES modes as one block-diagonal
+    gttrf, each solve one gttrs; a wider batch by its Thomas LU, each solve
+    one forward and one backward sweep over the J rows, each row a vector
+    over all modes.  A non-finite or zero pivot raises RuntimeError naming
+    its xi, and every solve reports its weighted residual.
 
     The mode-space entries work on (J, modes) x-Fourier coefficients:
     `band_product` is F(xi) u (so L u = -F u / W) and `solve_modes` is the

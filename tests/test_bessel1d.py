@@ -213,7 +213,7 @@ def test_tridiag_form_matches_dense_and_batches():
         assert np.allclose(op.apply(u[:, k]), op.dense() @ u[:, k],
                            rtol=1e-14, atol=0)
         assert np.array_equal(Fu[:, k], op.apply(u[:, k]))
-        # pivoted LU of one operator and the batch's Thomas LU
+        # pivoted LU of one operator and of the stacked batch
         x1 = op.factor(lam).solve(u[:, k])
         assert np.abs(A @ x1 - u[:, k]).max() <= 1e-12 * np.abs(u).max()
         assert np.abs(x[:, k] - x1).max() <= 1e-12 * np.abs(x1).max()
@@ -418,7 +418,7 @@ def test_expm_kernel_reruns_bitwise():
 
 def test_thomas_sweep_is_bitwise_the_reference_sweep():
     rng = np.random.default_rng(7)
-    J, modes = 65, 9
+    J, modes = 65, b1._STACK_MODES + 1
     sub, sup = (rng.standard_normal((J - 1, modes))
                 + 1j * rng.standard_normal((J - 1, modes)) for _ in range(2))
     diag = 4.0 + rng.standard_normal((J, modes)) + 0j
@@ -432,6 +432,65 @@ def test_thomas_sweep_is_bitwise_the_reference_sweep():
         u[i] -= lu.sup[i] * u[i + 1]
         u[i] *= lu.inv_piv[i]
     assert np.array_equal(lu.solve(b), u)
+
+
+def _random_batch(rng, J, modes):
+    """Complex bands of a (J, modes) batch; the diagonal is not dominant,
+    so gttrf pivots."""
+    sub, diag, sup = (rng.standard_normal((n, modes))
+                      + 1j * rng.standard_normal((n, modes))
+                      for n in (J - 1, J, J - 1))
+    return b1.TridiagForm(sub, diag, sup, 0.5 + rng.random(J))
+
+
+@pytest.mark.parametrize("J", [65, 128])
+@pytest.mark.parametrize("modes", [9, 64])
+def test_stacked_batch_is_bitwise_the_per_mode_solve(J, modes):
+    rng = np.random.default_rng(J + modes)
+    batch = _random_batch(rng, J, modes)
+    b = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
+    lam = 0.7 - 0.2j
+    lu = batch.factor(lam)
+    x, xa = lu.solve(b), lu.solve_adjoint(b)
+    for k in range(modes):
+        one = b1.TridiagForm(batch.sub[:, k], batch.diag[:, k],
+                             batch.sup[:, k], batch.weight).factor(lam)
+        assert isinstance(one, b1._PivotedLU)
+        assert np.array_equal(x[:, k], one.solve(b[:, k]))
+        assert np.array_equal(xa[:, k], one.solve_adjoint(b[:, k]))
+
+
+def test_factor_stacks_narrow_batches_and_sweeps_wide_ones():
+    rng = np.random.default_rng(3)
+    for modes, kind in ((b1._STACK_MODES, b1._PivotedLU),
+                        (b1._STACK_MODES + 1, b1._ThomasLU)):
+        batch = _random_batch(rng, 16, modes)
+        batch.diag += 8.0
+        assert type(batch.factor(1.0)) is kind
+
+
+@pytest.mark.parametrize("modes", [9, b1._STACK_MODES + 1])
+@pytest.mark.parametrize("last", [False, True])
+def test_singular_form_error_names_the_column_on_both_paths(modes, last):
+    # a stacked NaN block before the last reaches a zero coupling and gttrf
+    # reports it; in the last block only the finite-pivot test sees it
+    rng = np.random.default_rng(5)
+    J, lam = 24, 1.0
+    col = modes - 1 if last else 6
+    batch = _random_batch(rng, J, modes)
+    batch.diag += 8.0
+    nan_diag = batch.diag.copy()
+    nan_diag[J // 2, col] = np.nan
+    # column col of lam W + F is exactly zero: a zero pivot in its first row
+    zero_sub, zero_diag, zero_sup = (batch.sub.copy(), batch.diag.copy(),
+                                     batch.sup.copy())
+    zero_sub[:, col] = zero_sup[:, col] = 0.0
+    zero_diag[:, col] = -lam * batch.weight
+    for bands in ((batch.sub, nan_diag, batch.sup),
+                  (zero_sub, zero_diag, zero_sup)):
+        with pytest.raises(b1.SingularFormError) as err:
+            b1.TridiagForm(*bands, batch.weight).factor(lam)
+        assert err.value.column == col
 
 
 def _loop_binned_fit(kernel, t, dist, prefactor):

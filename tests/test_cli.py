@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, outputs, reproducibility."""
 
 import json
+import math
 import os
 
 import pytest
@@ -49,7 +50,33 @@ def test_solve_elliptic_defaults_and_reproducible(tmp_path, capsys):
     assert man["command"] == "solve_elliptic"
     assert man["residual"] < 1e-9
     assert man["window"]["passed"] is True
+    assert man["lam_in_sector"] is True
     assert man["outputs"] == ["solution.csv"]
+
+
+# the README operator: 2-d, |mixing| = 0.052, sector half-angle 1.519 rad
+README_OPERATOR = {
+    "q_matrix": [[2.0, 0.3], [0.3, 1.5]], "q_vector": [0.4, -0.2],
+    "gamma": 1.2, "drift_b": [0.5, -0.3], "drift_c": 1.4, "alpha1": 0.5,
+    "alpha2": -0.3, "p": 2.5, "m": 0.6, "dimension": 2,
+}
+
+
+@pytest.mark.parametrize("arg, inside", [(1.55, False), (1.4, True)])
+def test_solve_elliptic_flags_lam_outside_the_sector(tmp_path, capsys, arg,
+                                                    inside):
+    lam = [10.0 * math.cos(arg), 10.0 * math.sin(arg)]
+    cfg = _write_config(tmp_path, {
+        "operator": README_OPERATOR,
+        "grid": {"num_cells": 32, "num_x": 8},
+        "elliptic": {"lam": lam},
+    })
+    d = tmp_path / "out"
+    assert main(["solve_elliptic", "--config", cfg, "--out", str(d)]) == 0
+    man = json.loads((d / "manifest.json").read_text())
+    assert man["lam_in_sector"] is inside
+    err = capsys.readouterr().err
+    assert ("outside the analytic sector" in err) is not inside
 
 
 def test_solve_elliptic_refinement_reduces_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Frequency decoupling: per-mode solves, derived multipliers, scans."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ def test_batched_plan_rejects_blown_up_pivots(lam):
     model, grid, _, _ = _readme_case()
     with pytest.raises(RuntimeError, match="xi="):
         mp.FrequencySolvePlan(lam, model, grid)
+
+
+@pytest.mark.parametrize("nx", [8, 16])
+def test_plan_names_the_xi_of_a_failing_mode(monkeypatch, nx):
+    # 64 modes factor as one stacked gttrf, 256 by the Thomas sweep
+    model, grid, _, _ = _readme_case(J=32, nx=nx)
+    form = mp.ModeOperators.form
+    bad = 37
+
+    def nan_mode(self, s, k2):
+        f = form(self, s, k2)
+        f.diag[3, bad] = np.nan
+        return f
+
+    xi = mp.xi_lattice(grid.x_box).reshape(-1, model.dim)[bad]
+    monkeypatch.setattr(mp.ModeOperators, "form", nan_mode)
+    with pytest.raises(RuntimeError, match=re.escape("xi=%r" % (xi,))):
+        mp.FrequencySolvePlan(2.0, model, grid)
 
 
 def test_xi_derivative_first_and_second_order():

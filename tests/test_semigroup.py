@@ -162,7 +162,8 @@ def test_positivity_exact_for_pure_bessel():
              for J in (32, 64)]
     values, _ = refinement_study(
         grids, lambda g: sg.positivity_check(model0, g, steps=6))
-    assert values == [0.0, 0.0]
+    # the margin is signed: the M-matrix scheme keeps u > 0 after t = 0
+    assert all(v < 0.0 for v in values)
 
 
 def test_mode_domination_slack_nonpositive():
