@@ -236,10 +236,11 @@ class TridiagForm:
 
 
 # A batch of at most this many modes is factored as one block-diagonal gttrf,
-# a wider one by the Thomas sweep: per solve at J = 256 (2 cores, scipy
-# 1.17.1) the stacked gttrs takes 0.39 ms against the sweep's 0.88 ms at 64
-# modes, and 1.44 ms against 1.19 ms at 256.
-_STACK_MODES = 128
+# a wider one by the Thomas sweep.  Medians at (J, modes) = (256, 32), 2 cores,
+# scipy 1.17.1: factor 0.30 ms stacked against 1.11 ms by Thomas, solve 0.20
+# against 1.27 ms; at 64 modes the stacked factor already loses (1.58 against
+# 1.29 ms), and factor plus one solve loses from 96 modes at J = 128.
+_STACK_MODES = 32
 
 
 def _mode_major(band, J):

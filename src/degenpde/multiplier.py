@@ -11,7 +11,7 @@ plain Bessel solve).  bessel1d.ModeOperators builds the forms F(xi), of one
 mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
 once and solves all modes in one batched tridiagonal solve: one LAPACK
 gttrs of the stacked block-diagonal system for at most
-bessel1d._STACK_MODES = 128 modes, one vectorised Thomas sweep for more.
+bessel1d._STACK_MODES = 32 modes, one vectorised Thomas sweep for more.
 The derived multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),

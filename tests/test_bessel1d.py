@@ -223,6 +223,23 @@ def test_tridiag_form_matches_dense_and_batches():
     with pytest.raises(b1.SingularFormError, match="column 1"):
         b1.TridiagForm(batch.sub, batch.diag * [1.0, np.nan, 1.0], batch.sup,
                        batch.weight).factor(lam)
+    # a batch one mode wider than _STACK_MODES takes the Thomas sweep
+    freqs = [(s, k2) for s in (0.0, 0.4, -1.3) for k2 in range(11)]
+    freqs = freqs[:b1._STACK_MODES + 1]
+    wide = b1.TridiagForm(*(np.stack(
+        [getattr(b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
+                                  mixing_freq=s, freq_norm2=k2 + s * s), k)
+         for s, k2 in freqs], axis=1) for k in ("sub", "diag", "sup")),
+        ops[0].weight)
+    lu = wide.factor(lam)
+    assert isinstance(lu, b1._ThomasLU)
+    u = rng.standard_normal((g.num_y, len(freqs))) + 0j
+    x = lu.solve(u)
+    for k in range(len(freqs)):
+        A = b1.TridiagForm(wide.sub[:, k], wide.diag[:, k], wide.sup[:, k],
+                           wide.weight).dense() + lam * np.diag(wide.weight)
+        xd = np.linalg.solve(A, u[:, k])
+        assert np.abs(x[:, k] - xd).max() <= 1e-12 * np.abs(xd).max()
 
 
 def test_resolve_batched_rhs_shape():
@@ -444,7 +461,7 @@ def _random_batch(rng, J, modes):
 
 
 @pytest.mark.parametrize("J", [65, 128])
-@pytest.mark.parametrize("modes", [9, 64])
+@pytest.mark.parametrize("modes", [9, b1._STACK_MODES])
 def test_stacked_batch_is_bitwise_the_per_mode_solve(J, modes):
     rng = np.random.default_rng(J + modes)
     batch = _random_batch(rng, J, modes)

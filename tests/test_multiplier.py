@@ -7,7 +7,7 @@ import pytest
 
 from degenpde import multiplier as mp
 from degenpde import panels
-from degenpde.bessel1d import sector_angle
+from degenpde.bessel1d import _PivotedLU, _ThomasLU, sector_angle
 from degenpde.grid import Field, XBox, default_grading, make_grid
 from degenpde.params import (ModelParams, OperatorSpec, SpaceSpec,
                              config_to_problem, reduce_to_model)
@@ -129,10 +129,11 @@ def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def test_batched_plan_matches_mode_loop():
-    model, grid, f, lams = _readme_case()
+def _check_plan_against_mode_loop(nx, lu_type):
+    model, grid, f, lams = _readme_case(nx=nx)
     for lam in lams:
         plan = mp.FrequencySolvePlan(lam, model, grid)
+        assert type(plan.lu) is lu_type
         u, info = plan.solve(Field(f, grid))
         ref = _mode_loop(model, grid, f,
                          lambda ops, s, k2, fk: ops.solve(s, k2, lam, fk))
@@ -147,8 +148,18 @@ def test_batched_plan_matches_mode_loop():
         assert _rel(d["solution"].values, ref) <= 1e-12
 
 
-def test_batched_plan_crank_nicolson_matches_mode_loop():
-    model, grid, f, _ = _readme_case()
+def test_batched_plan_matches_mode_loop():
+    # 64 modes: wider than _STACK_MODES, the Thomas sweep of the 2-d solves
+    _check_plan_against_mode_loop(8, _ThomasLU)
+
+
+def test_stacked_plan_matches_mode_loop():
+    # 16 modes: one stacked gttrf
+    _check_plan_against_mode_loop(4, _PivotedLU)
+
+
+def _check_crank_nicolson_against_mode_loop(nx):
+    model, grid, f, _ = _readme_case(nx=nx)
     steps, t_final = 10, 0.05
     lam = 2.0 * steps / t_final
     run = evolve(Field(f, grid), None, model, grid, "crank_nicolson",
@@ -163,6 +174,14 @@ def test_batched_plan_crank_nicolson_matches_mode_loop():
     assert _rel(run.final.values, ref) <= 1e-12
 
 
+def test_batched_plan_crank_nicolson_matches_mode_loop():
+    _check_crank_nicolson_against_mode_loop(8)
+
+
+def test_stacked_plan_crank_nicolson_matches_mode_loop():
+    _check_crank_nicolson_against_mode_loop(4)
+
+
 @pytest.mark.parametrize("lam", [complex(np.nan, 0.0), complex(np.inf, 1.0)])
 def test_batched_plan_rejects_blown_up_pivots(lam):
     model, grid, _, _ = _readme_case()
@@ -170,12 +189,12 @@ def test_batched_plan_rejects_blown_up_pivots(lam):
         mp.FrequencySolvePlan(lam, model, grid)
 
 
-@pytest.mark.parametrize("nx", [8, 16])
+@pytest.mark.parametrize("nx", [4, 16])
 def test_plan_names_the_xi_of_a_failing_mode(monkeypatch, nx):
-    # 64 modes factor as one stacked gttrf, 256 by the Thomas sweep
+    # 16 modes factor as one stacked gttrf, 256 by the Thomas sweep
     model, grid, _, _ = _readme_case(J=32, nx=nx)
     form = mp.ModeOperators.form
-    bad = 37
+    bad = 11
 
     def nan_mode(self, s, k2):
         f = form(self, s, k2)
