@@ -275,10 +275,11 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     manifest = _manifest_base("solve_parabolic", cfg, seed, chain)
     sub = run.export_csvs(out_dir, "snapshot", model=model, chain=chain)
     manifest["evolution"] = sub
+    manifest["residual"] = run.residual
     _write_manifest(out_dir, "manifest.json", manifest)
     final_norm = lp_norm(run.final.values, model.p, model.m, grid)
-    print("solve_parabolic: %d steps of %s, final norm %.6g -> %s"
-          % (steps, psec["scheme"], final_norm, out_dir))
+    print("solve_parabolic: %d steps of %s, residual %.3e, final norm %.6g "
+          "-> %s" % (steps, psec["scheme"], run.residual, final_norm, out_dir))
     return 0
 
 

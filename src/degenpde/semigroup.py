@@ -40,7 +40,8 @@ class EvolutionRun:
     `snapshots` holds one Field per kept time index, `kept` =
     0, stride, 2 stride, ...; `final` is the state at the last time, kept
     also when its index is off the stride.  `residual` is the worst weighted
-    residual over the steps' mode solves; it is not exported.
+    residual over the steps' mode solves; solve_parabolic's manifest
+    records it.
     """
 
     def __init__(self, times, scheme, snapshots, stride=1, final=None,

@@ -111,6 +111,9 @@ def test_solve_parabolic_snapshots_reproducible(tmp_path, capsys):
     names = snaps + ["manifest.json", "snapshot_manifest.json"]
     assert _read_bytes(d1, names) == _read_bytes(d2, names)
     assert man["evolution"]["scheme"] == "backward_euler"
+    assert 0.0 < man["residual"] <= 1e-12
+    out = capsys.readouterr().out
+    assert "residual %.3e" % man["residual"] in out
 
 
 def test_verify_small_suite_passes(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Graded mesh, weighted quadrature, stencils, field CSV export."""
 
+import os
+
 import numpy as np
 import pytest
 
+from degenpde import grid as grid_module
 from degenpde.grid import (XBox, Field, make_grid, default_grading, lp_norm,
                            linf_norm, diff1_matrix, diff2_matrix,
                            write_field_csv)
@@ -115,13 +118,9 @@ def _oracle_field_csv(path, field):
         fh.write("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("box,header", [
-    (None, "y,re,im"),
-    (XBox(2.0 * np.pi, 4, 1), "ix0,y,re,im"),
-    (XBox(3.0, 6, 2), "ix0,ix1,y,re,im"),
-])
-def test_field_csv_matches_per_row_oracle(tmp_path, box, header):
-    g = make_grid(16 if box is None else 5, 1.3, 1.7, box)
+def _special_field(box, J):
+    """A field whose values put the %.17g corner cases at both ends."""
+    g = make_grid(J, 1.3, 1.7, box)
     rng = np.random.default_rng(3)
     special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e300, 0.0,
                3.0, -42.0, 2.0 ** 53, 0.12345678901234567,
@@ -130,12 +129,85 @@ def test_field_csv_matches_per_row_oracle(tmp_path, box, header):
     parts *= 10.0 ** rng.uniform(-20, 20, parts.size)
     parts[:len(special)] = special
     parts[-len(special):] = special[::-1]
-    f = Field(parts.view(complex).reshape(g.shape), g)
+    return Field(parts.view(complex).reshape(g.shape), g)
+
+
+@pytest.mark.parametrize("box,header", [
+    (None, "y,re,im"),
+    (XBox(2.0 * np.pi, 4, 1), "ix0,y,re,im"),
+    (XBox(3.0, 6, 2), "ix0,ix1,y,re,im"),
+])
+def test_field_csv_matches_per_row_oracle(tmp_path, box, header):
+    f = _special_field(box, 16 if box is None else 5)
     got, want = tmp_path / "new.csv", tmp_path / "oracle.csv"
     write_field_csv(str(got), f)
     _oracle_field_csv(str(want), f)
     assert got.read_bytes() == want.read_bytes()
     lines = got.read_text().splitlines()
     assert lines[0] == header
-    assert len(lines) == 1 + int(np.prod(g.shape))
+    assert len(lines) == 1 + int(np.prod(f.grid.shape))
     assert lines[1].endswith(",-0,inf")
+
+
+def _split_three_ways(monkeypatch):
+    """Split every field, over three reported cores; returns the fork log.
+
+    Three ranges split 4 or 100 x-points unevenly; 2 x-points give two
+    ranges, one per block.  A one-core machine still forks here.
+    """
+    monkeypatch.setattr(grid_module, "_SPLIT_FLOATS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = []
+    real_fork = os.fork
+
+    def logged_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    return forks
+
+
+@pytest.mark.parametrize("box,J,children", [
+    (XBox(2.0 * np.pi, 4, 1), 5, 2),     # ranges of 1, 1 and 2 x-points
+    (XBox(3.0, 6, 2), 5, 2),             # 12 x-points each
+    (XBox(3.0, 10, 2), 4, 2),            # 33, 33 and 34 x-points
+    (XBox(1.0, 2, 1), 6, 1),             # two ranges of one x-point
+    (None, 16, 0),                       # one x-point block: no fork
+])
+def test_split_field_csv_matches_per_row_oracle(tmp_path, monkeypatch, box,
+                                                J, children):
+    forks = _split_three_ways(monkeypatch)
+    f = _special_field(box, J)
+    got, want = tmp_path / "new.csv", tmp_path / "oracle.csv"
+    write_field_csv(str(got), f)
+    _oracle_field_csv(str(want), f)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(forks) == children
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "oracle.csv"]
+
+
+@pytest.mark.parametrize("in_child,error", [(True, OSError),
+                                              (False, RuntimeError)])
+def test_split_field_csv_failure_leaves_no_part_or_child(tmp_path,
+                                                         monkeypatch,
+                                                         in_child, error):
+    # a failed child surfaces as OSError naming the path, a failure in the
+    # parent's own range as itself; either way every child is reaped
+    _split_three_ways(monkeypatch)
+    parent = os.getpid()
+    real_write = grid_module._write_blocks
+
+    def failing_write(*args):
+        if (os.getpid() != parent) == in_child:
+            raise RuntimeError("disk trouble")
+        real_write(*args)
+
+    monkeypatch.setattr(grid_module, "_write_blocks", failing_write)
+    path = tmp_path / "field.csv"
+    with pytest.raises(error) as info:
+        write_field_csv(str(path), _special_field(XBox(3.0, 6, 2), 5))
+    assert str(path if in_child else "disk trouble") in str(info.value)
+    assert not [n for n in os.listdir(tmp_path) if ".part" in n]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
