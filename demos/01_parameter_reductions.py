@@ -57,8 +57,8 @@ print("  mixing   =", np.round(model.mixing, 12).tolist(),
 print("  alpha    = %.12g" % model.alpha)
 print("  c_bessel = %.12g" % model.c_bessel)
 print("  (m, p)   = (%.12g, %g)" % (model.m, model.p))
-print("  chain    =", "->".join(s.kind for s in chain.steps),
-      " scale = %.12g" % chain.scale)
+print("  chain    =", "->".join(s["kind"] for s in chain["steps"]),
+      " scale = %.12g" % chain["scale"])
 
 # the window is preserved by the reduction (it is a conjugation invariant)
 rep_model = validate_window(model)
@@ -68,12 +68,12 @@ print("  model window: %.4f < %.4f < %.4f  ->  %s"
 # the exponent-map group law: pulling back by beta then inverting is the
 # identity, and consecutive pullbacks compose
 beta = 0.7
-a1, a2, c, m, p = -0.2, 0.9, 1.1, 0.4, 2.5
-fwd = beta_map(beta, a1, a2, c, m, p)
-back = beta_map(invert_beta(beta), fwd[0], fwd[1], fwd[2], fwd[3], p)
+a1, a2, c, m = -0.2, 0.9, 1.1, 0.4
+fwd = beta_map(beta, a1, a2, c, m)
+back = beta_map(invert_beta(beta), *fwd)
 err_rt = max(abs(g - w) for g, w in zip(back, (a1, a2, c, m)))
-two = beta_map(0.3, *beta_map(beta, a1, a2, c, m, p), p)
-one = beta_map(compose_beta(beta, 0.3), a1, a2, c, m, p)
+two = beta_map(0.3, *fwd)
+one = beta_map(compose_beta(beta, 0.3), a1, a2, c, m)
 err_comp = max(abs(g - w) for g, w in zip(two, one))
 print("\nexponent-map round trip error  = %.3e" % err_rt)
 print("exponent-map composition error = %.3e" % err_comp)

@@ -32,7 +32,7 @@ from .params import (
 )
 from .grid import Grid, Field, make_grid, lp_norm
 from .bessel1d import TridiagForm, Kernel1D, assemble_form, resolve, expm_kernel
-from .transforms import TransformChain, apply_power, apply_phase, apply_shear
+from .transforms import apply_power, apply_phase, apply_shear
 from .multiplier import FrequencySolvePlan, resolvent_nd, derived_multipliers
 from .semigroup import EvolutionRun, evolve
 from .harness import EstimateResult, run_suite, square_function_ratio
@@ -44,7 +44,7 @@ __all__ = [
     "validate_window", "beta_map", "shear_map", "reduce_to_model",
     "Grid", "Field", "make_grid", "lp_norm",
     "TridiagForm", "Kernel1D", "assemble_form", "resolve", "expm_kernel",
-    "TransformChain", "apply_power", "apply_phase", "apply_shear",
+    "apply_power", "apply_phase", "apply_shear",
     "FrequencySolvePlan", "resolvent_nd", "derived_multipliers",
     "EvolutionRun", "evolve",
     "EstimateResult", "run_suite", "square_function_ratio",

@@ -110,7 +110,10 @@ def transport_tridiag(y, s):
 
 
 def partition_weights(y):
-    """omega_j = Int phi_j dy on [y_0, y_Jm1]: half the adjacent spacings."""
+    """omega_j = Int phi_j dy on [y_0, y_Jm1]: half the adjacent spacings.
+
+    Their ratio to grid.lp_norm's cell-length weights is 1 at interior
+    nodes on gradings 1 and 2, near 1 on others; lp_norm gives the values."""
     y = np.asarray(y, dtype=float)
     h = np.diff(y)
     w = np.zeros(y.size)

@@ -220,7 +220,7 @@ def _manifest_base(command, cfg, seed, chain):
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
         },
-        "transform_chain": chain.to_dict() if chain is not None else None,
+        "transform_chain": chain,
     }
 
 

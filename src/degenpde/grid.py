@@ -155,33 +155,23 @@ def make_grid(num_cells, y_max=1.0, grading=1.0, x_box=None):
     return Grid(nodes, edges, y_max, grading, x_box)
 
 
-def _split_field(u, grid):
-    if isinstance(u, Field):
-        return u.values, u.grid
-    if grid is None:
-        raise ValueError("pass a Field or (values, grid)")
-    return np.asarray(u), grid
-
-
-def lp_norm(u, p, m, grid=None):
-    """Weighted norm (sum |u|^p y^m dx dy)^(1/p) on the grid quadrature.
+def lp_norm(values, p, m, grid):
+    """Weighted norm (sum |u|^p y^m dx dy)^(1/p) of grid values.
 
     The y-direction uses the cell-length weights, the x-directions the uniform
-    torus weight (L/Nx)^dim.
+    torus weight (L/Nx)^dim.  The solver weights y by the P1 partition weights
+    (bessel1d.partition_weights), whose ratio to the cell lengths on grading
+    g is: for g = 1, 1 inside and 1/2 at both ends; for g = 2, 1 except
+    (J-1)/(2J-1) at the last node; for other g only near 1 (the README
+    operator's g = 1.217: 0.604 at the first node, interior ratios up to 1.1%
+    from 1 at every J).
     """
-    values, g = _split_field(u, grid)
     p = float(p)
-    wy = g.y_weights * g.y_nodes ** float(m)
+    wy = grid.y_weights * grid.y_nodes ** float(m)
     s = np.sum(np.abs(values) ** p * wy, axis=-1)
-    if g.x_box is not None:
-        s = np.sum(s) * g.x_box.spacing ** g.x_box.dim
+    if grid.x_box is not None:
+        s = np.sum(s) * grid.x_box.spacing ** grid.x_box.dim
     return float(s ** (1.0 / p))
-
-
-def linf_norm(u):
-    """Max-modulus norm of a Field or array."""
-    values = u.values if isinstance(u, Field) else np.asarray(u)
-    return float(np.abs(values).max())
 
 
 def _three_point_matrix(y, interior, end):
@@ -287,7 +277,8 @@ def write_field_csv(path, field):
     threads cannot share it.  A field of at least _SPLIT_FLOATS numbers
     (where a fork starts to pay; timings at the constant) is split instead
     into one contiguous range of x-points per usable core; a smaller field,
-    a 1-d field (one x-point block) or one core writes one range and forks
+    a 1-d field (one x-point block), one core, or a platform without os.fork
+    or os.sched_getaffinity (Windows, macOS) writes one range and forks
     nothing.  The ranges after the first are written to sibling part files
     by children forked before `path` is opened.  A child runs only Python
     formatting and file writes, never BLAS, whose threads the fork did not
@@ -307,7 +298,8 @@ def write_field_csv(path, field):
     nx = 1 if dim == 0 else g.x_box.num_points
     indices = list(itertools.product(range(nx), repeat=dim))
     ranges = 1
-    if blocks.size >= _SPLIT_FLOATS:
+    if (blocks.size >= _SPLIT_FLOATS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")):
         ranges = min(len(os.sched_getaffinity(0)), len(blocks))
     cuts = [len(blocks) * k // ranges for k in range(ranges + 1)]
     parts = ["%s.part%d" % (path, k) for k in range(1, ranges)]

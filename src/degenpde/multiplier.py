@@ -71,7 +71,7 @@ class FrequencySolvePlan:
     its xi, and every solve reports its weighted residual.
 
     The mode-space entries work on (J, modes) x-Fourier coefficients:
-    `band_product` is F(xi) u (so L u = -F u / W) and `solve_modes` is the
+    `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is the
     sweep with its residual.  `solve` and `apply_operator` wrap them in one
     forward and one inverse FFT; a time stepper calls them directly and
     stays in mode space between steps.
@@ -111,10 +111,6 @@ class FrequencySolvePlan:
         """(lam - M(xi))^(-1) fh for every mode: W fh through the factors."""
         return self.lu.solve(self.ops.weight[:, None] * fh, overwrite_b=True)
 
-    def band_product(self, uh):
-        """F(xi) uh for every mode of (J, modes) coefficients."""
-        return self.form.apply(uh)
-
     def solve_modes(self, fh):
         """(lam - M(xi))^(-1) fh for (J, modes) coefficients fh.
 
@@ -123,7 +119,7 @@ class FrequencySolvePlan:
         and L uh = -fu / W for a caller that needs it.
         """
         uh = self._sweep(fh)
-        fu = self.band_product(uh)
+        fu = self.form.apply(uh)
         w = self.ops.weight
         # W r = F u + (lam u - f) W, and |r|^2_W = sum_rows |W r|^2 / W; a
         # row's sum of |.|^2 is the sum of squares of its float view, one
@@ -139,7 +135,7 @@ class FrequencySolvePlan:
 
     def apply_operator(self, u):
         """L u through the same per-mode form realization as the solves."""
-        out = self.band_product(self._to_modes(_values(u)))
+        out = self.form.apply(self._to_modes(_values(u)))
         out /= -self.ops.weight[:, None]
         return Field(self._from_modes(out), self.grid)
 
@@ -496,8 +492,8 @@ def reduced_mode_solve(spec, space, lam, xi, fhat, grid):
     from .transforms import power_image_grid
 
     model, chain = reduce_to_model(spec, space)
-    steps = {st.kind: st.payload for st in chain.steps}
-    scale = chain.scale
+    steps = {st["kind"]: st for st in chain["steps"]}
+    scale = chain["scale"]
     y = grid.y_nodes
     g = np.asarray(fhat, dtype=complex)
     if "shear" in steps:

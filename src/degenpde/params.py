@@ -218,17 +218,17 @@ def validate_window(spec, space=None):
     return WindowReport((m + 1.0) / p, lower, upper)
 
 
-def beta_map(beta, alpha1, alpha2, c, m, p):
+def beta_map(beta, alpha1, alpha2, c, m):
     """Parameter action of the vertical power substitution y -> y^(beta+1).
 
-    The substitution is an isometry of L^p(y^m dy) onto L^p(y^mt dy) and maps
-    the operator class into itself with
+    The substitution is an isometry of L^p(y^m dy) onto L^p(y^mt dy) for
+    every p, and maps the operator class into itself with
 
         a1 -> a1 / (beta+1),          a2 -> (a2 + 2 beta) / (beta+1),
-        c  -> (c + beta) / (beta+1),  m  -> (m - beta) / (beta+1).
+        c  -> (c + beta) / (beta+1),  m  -> (m - beta) / (beta+1),
 
-    p is unchanged (listed for signature symmetry).  beta = -1 is the
-    degenerate collapse and is rejected.
+    none of which involves p.  beta = -1 is the degenerate collapse and is
+    rejected.
 
     Returns
     -------
@@ -296,24 +296,9 @@ def shear_map(spec):
                         spec.alpha1, spec.alpha2)
 
 
-def _symmetric_eigh(M):
-    """eigh with a deterministic sign convention.
-
-    Eigenvalues ascending; each eigenvector is flipped so that its first
-    component exceeding 1e-12 of the column max is positive.
-    """
-    w, V = np.linalg.eigh(M)
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.nonzero(abs(col) > 1e-12 * abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
-    return w, V
-
-
 def _inv_sqrt_sym(M):
     """Symmetric inverse square root of a positive definite matrix."""
-    w, V = _symmetric_eigh(M)
+    w, V = np.linalg.eigh(M)
     if w.min() <= 0:
         raise ValueError("matrix not positive definite")
     return (V * w ** -0.5) @ V.T
@@ -336,38 +321,38 @@ def reduce_to_model(spec, space):
 
     Returns
     -------
-    (ModelParams, TransformChain)
-        The chain applies right-to-left to model-side functions: u = T v.
+    (ModelParams, dict)
+        The chain {"scale": s, "p": p, "steps": [...]}, the form the
+        manifests record.  Each step is a dict with its "kind" ("shear",
+        "linear_x" or "power") and payload, outer to inner as the reduction
+        applies them; the chain applies right-to-left to model-side
+        functions: u = T v.
     """
-    from .transforms import TransformChain, TransformStep
-
     steps = []
     work = spec
     if spec.dim and abs(spec.drift_b).max() != 0.0:
         shift = spec.drift_b / spec.drift_c
         work = shear_map(spec)
-        steps.append(TransformStep("shear", {"shift": shift.tolist()}))
+        steps.append({"kind": "shear", "shift": shift.tolist()})
 
     beta = 0.5 * (work.alpha1 - work.alpha2)
     g = work.gamma
     if work.dim:
         A = (beta + 1.0) * np.sqrt(g) * _inv_sqrt_sym(work.q_matrix)
         mixing = _inv_sqrt_sym(work.q_matrix) @ work.q_vector / np.sqrt(g)
-        steps.append(TransformStep("linear_x", {
-            "matrix": A.tolist(),
-            "det": float(np.linalg.det(A)),
-        }))
+        steps.append({"kind": "linear_x", "matrix": A.tolist(),
+                      "det": float(np.linalg.det(A))})
     else:
         mixing = np.zeros(0)
 
-    steps.append(TransformStep("power", {"beta": beta}))
+    steps.append({"kind": "power", "beta": beta})
 
     alpha1_t, alpha2_t, c_t, m_t = beta_map(
-        beta, work.alpha1, work.alpha2, work.drift_c / g, space.m, space.p)
+        beta, work.alpha1, work.alpha2, work.drift_c / g, space.m)
     # beta = (a1-a2)/2 equalizes the powers: alpha1_t == alpha2_t == alpha.
     alpha = alpha1_t
     model = ModelParams(mixing, alpha, c_t, m_t, space.p)
-    chain = TransformChain(steps, scale=g * (beta + 1.0) ** 2, p=space.p)
+    chain = {"scale": g * (beta + 1.0) ** 2, "p": space.p, "steps": steps}
     return model, chain
 
 

@@ -12,10 +12,10 @@ Three concrete maps move fields between the full operator and its model form:
     applied spectrally: each horizontal slice is translated by e y via the
     FFT phase factor.
 
-A TransformChain records the sequence produced by the parameter reduction
-(shear, then linear x-map, then power substitution) together with the scalar
-similarity factor; to_dict serializes it for the manifests.  The linear x-map
-acts on parameters only (whitening the diffusion matrix).
+The parameter reduction (params.reduce_to_model) records its sequence of
+maps (shear, then linear x-map, then power substitution) and the scalar
+similarity factor as a plain dict, which the manifests store as is.  The
+linear x-map acts on parameters only (whitening the diffusion matrix).
 
 similarity_check_power verifies the conjugation identity of the power map
 against the transformed coefficients in strong form, per horizontal frequency,
@@ -29,45 +29,6 @@ from .grid import (Grid, Field, make_grid, default_grading, diff1_matrix,
                    diff2_matrix)
 from .params import invert_beta, beta_map
 from . import panels
-
-
-class TransformStep:
-    """One step of a chain: kind in {power, shear, linear_x} + payload."""
-
-    KINDS = ("power", "shear", "linear_x")
-
-    def __init__(self, kind, payload):
-        if kind not in self.KINDS:
-            raise ValueError("unknown transform kind %r" % (kind,))
-        self.kind = kind
-        self.payload = dict(payload)
-
-    def to_dict(self):
-        return {"kind": self.kind, **self.payload}
-
-    def __repr__(self):
-        return "TransformStep(%s, %r)" % (self.kind, self.payload)
-
-
-class TransformChain:
-    """Ordered sequence of isometry steps with a scalar similarity factor.
-
-    Steps are stored outer-to-inner, as the reduction applies them.  scale is
-    the factor s in L = s T M T^(-1).
-    """
-
-    def __init__(self, steps, scale=1.0, p=2.0):
-        self.steps = list(steps)
-        self.scale = float(scale)
-        self.p = float(p)
-
-    def to_dict(self):
-        return {"scale": self.scale, "p": self.p,
-                "steps": [s.to_dict() for s in self.steps]}
-
-    def __repr__(self):
-        return ("TransformChain(%s, scale=%g)"
-                % ("->".join(s.kind for s in self.steps), self.scale))
 
 
 def power_image_grid(grid, beta):
@@ -117,7 +78,7 @@ def apply_phase(field, mixing_freq, power, inverse=False):
     return Field(field.values * phase, field.grid)
 
 
-def apply_shear(field, shift, inverse=False):
+def apply_shear(field, shift):
     """Vertical shear u(x - e y, y) applied spectrally per y-slice.
 
     shift is the vector e (length = x dimension).  The translation by e y_j
@@ -129,9 +90,8 @@ def apply_shear(field, shift, inverse=False):
     e = np.atleast_1d(np.asarray(shift, dtype=float))
     if e.size != g.x_box.dim:
         raise ValueError("shift length must equal the x dimension")
-    # forward: multiply the k-th coefficient by exp(-i k e y), so that
+    # multiply the k-th coefficient by exp(-i k e y), so that
     # sum_k uhat(k) e^(i k (x - e y)) = u(x - e y, y)
-    sign = -1.0 if inverse else 1.0
     vals = field.values
     axes = tuple(range(g.x_box.dim))
     vh = np.fft.fftn(vals, axes=axes)
@@ -139,30 +99,29 @@ def apply_shear(field, shift, inverse=False):
     for ax in range(g.x_box.dim):
         shape = [1] * vals.ndim
         shape[ax] = k.size
-        phase = np.exp(sign * -1j * np.outer(k * e[ax], g.y_nodes))
+        phase = np.exp(-1j * np.outer(k * e[ax], g.y_nodes))
         vh = vh * phase.reshape(shape[:-1] + [g.num_y])
     return Field(np.fft.ifftn(vh, axes=axes), g)
 
 
-def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0):
+def similarity_check_power(alpha1, alpha2, c, J, q_mixed=0.0):
     """Conjugation identity of the power map at horizontal frequency 1.
 
-    For tensor fields e^(i x) v(y) the full operator (with Q = 1, b = 0)
-    acts as
+    For tensor fields e^(i x) v(y) the full operator (with Q = 1, gamma = 1,
+    b = 0) acts as
 
-        Lhat = -y^a1 + 2 i q y^((a1+a2)/2) Dy
-               + gamma y^a2 (Dyy + (c/gamma) Dy / y),
+        Lhat = -y^a1 + 2 i q y^((a1+a2)/2) Dy + y^a2 (Dyy + c Dy / y),
 
     and with beta = (a1-a2)/2 the L^2 power isometry intertwines Lhat with
     the transformed-coefficient operator
 
         -y^at1 + 2 i q (beta+1) y^((at1+at2)/2) Dy
-          + gamma (beta+1)^2 y^at2 (Dyy + (ct/y) Dy),
+          + (beta+1)^2 y^at2 (Dyy + (ct/y) Dy),
 
     at1/at2/ct from the parameter action.  Both sides are evaluated with the
     3-point stencils on matched J-cell grids over (0, 1] and a panel of six
     edge-avoiding profiles.  Additionally the vertical-diffusion coefficient
-    is recovered by least squares and compared against gamma (beta+1)^2.
+    is recovered by least squares and compared against (beta+1)^2.
 
     Returns (error, coeff_rel_err): the max relative defect over the panel,
     which must decay at first order under refinement, and the relative
@@ -170,7 +129,7 @@ def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0):
     """
     a1, a2 = float(alpha1), float(alpha2)
     beta = 0.5 * (a1 - a2)
-    at1, at2, ct, _ = beta_map(beta, a1, a2, c / gamma, 0.0, 2.0)
+    at1, at2, ct, _ = beta_map(beta, a1, a2, c, 0.0)
     g = make_grid(J, 1.0, default_grading(max(a2, at2)))
     gt = power_image_grid(g, beta)
     y, rho = g.y_nodes, gt.y_nodes
@@ -183,7 +142,7 @@ def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0):
         u = apply_power(Field(v, gt), beta, 2.0, target_grid=g).values
         w = (-y ** a1 * u
              + 2j * q_mixed * y ** (0.5 * (a1 + a2)) * (D1 @ u)
-             + gamma * y ** a2 * (D2 @ u + (c / gamma) * (D1 @ u) / y))
+             + y ** a2 * (D2 @ u + c * (D1 @ u) / y))
         lhs = apply_power(Field(w, g), beta, 2.0, target_grid=gt,
                           inverse=True).values
         bess = D2t @ v + (ct / rho) * (D1t @ v)
@@ -193,7 +152,7 @@ def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0):
             rho ** at2 * bess,
         ], axis=1)
         rhs = (comps[:, 0] + (beta + 1.0) * comps[:, 1]
-               + gamma * (beta + 1.0) ** 2 * comps[:, 2])
+               + (beta + 1.0) ** 2 * comps[:, 2])
         worst = max(worst, float(np.abs(lhs - rhs).max()
                                  / np.abs(lhs).max()))
         lhs_all.append(lhs)
@@ -202,5 +161,5 @@ def similarity_check_power(alpha1, alpha2, c, J, gamma=1.0, q_mixed=0.0):
     A = np.concatenate(comps_all, axis=0)
     bvec = np.concatenate(lhs_all, axis=0)
     coef = np.linalg.lstsq(A, bvec, rcond=None)[0]
-    target = gamma * (beta + 1.0) ** 2
+    target = (beta + 1.0) ** 2
     return worst, float(abs(coef[2] - target) / abs(target))

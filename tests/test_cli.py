@@ -108,12 +108,32 @@ def test_solve_parabolic_snapshots_reproducible(tmp_path, capsys):
     snaps = man["evolution"]["snapshots"]
     assert snaps == ["snapshot_0000.csv", "snapshot_0004.csv",
                      "snapshot_0008.csv"]
-    names = snaps + ["manifest.json", "snapshot_manifest.json"]
+    names = snaps + ["manifest.json"]
+    assert sorted(os.listdir(d1)) == sorted(names)
     assert _read_bytes(d1, names) == _read_bytes(d2, names)
     assert man["evolution"]["scheme"] == "backward_euler"
     assert 0.0 < man["residual"] <= 1e-12
     out = capsys.readouterr().out
     assert "residual %.3e" % man["residual"] in out
+
+
+def test_manifests_record_the_reduction_chain(tmp_path):
+    from degenpde.params import config_to_problem, reduce_to_model
+
+    _, chain = reduce_to_model(*config_to_problem(README_OPERATOR))
+    cfg = _write_config(tmp_path, {
+        "operator": README_OPERATOR,
+        "grid": {"num_cells": 16, "num_x": 4},
+        "parabolic": {"steps": 2, "snapshot_stride": 2},
+    })
+    ell, par = tmp_path / "e", tmp_path / "p"
+    assert main(["solve_elliptic", "--config", cfg, "--out", str(ell)]) == 0
+    assert main(["solve_parabolic", "--config", cfg, "--out", str(par)]) == 0
+    man = json.loads((ell / "manifest.json").read_text())
+    assert man["transform_chain"] == chain
+    man = json.loads((par / "manifest.json").read_text())
+    assert man["transform_chain"] == chain
+    assert man["evolution"]["transform_chain"] == chain
 
 
 def test_verify_small_suite_passes(tmp_path, capsys):

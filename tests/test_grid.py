@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from degenpde import grid as grid_module
+from degenpde.bessel1d import partition_weights
 from degenpde.grid import (XBox, Field, make_grid, default_grading, lp_norm,
-                           linf_norm, diff1_matrix, diff2_matrix,
-                           write_field_csv)
+                           diff1_matrix, diff2_matrix, write_field_csv)
 
 
 def test_uniform_grid_frozen_nodes():
@@ -58,7 +58,30 @@ def test_lp_norm_weighted():
     for p, m in ((2.0, 0.0), (2.5, 1.0), (3.0, -0.5)):
         want = (1.0 / (m + 1.0)) ** (1.0 / p)
         assert lp_norm(u, p, m, g) == pytest.approx(want, rel=1e-3)
-    assert linf_norm(Field((1j * u).astype(complex), g)) == 1.0
+
+
+@pytest.mark.parametrize("J", [64, 512])
+def test_norm_and_solver_y_quadratures(J):
+    # lp_norm weights a node by its cell length, the solver by its P1
+    # partition weight; their ratio per grading exponent
+    def ratio(grading):
+        g = make_grid(J, 1.0, grading)
+        return partition_weights(g.y_nodes) / g.y_weights
+
+    r = ratio(1.0)
+    assert np.allclose(r[1:-1], 1.0, rtol=0, atol=1e-12)
+    assert r[0] == pytest.approx(0.5, abs=1e-12)
+    assert r[-1] == pytest.approx(0.5, abs=1e-12)
+    r = ratio(2.0)
+    assert np.allclose(r[:-1], 1.0, rtol=0, atol=1e-12)
+    assert r[-1] == pytest.approx((J - 1) / (2 * J - 1), abs=1e-12)
+    # the README operator's default grading 2 / (2 - alpha) = 1.217, its
+    # reduced alpha = 2 a1 / (a1 - a2 + 2) at a1 = 0.5, a2 = -0.3: no node
+    # agrees exactly, and refinement does not close the gap
+    r = ratio(default_grading(2 * 0.5 / (0.5 + 0.3 + 2)))
+    assert r[0] == pytest.approx(0.604, abs=1e-3)
+    gap = np.abs(r[1:-1] - 1.0).max()
+    assert 0.011 < gap < 0.0112
 
 
 def test_stencil_orders_on_nonuniform_nodes():
@@ -211,3 +234,22 @@ def test_split_field_csv_failure_leaves_no_part_or_child(tmp_path,
     assert not [n for n in os.listdir(tmp_path) if ".part" in n]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("missing", [("fork",), ("sched_getaffinity",),
+                                     ("fork", "sched_getaffinity")])
+def test_field_csv_without_fork_or_affinity_writes_one_range(tmp_path,
+                                                           monkeypatch,
+                                                           missing):
+    # macOS has no os.sched_getaffinity and Windows no os.fork: a field
+    # large enough to split is written by this process alone
+    forks = _split_three_ways(monkeypatch)
+    for name in missing:
+        monkeypatch.delattr(os, name)
+    f = _special_field(XBox(3.0, 6, 2), 5)
+    got, want = tmp_path / "new.csv", tmp_path / "oracle.csv"
+    write_field_csv(str(got), f)
+    _oracle_field_csv(str(want), f)
+    assert got.read_bytes() == want.read_bytes()
+    assert forks == []
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "oracle.csv"]

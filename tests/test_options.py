@@ -1,10 +1,15 @@
-"""Every option of the package is set by some caller.
+"""Every option of the package is set by some caller, and every parameter
+is read.
 
-A plain AST scan, like test_imports: each default-valued parameter of a
+Plain AST scans, like test_imports.  Each default-valued parameter of a
 function or method in src/degenpde (constructors excepted) must be passed,
-by keyword or by position, by some call of that name in the package, the
-demos, the benchmark or the tests.  An option that no call sets is a
-configuration that nothing exercises; it belongs in the body as a constant.
+by keyword or by position, by some call of that name in the package or the
+benchmark; tests and demos do not justify an option.  An option that no
+program call sets is a configuration only tests exercise; it belongs in the
+body as a constant.  Each parameter of a `def` must be read by its body,
+except the `ctx` of the harness REGISTRY checks (the registry's calling
+convention) and the parameters of a nested function passed as an argument
+(a callback whose signature its caller fixes).
 """
 
 import ast
@@ -12,7 +17,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "degenpde").glob("*.py"))
-CALLERS = sorted(path for top in ("src", "demos", "perfbench", "tests")
+CALLERS = sorted(path for top in ("src", "perfbench")
                  for path in (ROOT / top).rglob("*.py"))
 
 
@@ -108,3 +113,70 @@ def test_every_option_has_a_caller():
     unset = unset_options([ast.parse(path.read_text()) for path in SOURCES],
                           callers)
     assert unset == []
+
+
+def unread_parameters(tree, registry=()):
+    """"function.parameter" for each parameter (self and cls aside) that
+    its function's body never reads.  Exempt: the parameters of a function
+    named in `registry`, and of a nested function that its enclosing body
+    passes as a call argument."""
+    unread = []
+
+    def visit(node, callbacks):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a]
+                read = {n.id for b in child.body for n in ast.walk(b)
+                        if isinstance(n, ast.Name)}
+                if child.name not in registry and child.name not in callbacks:
+                    unread.extend("%s.%s" % (child.name, a.arg)
+                                  for a in params
+                                  if a.arg not in ("self", "cls")
+                                  and a.arg not in read)
+                passed = {a.id for n in ast.walk(child)
+                          if isinstance(n, ast.Call)
+                          for a in n.args + [k.value for k in n.keywords]
+                          if isinstance(a, ast.Name)}
+                visit(child, passed)
+            else:
+                visit(child, callbacks)
+
+    visit(tree, set())
+    return sorted(unread)
+
+
+def _registry_functions(tree):
+    """Names of the functions the module's REGISTRY tuple lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "REGISTRY"
+                        for t in node.targets)):
+            return {pair.elts[1].id for pair in node.value.elts}
+    return set()
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b, *, c, **kw):\n    return a + kw['x']\n"
+        "class K:\n"
+        "    def m(self, u):\n        return 1\n"
+        "def check(ctx):\n    return 0\n"
+        "def outer(y):\n"
+        "    def end(t, at):\n        return t\n"
+        "    def inner(z):\n        return 0\n"
+        "    return use(y, end) + inner(y)\n"
+        "REGISTRY = ((\"check\", check),)\n")
+    assert unread_parameters(tree, _registry_functions(tree)) == [
+        "f.b", "f.c", "inner.z", "m.u"]
+    assert unread_parameters(tree) == [
+        "check.ctx", "f.b", "f.c", "inner.z", "m.u"]
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        unread += unread_parameters(tree, _registry_functions(tree))
+    assert unread == []

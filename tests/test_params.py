@@ -10,13 +10,13 @@ from degenpde.params import (OperatorSpec, SpaceSpec, ModelParams,
 
 
 def test_beta_map_identity_at_zero():
-    got = beta_map(0.0, 0.7, -0.3, 1.1, 0.4, 2.5)
+    got = beta_map(0.0, 0.7, -0.3, 1.1, 0.4)
     assert got == (0.7, -0.3, 1.1, 0.4)
 
 
 def test_beta_map_frozen_half_step():
     # alpha1 = 0, alpha2 = 1 equalize under beta = (a1 - a2)/2 = -1/2
-    a1, a2, c, m = beta_map(-0.5, 0.0, 1.0, 1.0, 0.0, 2.0)
+    a1, a2, c, m = beta_map(-0.5, 0.0, 1.0, 1.0, 0.0)
     assert a1 == 0.0
     assert a2 == 0.0
     assert c == pytest.approx(1.0, abs=1e-15)   # (1 - 1/2) / (1/2)
@@ -31,13 +31,12 @@ def test_beta_map_roundtrip_and_composition():
         beta2 = rng.uniform(-0.9, 3.0)
         args = (rng.uniform(-2.0, 1.5), rng.uniform(-1.0, 1.9),
                 rng.uniform(-0.9, 3.0), rng.uniform(-1.0, 2.0))
-        p = rng.uniform(1.1, 5.0)
-        fwd = beta_map(beta, *args, p)
-        back = beta_map(invert_beta(beta), *fwd, p)
+        fwd = beta_map(beta, *args)
+        back = beta_map(invert_beta(beta), *fwd)
         for got, want in zip(back, args):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-        two = beta_map(beta2, *fwd, p)
-        comp = beta_map(compose_beta(beta, beta2), *args, p)
+        two = beta_map(beta2, *fwd)
+        comp = beta_map(compose_beta(beta, beta2), *args)
         for got, want in zip(two, comp):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst < 1e-12
@@ -50,7 +49,7 @@ def test_invert_beta_fixed_points():
     with pytest.raises(ValueError):
         invert_beta(-1.0)
     with pytest.raises(ValueError):
-        beta_map(-1.0, 0.0, 0.0, 0.0, 0.0, 2.0)
+        beta_map(-1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_shear_frozen_example():
@@ -130,9 +129,34 @@ def test_reduce_to_model_equal_powers():
     assert model.c_bessel == 1.0
     assert model.m == 0.0
     assert model.mixing[0] == pytest.approx(0.3)   # Q^(-1/2) q / sqrt(g)
-    assert chain.scale == pytest.approx(1.0)
-    kinds = [s.kind for s in chain.steps]
+    assert chain["scale"] == pytest.approx(1.0)
+    kinds = [s["kind"] for s in chain["steps"]]
     assert kinds == ["linear_x", "power"]
+
+
+# the README's example operator, as its config section
+README_OPERATOR = {
+    "q_matrix": [[2.0, 0.3], [0.3, 1.5]], "q_vector": [0.4, -0.2],
+    "gamma": 1.2, "drift_b": [0.5, -0.3], "drift_c": 1.4, "alpha1": 0.5,
+    "alpha2": -0.3, "p": 2.5, "m": 0.6, "dimension": 2,
+}
+
+
+def test_reduce_to_model_chain_of_the_readme_operator():
+    # the dict the manifests record: shear, linear x-map, power, with
+    # scale gamma (beta+1)^2 for beta = (a1 - a2)/2 = 0.4
+    _, chain = reduce_to_model(*config_to_problem(README_OPERATOR))
+    assert sorted(chain) == ["p", "scale", "steps"]
+    assert chain["scale"] == 1.2 * 1.4 ** 2
+    assert chain["p"] == 2.5
+    shear, linear_x, power = chain["steps"]
+    assert shear == {"kind": "shear", "shift": [0.5 / 1.4, -0.3 / 1.4]}
+    assert sorted(linear_x) == ["det", "kind", "matrix"]
+    assert linear_x["kind"] == "linear_x"
+    assert np.shape(linear_x["matrix"]) == (2, 2)
+    assert linear_x["det"] == pytest.approx(np.linalg.det(
+        linear_x["matrix"]), rel=1e-14)
+    assert power == {"kind": "power", "beta": 0.5 * (0.5 + 0.3)}
 
 
 def test_reduce_to_model_power_relabel():
@@ -142,7 +166,7 @@ def test_reduce_to_model_power_relabel():
     assert model.alpha == 0.0
     assert model.c_bessel == pytest.approx(1.0)
     assert model.m == pytest.approx(1.0)
-    assert chain.scale == pytest.approx(0.25)      # gamma (beta+1)^2
+    assert chain["scale"] == pytest.approx(0.25)   # gamma (beta+1)^2
     assert np.linalg.norm(model.mixing) < 1.0
 
 

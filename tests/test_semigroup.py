@@ -84,13 +84,13 @@ def _grid_space_oracle(u0, forcing, model, g, scheme, ts):
         if scheme == "backward_euler":
             plan = mp.FrequencySolvePlan(1.0 / dt, model, g)
             rhs = u / dt
-            fv = sg._forcing_at(forcing, k + 1, ts[k + 1], g)
+            fv = sg._forcing_at(forcing, k + 1, ts[k + 1])
             if fv is not None:
                 rhs = rhs + fv
         else:
             plan = mp.FrequencySolvePlan(2.0 / dt, model, g)
             rhs = 2.0 * u / dt + plan.apply_operator(u).values
-            fv = sg._forcing_at(forcing, k, 0.5 * (ts[k] + ts[k + 1]), g)
+            fv = sg._forcing_at(forcing, k, 0.5 * (ts[k] + ts[k + 1]))
             if fv is not None:
                 rhs = rhs + 2.0 * fv
         u = plan.solve(Field(rhs, g))[0].values
@@ -161,7 +161,7 @@ def test_positivity_exact_for_pure_bessel():
     grids = [make_grid(J, 1.0, 1.0, XBox(2.0 * np.pi, 8, 1))
              for J in (32, 64)]
     values, _ = refinement_study(
-        grids, lambda g: sg.positivity_check(model0, g, steps=6))
+        grids, lambda g: sg.positivity_check(model0, g))
     # the margin is signed: the M-matrix scheme keeps u > 0 after t = 0
     assert all(v < 0.0 for v in values)
 
@@ -169,7 +169,7 @@ def test_positivity_exact_for_pure_bessel():
 def test_mode_domination_slack_nonpositive():
     rng = np.random.default_rng(17)
     out, _ = refinement_study((64, 128), lambda J: sg.mode_domination_check(
-        1.0, 0.5, 0.4, 1.0, make_grid(J, 1.0, 2.0), rng, steps=8))
+        1.0, 0.5, 0.4, 1.0, make_grid(J, 1.0, 2.0), rng))
     # the excess is signed: domination holds with a margin
     assert all(v < 0.0 for v in out)
 
@@ -245,12 +245,12 @@ def test_export_csvs_deterministic(tmp_path):
 
     def export(d):
         man = run.export_csvs(str(d), model=MODEL)
+        # the snapshots are the only files; the caller stores the manifest
+        assert sorted(os.listdir(str(d))) == man["snapshots"]
         blobs = {}
         for name in man["snapshots"]:
             with open(os.path.join(str(d), name), "rb") as fh:
                 blobs[name] = fh.read()
-        with open(os.path.join(str(d), "snapshot_manifest.json"), "rb") as fh:
-            blobs["manifest"] = fh.read()
         return man, blobs
 
     d1 = tmp_path / "a"
@@ -260,7 +260,8 @@ def test_export_csvs_deterministic(tmp_path):
     assert man1["snapshots"] == ["snapshot_0000.csv", "snapshot_0002.csv",
                                  "snapshot_0004.csv"]
     assert blobs1 == blobs2  # byte-identical across reruns
-    loaded = json.loads(blobs1["manifest"])
+    assert man1 == man2
+    loaded = json.loads(json.dumps(man1))
     assert loaded["scheme"] == "backward_euler"
     assert loaded["steps"] == 4
     assert loaded["times"] == [float(t) for t in np.linspace(0.0, 0.1, 5)]

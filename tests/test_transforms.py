@@ -1,4 +1,4 @@
-"""Isometry properties and chain mechanics of the transform module."""
+"""Isometry properties and the power-map similarity of the transform module."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from degenpde import panels
 from degenpde.grid import Field, XBox, lp_norm, make_grid
 from degenpde.harness import decay_order, refinement_study
 from degenpde.params import beta_map, invert_beta
-from degenpde.transforms import (TransformChain, TransformStep, apply_phase,
-                                 apply_power, apply_shear, power_image_grid,
-                                 similarity_check_power)
+from degenpde.transforms import (apply_phase, apply_power, apply_shear,
+                                 power_image_grid, similarity_check_power)
 
 
 def _bump_field(grid):
@@ -33,7 +32,7 @@ def test_apply_power_is_weighted_isometry():
     p, m = 2.7, 0.4
     u = _bump_field(g)
     for beta in (0.5, -0.4, 1.3):
-        m_t = beta_map(invert_beta(beta), 0.0, 0.0, 0.0, m, p)[3]
+        m_t = beta_map(invert_beta(beta), 0.0, 0.0, 0.0, m)[3]
         img = apply_power(u, beta, p)
         n0 = lp_norm(u.values, p, m, g)
         n1 = lp_norm(img.values, p, m_t, img.grid)
@@ -82,7 +81,7 @@ def test_apply_shear_norm_preserving_and_invertible():
     n0 = lp_norm(u.values, 2.0, 0.4, g)
     n1 = lp_norm(img.values, 2.0, 0.4, g)
     assert abs(n1 - n0) / n0 < 1e-12
-    back = apply_shear(img, [0.6], inverse=True)
+    back = apply_shear(img, [-0.6])        # the shear by -e undoes e
     assert np.abs(back.values - u.values).max() < 1e-12
 
 
@@ -145,24 +144,10 @@ def test_apply_shear_requires_box_and_matching_dim():
         apply_shear(Field(vals, g2), [0.5])
 
 
-def test_transform_step_validation_and_roundtrip():
-    step = TransformStep("power", {"beta": -0.5})
-    d = step.to_dict()
-    assert d == {"kind": "power", "beta": -0.5}
-    chain = TransformChain([TransformStep("shear", {"shift": [0.5]}), step],
-                           scale=2.25, p=2.0)
-    assert chain.to_dict() == {
-        "scale": 2.25, "p": 2.0,
-        "steps": [{"kind": "shear", "shift": [0.5]}, d]}
-    for kind in ("rotate", "phase"):
-        with pytest.raises(ValueError, match="unknown transform kind"):
-            TransformStep(kind, {})
-
-
 def test_similarity_check_power_converges():
     levels = (128, 256)
     values, _ = refinement_study(levels, lambda J: similarity_check_power(
-        0.5, 1.0, 1.2, J, gamma=1.0, q_mixed=0.3))
+        0.5, 1.0, 1.2, J, q_mixed=0.3))
     errors = [e for e, _ in values]
     assert decay_order(levels, errors) > 0.9
     assert errors[-1] < errors[0]
