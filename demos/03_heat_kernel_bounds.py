@@ -33,7 +33,7 @@ c, t = 1.0, 0.02
 grid = make_grid(256, 1.0, 1.0)
 op = assemble_form(grid, "bessel", c=c)
 ker = expm_kernel(op, t)
-w = node_weights(grid.y_nodes, c)
+w = node_weights(grid, c)
 sym = np.abs(ker.values - ker.values.T).max() / np.abs(ker.values).max()
 ones = ker.apply(np.ones(grid.num_y))
 print("kernel at t = %g, J = %d:" % (t, grid.num_y))

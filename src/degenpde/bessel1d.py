@@ -109,23 +109,10 @@ def transport_tridiag(y, s):
     return _accumulate(y.size, -left, left, -right, right)
 
 
-def partition_weights(y):
-    """omega_j = Int phi_j dy on [y_0, y_Jm1]: half the adjacent spacings.
-
-    Their ratio to grid.lp_norm's cell-length weights is 1 at interior
-    nodes on gradings 1 and 2, near 1 on others; lp_norm gives the values."""
-    y = np.asarray(y, dtype=float)
-    h = np.diff(y)
-    w = np.zeros(y.size)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
-    return w
-
-
-def node_weights(y, w_exponent):
-    """Diagonal inner-product weights W_w[j] = y_j^w omega_j."""
-    y = np.asarray(y, dtype=float)
-    return y ** float(w_exponent) * partition_weights(y)
+def node_weights(grid, w_exponent):
+    """Diagonal inner-product weights W_w[j] = y_j^w omega_j, with omega
+    the grid's partition weights grid.y_weights."""
+    return grid.y_nodes ** float(w_exponent) * grid.y_weights
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +334,8 @@ class ModeOperators:
         self.alpha = float(alpha)
         if not self.c > -1.0:
             raise ValueError("need c > -1")
-        omega = partition_weights(y)
-        self.w_pot = y ** self.c * omega           # |xi|^2 potential weight
-        self.weight = y ** (self.c - self.alpha) * omega
+        self.w_pot = node_weights(grid, self.c)    # |xi|^2 potential weight
+        self.weight = node_weights(grid, self.c - self.alpha)
         self.y_alpha = y ** self.alpha
         self.stiff = TridiagForm(*stiffness_tridiag(y, self.c), self.weight)
         self.trans = TridiagForm(*transport_tridiag(y, self.c), self.weight)
@@ -446,9 +432,9 @@ def assemble_form(grid, kind, **params):
         gs, gd, gu = transport_tridiag(y, c + beta)
         # symmetrized graded transport: P + P^T multiplies -i b/2
         sub = ks - 0.5j * b * (gs + gu)
-        diag = kd - 1j * b * gd + mu * node_weights(y, c + 2.0 * beta)
+        diag = kd - 1j * b * gd + mu * node_weights(grid, c + 2.0 * beta)
         sup = ku - 0.5j * b * (gu + gs)
-        return TridiagForm(sub, diag, sup, node_weights(y, c), grid)
+        return TridiagForm(sub, diag, sup, node_weights(grid, c), grid)
 
     raise ValueError("unknown form kind %r" % (kind,))
 

@@ -24,7 +24,6 @@ CSVs.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -62,6 +61,8 @@ ELLIPTIC_KEYS = {"lam": [2.0, 0.0], "forcing": "manufactured", "mode": 2,
                  "center": 0.45, "width": 0.18}
 PARABOLIC_KEYS = {"t_final": 0.5, "steps": 20, "scheme": "backward_euler",
                   "snapshot_stride": 5, "forcing_mode": 1}
+SWEEP_KEYS = {"parameter": None, "values": None}
+SWEEP_PARAMETERS = ("alpha1", "alpha2", "drift_c", "gamma", "m", "p")
 TOP_KEYS = ("operator", "grid", "elliptic", "parabolic", "sweep", "suite")
 
 
@@ -97,6 +98,8 @@ def load_config(path):
         _check_elliptic(_section(cfg, "elliptic", ELLIPTIC_KEYS), num_x)
     if "parabolic" in cfg:
         _check_parabolic(_section(cfg, "parabolic", PARABOLIC_KEYS), num_x)
+    if "sweep" in cfg:
+        _check_sweep(_section(cfg, "sweep", SWEEP_KEYS))
     return cfg
 
 
@@ -105,10 +108,11 @@ def _integer(v):
 
 
 def _finite_number(v):
-    # an int beyond the float range is not finite here: it fails the
-    # comparison instead of overflowing in math.isfinite
+    # int and float compare exactly, so an int beyond the float range fails
+    # here instead of overflowing at its first float conversion; NaN and
+    # the infinities fail too
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) < math.inf)
+            and abs(v) <= sys.float_info.max)
 
 
 def _check_positive(name, value):
@@ -178,6 +182,19 @@ def _check_parabolic(sec, num_x):
         raise ConfigError("parabolic.scheme must be one of %s, got %r"
                           % (", ".join(semigroup.SCHEMES), sec["scheme"]))
     _check_mode("parabolic.forcing_mode", sec["forcing_mode"], num_x)
+
+
+def _check_sweep(sec):
+    """A sweepable operator parameter and a non-empty list of finite
+    numbers (no booleans, strings or nested lists)."""
+    if sec["parameter"] not in SWEEP_PARAMETERS:
+        raise ConfigError("unknown config key: sweep.parameter %r"
+                          % (sec["parameter"],))
+    values = sec["values"]
+    if not (isinstance(values, list) and values
+            and all(_finite_number(v) for v in values)):
+        raise ConfigError("sweep.values must be a non-empty list of finite "
+                          "numbers, got %r" % (values,))
 
 
 def _problem(cfg):
@@ -308,28 +325,19 @@ def cmd_verify(cfg, suite, out_dir, seed):
 
 
 def cmd_sweep(cfg, out_dir, seed):
-    ssec = cfg.get("sweep")
-    if not isinstance(ssec, dict):
+    if "sweep" not in cfg:
         raise ConfigError("sweep requires a config with a sweep section")
-    for key in ssec:
-        if key not in ("parameter", "values"):
-            raise ConfigError("unknown config key: sweep.%s" % key)
-    param = ssec.get("parameter")
-    values = ssec.get("values")
-    if param not in ("alpha1", "alpha2", "drift_c", "gamma", "m", "p"):
-        raise ConfigError("unknown config key: sweep.parameter %r" % (param,))
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError("sweep.values must be a non-empty list")
+    param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
     rows = []
-    for v in values:
+    for v in map(float, values):
         op_cfg = dict(cfg["operator"])
-        op_cfg[param] = float(v)
+        op_cfg[param] = v
         try:
             spec, space = config_to_problem(op_cfg)
             model, _ = reduce_to_model(spec, space)
             window = validate_window(spec, space)
-        except (ValueError, RuntimeError) as exc:
-            rows.append((float(v), float("nan"), float("nan"), float("nan"),
+        except (ValueError, RuntimeError):
+            rows.append((v, float("nan"), float("nan"), float("nan"),
                          "invalid", float("nan")))
             continue
         grid = make_grid(128, 1.0, default_grading(model.alpha))
@@ -338,7 +346,7 @@ def cmd_sweep(cfg, out_dir, seed):
                            alpha=model.alpha, mixing_freq=amod,
                            freq_norm2=1.0)
         scan = sector_resolvent_scan(op, amod)
-        rows.append((float(v), window.value, window.lower, window.upper,
+        rows.append((v, window.value, window.lower, window.upper,
                      "yes" if window.passed else "no", scan["sup"]))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")

@@ -1,17 +1,18 @@
 """Graded meshes, weighted norms and derivative evaluation.
 
-The vertical direction (0, Y_max] is discretized by a cell-centered graded
-mesh: cell edges E_j = Y_max (j/J)^g and nodes y_j = Y_max ((j+1/2)/J)^g, so
-all nodes are strictly inside (0, Y_max) and the singular coefficients y^s are
-never evaluated at 0.  The grading exponent g = 2/(2-a2) equalizes the mesh in
-the variable y^(1-a2/2), the natural distance of the degenerate operator's
-heat kernel.  The horizontal directions form a periodic box (torus) sampled
-uniformly.  The y-derivative matrices use 3-point nonuniform finite
-differences (one-sided quadratics at the ends).
+The vertical direction (0, Y_max] is discretized by a graded node set
+y_j = Y_max ((j+1/2)/J)^g, so all nodes are strictly inside (0, Y_max) and
+the singular coefficients y^s are never evaluated at 0.  The grading exponent
+g = 2/(2-a2) equalizes the mesh in the variable y^(1-a2/2), the natural
+distance of the degenerate operator's heat kernel.  The horizontal directions
+form a periodic box (torus) sampled uniformly.  The y-derivative matrices use
+3-point nonuniform finite differences (one-sided quadratics at the ends).
 
 Norms are the weighted Lebesgue norms of L^p(y^m dx dy), with the y-integral
-by the cell-length quadrature sum |u|^p y^m (E_{j+1} - E_j) and the x-integral
-by the uniform trapezoid rule on the torus (= uniform weights L/Nx).
+by the P1 partition weights omega_j = Int phi_j dy on [y_0, y_(J-1)] (the
+trapezoid rule on the nodes, the weights of the solver's forms), as the sum
+|u|^p y^m omega_j, and the x-integral by the uniform trapezoid rule on the
+torus (= uniform weights L/Nx).
 """
 
 import contextlib
@@ -58,27 +59,35 @@ class XBox:
                 % (self.length, self.num_points, self.dim))
 
 
-class Grid:
-    """Cell-centered graded vertical mesh, optionally tensored with an XBox.
+def partition_weights(y):
+    """omega_j = Int phi_j dy on [y_0, y_(J-1)]: half the adjacent spacings.
 
-    The y-weights are the cell lengths E_{j+1} - E_j of the edges y_edges.
+    They sum to y_(J-1) - y_0 and make the trapezoid rule on the nodes.
+    """
+    y = np.asarray(y, dtype=float)
+    h = np.diff(y)
+    w = np.zeros(y.size)
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    return w
+
+
+class Grid:
+    """Graded vertical mesh, optionally tensored with an XBox.
+
+    The y-weights are the P1 partition weights of the nodes.
     """
 
-    def __init__(self, y_nodes, y_edges, y_max, grading_exponent, x_box):
+    def __init__(self, y_nodes, y_max, grading_exponent, x_box):
         y_nodes = np.asarray(y_nodes, dtype=float)
-        y_edges = np.asarray(y_edges, dtype=float)
-        if y_nodes.ndim != 1 or y_edges.shape != (y_nodes.size + 1,):
-            raise ValueError("y_nodes must be 1-d with one more y_edge")
+        if y_nodes.ndim != 1 or y_nodes.size < 2:
+            raise ValueError("y_nodes must be 1-d with at least two nodes")
         if y_nodes[0] <= 0 or np.any(np.diff(y_nodes) <= 0):
             raise ValueError("y_nodes must be strictly increasing and positive")
         if y_nodes[-1] > y_max:
             raise ValueError("y_nodes must not exceed Y_max")
-        y_weights = np.diff(y_edges)
-        if np.any(y_weights <= 0):
-            raise ValueError("y_edges must increase strictly")
         self.y_nodes = y_nodes
-        self.y_edges = y_edges
-        self.y_weights = y_weights
+        self.y_weights = partition_weights(y_nodes)
         self.y_max = float(y_max)
         self.grading_exponent = float(grading_exponent)
         self.x_box = x_box
@@ -123,16 +132,16 @@ def default_grading(alpha2):
 
 
 def make_grid(num_cells, y_max=1.0, grading=1.0, x_box=None):
-    """Build the cell-centered graded mesh.
+    """Build the graded mesh.
 
-    Nodes y_j = Y_max ((j+1/2)/J)^grading, weights = cell lengths
-    E_{j+1} - E_j with E_j = Y_max (j/J)^grading, so the weights telescope to
-    Y_max.  grading >= 1 concentrates nodes near the degenerate edge y = 0.
+    Nodes y_j = Y_max ((j+1/2)/J)^grading, j = 0..J-1, weighted by their
+    partition weights.  grading >= 1 concentrates nodes near the degenerate
+    edge y = 0.
 
     Parameters
     ----------
     num_cells : int
-        Number J of cells (J >= 4).
+        Number J of nodes (J >= 4).
     y_max : float
         Truncation height of the half line.
     grading : float
@@ -151,25 +160,22 @@ def make_grid(num_cells, y_max=1.0, grading=1.0, x_box=None):
         raise ValueError("grading must be >= 1")
     j = np.arange(J, dtype=float)
     nodes = y_max * ((j + 0.5) / J) ** grading
-    edges = y_max * (np.arange(J + 1, dtype=float) / J) ** grading
-    return Grid(nodes, edges, y_max, grading, x_box)
+    return Grid(nodes, y_max, grading, x_box)
 
 
 def lp_norm(values, p, m, grid):
     """Weighted norm (sum |u|^p y^m dx dy)^(1/p) of grid values.
 
-    The y-direction uses the cell-length weights, the x-directions the uniform
-    torus weight (L/Nx)^dim.  The solver weights y by the P1 partition weights
-    (bessel1d.partition_weights), whose ratio to the cell lengths on grading
-    g is: for g = 1, 1 inside and 1/2 at both ends; for g = 2, 1 except
-    (J-1)/(2J-1) at the last node; for other g only near 1 (the README
-    operator's g = 1.217: 0.604 at the first node, interior ratios up to 1.1%
-    from 1 at every J).
+    The y-direction uses the partition weights grid.y_weights, so at p = 2
+    the norm squared is u^H W_m u with W_m = bessel1d.node_weights(grid, m),
+    the solver's inner product.  Values with x axes are summed over them with
+    the uniform torus weight (L/Nx)^dim; a y-profile (1-d values) is measured
+    in y alone, also on a grid with an x-box.
     """
     p = float(p)
     wy = grid.y_weights * grid.y_nodes ** float(m)
     s = np.sum(np.abs(values) ** p * wy, axis=-1)
-    if grid.x_box is not None:
+    if np.ndim(s):
         s = np.sum(s) * grid.x_box.spacing ** grid.x_box.dim
     return float(s ** (1.0 / p))
 

@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from .grid import Field, lp_norm
 from .bessel1d import (ModeOperators, TridiagForm, SingularFormError,
                        stiffness_tridiag, transport_tridiag, node_weights,
-                       partition_weights, operator_norm, resolvent_pair)
+                       operator_norm, resolvent_pair)
 
 
 def _values(f):
@@ -225,7 +225,7 @@ def xi_derivative_check(lam, model, grid, order=1, base_xi=None):
         return ops.solve(float(a @ xi), float(xi @ xi), lam, v)
 
     def wnorm(v):
-        return np.sqrt(np.sum(np.abs(v) ** 2 * ops.weight))
+        return lp_norm(v, 2.0, model.c_bessel - model.alpha, grid)
 
     f = rng.standard_normal(ops.size) + 1j * rng.standard_normal(ops.size)
     f /= wnorm(f)
@@ -346,7 +346,7 @@ def mikhlin_bound_scan(lambda_set, xi_set, model, grid, weight_m=None,
     ops = ModeOperators(grid, model.c_bessel, model.alpha)
     a = model.mixing
     m = model.m if weight_m is None else float(weight_m)
-    norm_weight = node_weights(grid.y_nodes, m)
+    norm_weight = node_weights(grid, m)
     y_alpha = ops.y_alpha
 
     betas = [tuple(b) for b in np.ndindex(*([2] * n))]
@@ -463,7 +463,7 @@ def general_mode_solve(spec, lam, xi, fhat, grid):
         raise ValueError("need c/gamma > -1")
     a1, a2 = spec.alpha1, spec.alpha2
     w_exp = cg - a2
-    omega = partition_weights(y)
+    omega = grid.y_weights
     weight = y ** w_exp * omega
     ks, kd, ku = stiffness_tridiag(y, cg)
     e_mix = 0.5 * (a1 - a2) + cg
@@ -526,14 +526,13 @@ def reduction_consistency_check(spec, space, lam, grid):
     y = grid.y_nodes
     L = grid.x_box.length if grid.x_box is not None else 2.0 * np.pi
     worst = 0.0
-    wl2 = node_weights(y, space.m)
     for prof in panels.vertical_panel(grid.y_max, count=4, kind="interior"):
         fhat = prof(y).astype(complex)
         for k in range(4):
             xi = 2.0 * np.pi * k / L
             u1 = general_mode_solve(spec, lam, xi, fhat, grid)
             u2 = reduced_mode_solve(spec, space, lam, xi, fhat, grid)
-            num = np.sqrt(np.sum(np.abs(u1 - u2) ** 2 * wl2))
-            den = np.sqrt(np.sum(np.abs(u1) ** 2 * wl2))
+            num = lp_norm(u1 - u2, 2.0, space.m, grid)
+            den = lp_norm(u1, 2.0, space.m, grid)
             worst = max(worst, float(num / max(den, 1e-300)))
     return worst

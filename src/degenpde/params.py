@@ -196,9 +196,10 @@ def validate_window(spec, space=None):
     """Admissibility window for L^p(y^m dx dy) solvability.
 
     For an OperatorSpec the window is
-        max(-alpha1, 0) < (m+1)/p < c/gamma + 1 - alpha2,
+        max(0, -alpha1) < (m+1)/p < c/gamma + 1 - alpha2,
     and `space` must be given.  For ModelParams (which carries its own m, p)
-    it is max(-alpha, 0) < (m+1)/p < c_bessel + 1 - alpha.
+    it is max(0, -alpha) < (m+1)/p < c_bessel + 1 - alpha.  The lower end
+    is +0.0 at alpha = 0 (max returns its first argument on a tie).
 
     Returns
     -------
@@ -207,13 +208,13 @@ def validate_window(spec, space=None):
     """
     if isinstance(spec, ModelParams):
         p, m = spec.p, spec.m
-        lower = max(-spec.alpha, 0.0)
+        lower = max(0.0, -spec.alpha)
         upper = spec.c_bessel + 1.0 - spec.alpha
     else:
         if space is None:
             raise ValueError("validate_window(OperatorSpec, ...) needs a SpaceSpec")
         p, m = space.p, space.m
-        lower = max(-spec.alpha1, 0.0)
+        lower = max(0.0, -spec.alpha1)
         upper = spec.drift_c / spec.gamma + 1.0 - spec.alpha2
     return WindowReport((m + 1.0) / p, lower, upper)
 

@@ -89,25 +89,16 @@ class EvolutionRun:
         return manifest
 
 
-def _forcing_at(forcing, k, t):
-    """Normalize the forcing spec: None, callable t->values, or sequence."""
-    if forcing is None:
-        return None
-    if callable(forcing):
-        out = forcing(t)
-    else:
-        out = forcing[k]
-    if out is None:
-        return None
-    return np.asarray(out.values if isinstance(out, Field) else out,
-                      dtype=complex)
+def _forcing_at(forcing, t):
+    """The forcing's values at time t: None, or forcing(t) as an array."""
+    return None if forcing is None else np.asarray(forcing(t), dtype=complex)
 
 
-def evolve(u0, forcing, model, grid, scheme="backward_euler", time_grid=None,
-           stride=1):
+def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     """March (d/dt - L) u = f from u0 over time_grid; returns EvolutionRun.
 
-    scheme: "backward_euler" or "crank_nicolson".  u0 is transformed to
+    scheme: "backward_euler" or "crank_nicolson".  forcing is None or a
+    callable t -> array of grid values.  u0 is transformed to
     (J, modes) x-Fourier coefficients once and marched there: a backward
     Euler step is one batched solve of a FrequencySolvePlan, a
     Crank-Nicolson step one solve plus its explicit half L u_k = -F u_k / W,
@@ -118,8 +109,6 @@ def evolve(u0, forcing, model, grid, scheme="backward_euler", time_grid=None,
     `stride`-th time index and the final state.  A step with non-finite
     values raises RuntimeError.
     """
-    if time_grid is None:
-        raise ValueError("time_grid required")
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("time_grid must be a 1-d array of times")
@@ -152,13 +141,13 @@ def evolve(u0, forcing, model, grid, scheme="backward_euler", time_grid=None,
                 fu = plan.form.apply(uh)
         if scheme == "backward_euler":
             rhs = uh / dt
-            fv = _forcing_at(forcing, k + 1, times[k + 1])
+            fv = _forcing_at(forcing, times[k + 1])
             if fv is not None:
                 rhs = rhs + plan._to_modes(fv)
         else:
             # (2/dt + L) u_k with L u_k = -F u_k / W
             rhs = 2.0 * uh / dt - fu / plan.ops.weight[:, None]
-            fv = _forcing_at(forcing, k, 0.5 * (times[k] + times[k + 1]))
+            fv = _forcing_at(forcing, 0.5 * (times[k] + times[k + 1]))
             if fv is not None:
                 rhs = rhs + 2.0 * plan._to_modes(fv)
         uh, fu, residual = plan.solve_modes(rhs)

@@ -34,14 +34,15 @@ from . import panels
 def power_image_grid(grid, beta):
     """Image of a grid under y -> y^(beta+1) (beta > -1): matched source grid.
 
-    Nodes and cell edges are mapped through the power; the grading exponent
-    multiplies by (beta+1).  The x-box is shared.
+    Nodes are mapped through the power, and the image's partition weights are
+    those of the mapped nodes; the grading exponent multiplies by (beta+1).
+    The x-box is shared.
     """
     e = float(beta) + 1.0
     if e <= 0:
         raise ValueError("power image needs beta > -1")
-    return Grid(grid.y_nodes ** e, grid.y_edges ** e, grid.y_max ** e,
-                grid.grading_exponent * e, grid.x_box)
+    return Grid(grid.y_nodes ** e, grid.y_max ** e, grid.grading_exponent * e,
+                grid.x_box)
 
 
 def apply_power(field, beta, p, target_grid=None, inverse=False):

@@ -7,7 +7,7 @@ from scipy.sparse.linalg import LinearOperator, svds
 from scipy.special import ive
 
 from degenpde import bessel1d as b1
-from degenpde.grid import default_grading, make_grid
+from degenpde.grid import Grid, default_grading, lp_norm, make_grid
 from degenpde.harness import decay_order, refinement_study
 
 
@@ -65,9 +65,9 @@ def test_stiffness_annihilates_constants_any_weight():
 
 
 def test_partition_and_node_weights():
-    y = _uniform_nodes()
-    assert np.allclose(b1.partition_weights(y), [0.5, 1.0, 0.5])
-    assert np.allclose(b1.node_weights(y, 2.0), [0.5, 4.0, 4.5])
+    g = Grid(_uniform_nodes(), 3.0, 1.0, None)
+    assert np.allclose(g.y_weights, [0.5, 1.0, 0.5])
+    assert np.allclose(b1.node_weights(g, 2.0), [0.5, 4.0, 4.5])
 
 
 def test_bessel_form_selfadjoint_nonnegative():
@@ -106,8 +106,8 @@ def test_model_forms_equal_the_inline_assembly_bitwise():
             for c in (-0.4, 1.0, 2.5):
                 ks, kd, ku = b1.stiffness_tridiag(y, c)
                 ps, pd, pu = b1.transport_tridiag(y, c)
-                w_c = b1.node_weights(y, c)
-                w_m = b1.node_weights(y, c - alpha)
+                w_c = b1.node_weights(g, c)
+                w_m = b1.node_weights(g, c - alpha)
                 op = b1.assemble_form(g, "bessel", c=c)
                 assert [_bytes(b) for b in (op.sub, op.diag, op.sup)] == \
                     [_bytes(b) for b in (ks, kd, ku)]
@@ -622,6 +622,25 @@ def test_operator_norm_is_the_weighted_norm_and_reruns_bitwise():
     assert first == again
 
 
+def test_lp_norm_is_the_operator_norms_norm():
+    # on the README operator's grading (1.217, its reduced alpha 0.357),
+    # the vector attaining ||lam R(lam)||_W has lp_norm ratio equal to the
+    # engine's value at p = 2, m = c - alpha: one y-quadrature for both
+    g = make_grid(64, 1.0, default_grading(2 * 0.5 / (0.5 + 0.3 + 2)))
+    c, alpha, lam = 1.0, 0.5, 2.0 * np.exp(0.4j)
+    op = b1.ModeOperators(g, c, alpha).form(0.3, 1.0)
+    apply, apply_adjoint = _scaled_resolvent_pair(op, lam)
+    sqw = np.sqrt(b1.node_weights(g, c - alpha))
+    dense = np.column_stack([apply(e)
+                             for e in np.eye(g.num_y, dtype=complex)])
+    _, _, vh = np.linalg.svd(sqw[:, None] * dense / sqw[None, :])
+    u = np.conj(vh[0]) / sqw
+    ratio = (lp_norm(apply(u), 2.0, c - alpha, g)
+             / lp_norm(u, 2.0, c - alpha, g))
+    got = b1.operator_norm(apply, apply_adjoint, op.weight)
+    assert ratio == pytest.approx(got, rel=1e-12)
+
+
 def test_tridiag_form_apply_adjoint_is_conjugate_transpose():
     g = make_grid(24, 1.0, 2.0)
     op = b1.assemble_form(g, "bessel_drift", c=0.5, beta=0.3, drift_b=0.7,
@@ -721,7 +740,7 @@ def test_two_route_resolvent_agreement():
     for alpha in (-0.5, 0.5):
         u1, u2 = b1.two_route_resolvent(g, alpha, 1.0, 0.3, 1.0,
                                         1.0 + 0.5j, f)
-        w = b1.node_weights(g.y_nodes, 1.0 - alpha)
+        w = b1.node_weights(g, 1.0 - alpha)
         rel = (np.sqrt(np.sum(np.abs(u1 - u2) ** 2 * w))
                / np.sqrt(np.sum(np.abs(u1) ** 2 * w)))
         assert rel < 1e-8

@@ -237,6 +237,9 @@ def test_bad_elliptic_lam_is_config_error(tmp_path, capsys, lam):
     ("t_final", 0), ("t_final", -0.5), ("t_final", float("nan")),
     ("t_final", float("inf")), ("t_final", "0.5"),
     ("scheme", "forward_euler"),
+    # compared exactly, an int beyond the float range is below inf; it must
+    # fail the check rather than overflow at its first float conversion
+    pytest.param("t_final", 10 ** 400, id="t_final-huge_int"),
 ])
 def test_bad_parabolic_value_is_config_error(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
@@ -255,6 +258,8 @@ def test_bad_parabolic_value_is_config_error(tmp_path, capsys, key, value):
     ("mode", True), ("center", float("nan")), ("center", "0.4"),
     ("width", -1), ("width", 0), ("width", float("inf")),
     ("forcing", "point"),
+    pytest.param("center", 10 ** 400, id="center-huge_int"),
+    pytest.param("width", 10 ** 400, id="width-huge_int"),
 ])
 def test_bad_elliptic_value_is_config_error(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
@@ -301,6 +306,9 @@ def test_largest_resolvable_modes_solve(tmp_path, capsys):
     ("y_max", float("inf")), ("y_max", 0), ("y_max", -1.0),
     ("box_length", float("nan")), ("box_length", 0),
     ("grading", 0.5), ("grading", float("inf")), ("grading", "2"),
+    pytest.param("y_max", 10 ** 400, id="y_max-huge_int"),
+    pytest.param("box_length", 10 ** 400, id="box_length-huge_int"),
+    pytest.param("grading", 10 ** 400, id="grading-huge_int"),
 ])
 @pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
 def test_bad_grid_value_is_config_error(tmp_path, capsys, command, key,
@@ -358,6 +366,33 @@ def test_sweep_requires_section_and_valid_parameter(tmp_path, capsys):
     assert main(["sweep", "--config", cfg2, "--out",
                  str(tmp_path / "o")]) == 2
     assert "sweep.parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [
+    [True, 0.5], ["0.5"], [[1, 2]], [10 ** 400], [],
+])
+def test_sweep_values_are_finite_numbers(tmp_path, capsys, values):
+    # a boolean or a string is not swept as a number, and a nested list or
+    # an int beyond the float range is bad input, not a traceback
+    cfg = _write_config(tmp_path, {
+        "operator": SMALL_OPERATOR,
+        "sweep": {"parameter": "m", "values": values},
+    })
+    out_dir = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: sweep.values must be" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_sweep_json_overflow_is_config_error(tmp_path, capsys):
+    # JSON 1e400 parses to inf: rejected at the boundary, not an invalid row
+    path = tmp_path / "config.json"
+    path.write_text('{"sweep": {"parameter": "m", "values": [0.2, 1e400]}}')
+    assert main(["sweep", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "sweep.values" in capsys.readouterr().err
 
 
 VERTICAL_OPERATOR = dict(SMALL_OPERATOR, q_matrix=[], q_vector=[],

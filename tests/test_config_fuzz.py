@@ -39,7 +39,7 @@ CONFIGS = st.fixed_dictionaries({}, optional={
     "grid": _section(cli.GRID_KEYS),
     "elliptic": _section(cli.ELLIPTIC_KEYS),
     "parabolic": _section(cli.PARABOLIC_KEYS),
-    "sweep": VALUES,
+    "sweep": _section({"parameter": "m", "values": [0.2, 0.6]}),
     "suite": VALUES,
     "bogus": VALUES,
 })

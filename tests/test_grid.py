@@ -6,21 +6,25 @@ import numpy as np
 import pytest
 
 from degenpde import grid as grid_module
-from degenpde.bessel1d import partition_weights
+from degenpde.bessel1d import node_weights
 from degenpde.grid import (XBox, Field, make_grid, default_grading, lp_norm,
-                           diff1_matrix, diff2_matrix, write_field_csv)
+                           partition_weights, diff1_matrix, diff2_matrix,
+                           write_field_csv)
 
 
 def test_uniform_grid_frozen_nodes():
     g = make_grid(4, 1.0, 1.0)
     assert np.allclose(g.y_nodes, [0.125, 0.375, 0.625, 0.875], atol=0)
-    assert np.allclose(g.y_weights, 0.25, atol=0)
-    assert g.y_weights.sum() == pytest.approx(1.0, abs=1e-15)
+    # partition weights: half the adjacent spacings
+    assert np.allclose(g.y_weights, [0.125, 0.25, 0.25, 0.125], atol=0)
+    assert g.y_weights.sum() == pytest.approx(0.75, abs=1e-15)
 
 
 def test_graded_grid_telescopes_and_clusters():
     g = make_grid(64, 2.0, 3.0)
-    assert g.y_weights.sum() == pytest.approx(2.0, rel=1e-14)
+    # the weights telescope to the node span y_(J-1) - y_0
+    assert g.y_weights.sum() == pytest.approx(g.y_nodes[-1] - g.y_nodes[0],
+                                              rel=1e-14)
     assert np.all(np.diff(g.y_nodes) > 0)
     # grading 3 puts the first node at 2 (1/128)^3
     assert g.y_nodes[0] == pytest.approx(2.0 * (0.5 / 64) ** 3, rel=1e-14)
@@ -38,50 +42,60 @@ def test_default_grading_dichotomy():
 
 
 def test_quadrature_exactness_orders():
-    # midpoint rule: exact on linears, second order on smooth integrands
-    errs = []
-    for J in (64, 128, 256):
-        g = make_grid(J, 1.0, 1.0)
-        val = float(np.sum(np.exp(g.y_nodes) * g.y_weights))
-        errs.append(abs(val - (np.e - 1.0)))
-    order = np.log(errs[0] / errs[-1]) / np.log(4.0)
-    assert order > 1.9
-    g = make_grid(32, 1.0, 1.0)
-    lin = float(np.sum((2.0 * g.y_nodes + 1.0) * g.y_weights))
-    assert lin == pytest.approx(2.0, rel=1e-14)
+    # trapezoid rule on [y_0, y_(J-1)]: exact on linears, second order on
+    # smooth integrands, uniform or graded
+    for grading in (1.0, 2.0):
+        errs = []
+        for J in (64, 128, 256):
+            g = make_grid(J, 1.0, grading)
+            y = g.y_nodes
+            val = float(np.sum(np.exp(y) * g.y_weights))
+            errs.append(abs(val - (np.exp(y[-1]) - np.exp(y[0]))))
+        order = np.log(errs[0] / errs[-1]) / np.log(4.0)
+        assert order > 1.9
+        g = make_grid(32, 1.0, grading)
+        y = g.y_nodes
+        lin = float(np.sum((2.0 * y + 1.0) * g.y_weights))
+        assert lin == pytest.approx(y[-1] ** 2 + y[-1] - y[0] ** 2 - y[0],
+                                    rel=1e-14)
 
 
 def test_lp_norm_weighted():
     g = make_grid(512, 1.0, 2.0)   # graded: resolves the singular weight
     u = np.ones(g.num_y)
-    # int_0^1 y^m dy = 1/(m+1)
+    y0, y1 = g.y_nodes[0], g.y_nodes[-1]
+    # int_{y_0}^{y_(J-1)} y^m dy = (y_(J-1)^(m+1) - y_0^(m+1)) / (m+1)
     for p, m in ((2.0, 0.0), (2.5, 1.0), (3.0, -0.5)):
-        want = (1.0 / (m + 1.0)) ** (1.0 / p)
+        want = ((y1 ** (m + 1.0) - y0 ** (m + 1.0)) / (m + 1.0)) ** (1.0 / p)
         assert lp_norm(u, p, m, g) == pytest.approx(want, rel=1e-3)
 
 
 @pytest.mark.parametrize("J", [64, 512])
 def test_norm_and_solver_y_quadratures(J):
-    # lp_norm weights a node by its cell length, the solver by its P1
-    # partition weight; their ratio per grading exponent
-    def ratio(grading):
-        g = make_grid(J, 1.0, grading)
-        return partition_weights(g.y_nodes) / g.y_weights
-
-    r = ratio(1.0)
-    assert np.allclose(r[1:-1], 1.0, rtol=0, atol=1e-12)
-    assert r[0] == pytest.approx(0.5, abs=1e-12)
-    assert r[-1] == pytest.approx(0.5, abs=1e-12)
-    r = ratio(2.0)
-    assert np.allclose(r[:-1], 1.0, rtol=0, atol=1e-12)
-    assert r[-1] == pytest.approx((J - 1) / (2 * J - 1), abs=1e-12)
+    # lp_norm and the solver weight y by the same P1 partition weights, so
+    # at p = 2 the norm is the solver's W-norm, on every grading, for a
+    # y-profile and for a field on an x-box
+    rng = np.random.default_rng(J)
+    box = XBox(2.0 * np.pi, 4, 2)
     # the README operator's default grading 2 / (2 - alpha) = 1.217, its
-    # reduced alpha = 2 a1 / (a1 - a2 + 2) at a1 = 0.5, a2 = -0.3: no node
-    # agrees exactly, and refinement does not close the gap
-    r = ratio(default_grading(2 * 0.5 / (0.5 + 0.3 + 2)))
-    assert r[0] == pytest.approx(0.604, abs=1e-3)
-    gap = np.abs(r[1:-1] - 1.0).max()
-    assert 0.011 < gap < 0.0112
+    # reduced alpha = 2 a1 / (a1 - a2 + 2) at a1 = 0.5, a2 = -0.3
+    for grading in (1.0, 2.0, default_grading(2 * 0.5 / (0.5 + 0.3 + 2))):
+        g = make_grid(J, 1.0, grading)
+        assert np.array_equal(g.y_weights, partition_weights(g.y_nodes))
+        for m in (0.0, 0.6, -0.4):
+            w = node_weights(g, m)
+            u = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+            want = float(np.sum(np.abs(u) ** 2 * w))
+            assert lp_norm(u, 2.0, m, g) ** 2 == pytest.approx(want,
+                                                               rel=1e-13)
+            gx = make_grid(J, 1.0, grading, box)
+            v = rng.standard_normal(gx.shape) + 1j * rng.standard_normal(
+                gx.shape)
+            want = float(np.sum(np.abs(v) ** 2 * w) * box.spacing ** 2)
+            assert lp_norm(v, 2.0, m, gx) ** 2 == pytest.approx(want,
+                                                                rel=1e-13)
+            # a y-profile on the x-box grid is measured in y alone
+            assert lp_norm(u, 2.0, m, gx) == lp_norm(u, 2.0, m, g)
 
 
 def test_stencil_orders_on_nonuniform_nodes():

@@ -104,7 +104,7 @@ def test_two_route_rows_hold_each_case_own_max():
         1.0, count=3, rng=ctx.rng("resolvent_two_route_identity"))
     assert len(res.rows) == 12
     for alpha, lam, got in res.rows:
-        w = node_weights(grid.y_nodes, 1.0 - alpha)
+        w = node_weights(grid, 1.0 - alpha)
         diffs = []
         for prof in profs:
             u1, u2 = two_route_resolvent(grid, alpha, 1.0, 0.3, 1.0, lam,

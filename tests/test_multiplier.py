@@ -235,7 +235,7 @@ def _dense_mikhlin_table(lams, xis, model, grid):
     """The scan by dense J x J products and a full SVD, cell by cell."""
     ops = mp.ModeOperators(grid, model.c_bessel, model.alpha)
     a, n = model.mixing, model.dim
-    sqw = np.sqrt(mp.node_weights(grid.y_nodes, model.m))
+    sqw = np.sqrt(mp.node_weights(grid, model.m))
     grad = ops.grad_term(np.eye(ops.size))
     ya = np.diag(ops.y_alpha.astype(complex))
     eye = np.eye(ops.size, dtype=complex)

@@ -1,5 +1,7 @@
 """Parameter calculus: power substitution action, shear congruence, reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,15 @@ def test_window_report():
     assert (mrep.lower, mrep.upper) == (0.0, 1.5)
     with pytest.raises(ValueError):
         validate_window(spec)
+
+
+def test_window_lower_end_is_positive_zero():
+    # at alpha = 0 the lower end is +0.0, never -0.0 (printed as -0)
+    spec = OperatorSpec([[1.0]], [0.0], 1.0, [0.0], 0.0, 0.0, 0.5)
+    for rep in (validate_window(spec, SpaceSpec(2.0, 0.0)),
+                validate_window(ModelParams([0.0], 0.0, 1.0, 0.0, 2.0))):
+        assert rep.lower == 0.0 and math.copysign(1.0, rep.lower) == 1.0
+        assert repr(rep.lower) == "0.0"
 
 
 def test_reduce_to_model_equal_powers():

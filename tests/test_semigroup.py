@@ -25,16 +25,14 @@ def _grid(J=48, nx=8):
 def test_evolve_validation():
     g = _grid()
     u0 = Field(np.zeros(g.shape, dtype=complex), g)
-    with pytest.raises(ValueError, match="time_grid required"):
-        sg.evolve(u0, None, MODEL, g)
     with pytest.raises(ValueError, match="increase strictly"):
-        sg.evolve(u0, None, MODEL, g, time_grid=np.array([0.0, 0.2, 0.1]))
+        sg.evolve(u0, None, MODEL, g, "backward_euler",
+                  np.array([0.0, 0.2, 0.1]))
     with pytest.raises(ValueError, match="unknown scheme"):
-        sg.evolve(u0, None, MODEL, g, scheme="leapfrog",
-                  time_grid=np.array([0.0, 0.1]))
+        sg.evolve(u0, None, MODEL, g, "leapfrog", np.array([0.0, 0.1]))
     bad = np.zeros((3, g.num_y), dtype=complex)  # wrong x count
     with pytest.raises(ValueError, match="does not match grid"):
-        sg.evolve(bad, None, MODEL, g, time_grid=np.array([0.0, 0.1]))
+        sg.evolve(bad, None, MODEL, g, "backward_euler", np.array([0.0, 0.1]))
 
 
 def test_run_snapshot_bookkeeping():
@@ -84,13 +82,13 @@ def _grid_space_oracle(u0, forcing, model, g, scheme, ts):
         if scheme == "backward_euler":
             plan = mp.FrequencySolvePlan(1.0 / dt, model, g)
             rhs = u / dt
-            fv = sg._forcing_at(forcing, k + 1, ts[k + 1])
+            fv = sg._forcing_at(forcing, ts[k + 1])
             if fv is not None:
                 rhs = rhs + fv
         else:
             plan = mp.FrequencySolvePlan(2.0 / dt, model, g)
             rhs = 2.0 * u / dt + plan.apply_operator(u).values
-            fv = sg._forcing_at(forcing, k, 0.5 * (ts[k] + ts[k + 1]))
+            fv = sg._forcing_at(forcing, 0.5 * (ts[k] + ts[k + 1]))
             if fv is not None:
                 rhs = rhs + 2.0 * fv
         u = plan.solve(Field(rhs, g))[0].values
@@ -103,7 +101,7 @@ _MODEL_2D = ModelParams([0.3, -0.2], 0.5, 1.0, 0.5, 2.0)
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("scheme", sg.SCHEMES)
-@pytest.mark.parametrize("kind", ["none", "callable", "sequence"])
+@pytest.mark.parametrize("kind", ["none", "callable"])
 def test_mode_space_march_matches_grid_space_steps(dim, scheme, kind):
     model = MODEL if dim == 1 else _MODEL_2D
     g = make_grid(24, 1.0, 2.0, XBox(2.0 * np.pi, 6, dim))
@@ -113,8 +111,7 @@ def test_mode_space_march_matches_grid_space_steps(dim, scheme, kind):
     ts = np.array([0.0, 0.01, 0.02, 0.035, 0.05, 0.065])
     shape = rng.standard_normal(g.shape)
     forcing = {"none": None,
-               "callable": lambda t: (1.0 + t) * shape,
-               "sequence": [(0.5 * j) * shape for j in range(ts.size)]}[kind]
+               "callable": lambda t: (1.0 + t) * shape}[kind]
     run = sg.evolve(u0, forcing, model, g, scheme, ts)
     ref = _grid_space_oracle(u0, forcing, model, g, scheme, ts)
     assert run.kept == list(range(ts.size))
@@ -128,7 +125,7 @@ def test_non_finite_step_raises():
     g = _grid(J=24, nx=8)
     u0 = np.ones(g.shape, dtype=complex)
     bad = np.full(g.shape, np.nan)
-    forcing = lambda t: bad if t > 0.012 else None
+    forcing = lambda t: bad if t > 0.012 else np.zeros(g.shape)
     for scheme in sg.SCHEMES:
         with pytest.raises(RuntimeError, match="step 2 produced non-finite"):
             sg.evolve(u0, forcing, MODEL, g, scheme,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degenpde import panels
-from degenpde.grid import Field, XBox, lp_norm, make_grid
+from degenpde.grid import Field, XBox, lp_norm, make_grid, partition_weights
 from degenpde.harness import decay_order, refinement_study
 from degenpde.params import beta_map, invert_beta
 from degenpde.transforms import (apply_phase, apply_power, apply_shear,
@@ -21,8 +21,11 @@ def test_power_image_grid_nodes_and_grading():
     gi = power_image_grid(g, 0.5)
     assert np.allclose(gi.y_nodes, g.y_nodes ** 1.5, rtol=1e-14)
     assert gi.grading_exponent == pytest.approx(3.0)
-    # weights still telescope to the mapped height
-    assert gi.y_weights.sum() == pytest.approx(gi.y_max, rel=1e-14)
+    # the image's weights are the partition weights of the mapped nodes,
+    # telescoping to their span
+    assert np.array_equal(gi.y_weights, partition_weights(gi.y_nodes))
+    assert gi.y_weights.sum() == pytest.approx(
+        gi.y_nodes[-1] - gi.y_nodes[0], rel=1e-14)
     with pytest.raises(ValueError):
         power_image_grid(g, -1.0)
 
