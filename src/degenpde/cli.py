@@ -313,8 +313,8 @@ def cmd_verify(cfg, suite, out_dir, seed):
     bad = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        line = "%-36s %s  constant=%.6g drift=%.6g" % (
-            res.estimate_id, status, res.constant, res.drift)
+        line = "%-36s %s  constant=%.6g drift=%.6g  seconds=%.3f" % (
+            res.estimate_id, status, res.constant, res.drift, res.seconds)
         if res.error:
             line += "  error=%s" % res.error
         print(line)
@@ -332,20 +332,22 @@ def cmd_sweep(cfg, out_dir, seed):
     for v in map(float, values):
         op_cfg = dict(cfg["operator"])
         op_cfg[param] = v
+        # a value whose model the solver refuses (c <= -1, a zero pivot)
+        # is an invalid row, like one the parameter maps refuse
         try:
             spec, space = config_to_problem(op_cfg)
             model, _ = reduce_to_model(spec, space)
             window = validate_window(spec, space)
+            grid = make_grid(128, 1.0, default_grading(model.alpha))
+            amod = float(np.linalg.norm(model.mixing)) if model.dim else 0.0
+            op = assemble_form(grid, "model_mode", c=model.c_bessel,
+                               alpha=model.alpha, mixing_freq=amod,
+                               freq_norm2=1.0)
+            scan = sector_resolvent_scan(op, amod)
         except (ValueError, RuntimeError):
             rows.append((v, float("nan"), float("nan"), float("nan"),
                          "invalid", float("nan")))
             continue
-        grid = make_grid(128, 1.0, default_grading(model.alpha))
-        amod = float(np.linalg.norm(model.mixing)) if model.dim else 0.0
-        op = assemble_form(grid, "model_mode", c=model.c_bessel,
-                           alpha=model.alpha, mixing_freq=amod,
-                           freq_norm2=1.0)
-        scan = sector_resolvent_scan(op, amod)
         rows.append((v, window.value, window.lower, window.upper,
                      "yes" if window.passed else "no", scan["sup"]))
     os.makedirs(out_dir, exist_ok=True)

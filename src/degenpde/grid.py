@@ -272,6 +272,15 @@ def _write_part(path, rows, indices, blocks):
         os._exit(status)
 
 
+def usable_cores():
+    """Cores this process may run on, or 1 where os.fork or
+    os.sched_getaffinity is missing (Windows, macOS): every parallel path
+    of degenpde forks, so without fork there is one core to use."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def write_field_csv(path, field):
     """Write a Field as CSV with columns: x index per axis, y, Re, Im.
 
@@ -304,9 +313,8 @@ def write_field_csv(path, field):
     nx = 1 if dim == 0 else g.x_box.num_points
     indices = list(itertools.product(range(nx), repeat=dim))
     ranges = 1
-    if (blocks.size >= _SPLIT_FLOATS and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")):
-        ranges = min(len(os.sched_getaffinity(0)), len(blocks))
+    if blocks.size >= _SPLIT_FLOATS:
+        ranges = min(usable_cores(), len(blocks))
     cuts = [len(blocks) * k // ranges for k in range(ranges + 1)]
     parts = ["%s.part%d" % (path, k) for k in range(1, ranges)]
     pids = []

@@ -13,17 +13,24 @@ parameter_roundtrip, resolvent_two_route_identity, nd_mode_vs_monolithic and
 apriori_regularity_fit are seeded from the check's id and the suite seed
 (SuiteContext.rng); parabolic_contraction, maximal_regularity_ratio,
 semigroup_structure and square_function_resolvent_family seed theirs from
-the suite seed alone.  Checks run in registry order and serialize to one CSV
-per estimate plus a summary CSV (estimate_id, pass, constant, drift).
+the suite seed alone.  No check reads another's state, so run_suite runs
+them on every usable core, one forked worker per core, and collects the
+results in registry order; they serialize to one CSV per estimate plus a
+summary CSV (estimate_id, pass, constant, drift), byte-identical to a run
+in one process.
 Out-of-window behavior is probed by exact, matrix-free operator norms
 (bessel1d.operator_norm) of the scaled multiplier family on one Fourier
 mode: a window violation concentrates on the smallest graded cells, so the
 norm grows under refinement once (m+1)/p leaves the admissible range.
 """
 
+import concurrent.futures
+import ctypes
 import hashlib
+import multiprocessing
 import numbers
 import os
+import time
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -34,7 +41,8 @@ from .bessel1d import (ModeOperators, assemble_form, expm_kernel,
                        model_kernel_fit, semigroup_domination_check,
                        two_route_resolvent, interpolation_constant,
                        resolvent_pair)
-from .grid import XBox, Field, make_grid, lp_norm, default_grading
+from .grid import (XBox, Field, make_grid, lp_norm, default_grading,
+                   usable_cores)
 from .multiplier import (resolvent_nd, derived_multipliers,
                          sum_identity_residual, monolithic_sparse_solve,
                          xi_derivative_check, mikhlin_bound_scan,
@@ -65,6 +73,7 @@ class EstimateResult:
         self.header = header or ()
         self.error = error
         self.csv_path = ""
+        self.seconds = float("nan")   # wall time where the check ran
 
     def __repr__(self):
         return ("EstimateResult(%s, passed=%s, constant=%g, drift=%g)"
@@ -968,6 +977,50 @@ def _write_csv(path, header, rows):
             fh.write(",".join(cells) + "\n")
 
 
+# OpenBLAS thread setters: the plain build's, then scipy-openblas's LP64 and
+# ILP64 names (numpy and scipy wheels each load their own copy)
+_BLAS_SET_THREADS = ("openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_")
+
+
+def _one_blas_thread():
+    """Pool initializer: run every loaded OpenBLAS on one thread.
+
+    The libraries are those mapped into this process whose file name holds
+    "openblas"; one without a known setter, or no such library, is left
+    as it is.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5] for fields in map(str.split, fh)
+                     if len(fields) == 6
+                     and "openblas" in os.path.basename(fields[5])}
+    except OSError:
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in _BLAS_SET_THREADS:
+            if hasattr(lib, symbol):
+                setter = getattr(lib, symbol)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _run_check(name, ctx):
+    """Run one registered check and time it where it runs; an exception
+    becomes a failed result."""
+    start = time.perf_counter()
+    try:
+        res = _REGISTRY_MAP[name](ctx)
+    except Exception as exc:
+        res = EstimateResult(name, False, error="%s: %s"
+                             % (type(exc).__name__, exc))
+    res.seconds = time.perf_counter() - start
+    return res
+
+
 def run_suite(config=None):
     """Run registered checks; returns a list of EstimateResult.
 
@@ -976,6 +1029,24 @@ def run_suite(config=None):
     raises ValueError.  Every check builds
     its own models and grids.  Individual check failures are recorded in the
     results, not raised.
+
+    With at least two checks and two usable cores (grid.usable_cores), the
+    checks go to a pool of min(cores, checks) workers forked from this
+    process, one check per task in the order given.  A check's result
+    cannot depend on the split: it reads only its own models and grids and
+    an RNG seeded from its id and the suite seed, or from the suite seed
+    alone, never state another check left behind.  The workers are forked,
+    not spawned: a spawned worker would import numpy and scipy afresh
+    (about 0.5 s, a quarter of the suite), and a forked one sees the
+    registry as this process holds it.  Each worker runs OpenBLAS on one
+    thread, since the workers already fill the cores and BLAS threads on
+    top of them only contend; this process's BLAS threads are left alone.
+    The results come back in input order, each with the seconds its check
+    took where it ran, and the CSVs are written here, byte-identical to a
+    run in one process.  One check, one core, or a platform without
+    os.fork runs the checks in this process.  A worker that dies raises
+    BrokenProcessPool; every worker is reaped before run_suite returns or
+    raises.
     """
     config = dict(config or {})
     suite = config.pop("suite", "default")
@@ -999,14 +1070,15 @@ def run_suite(config=None):
         if not callable(_REGISTRY_MAP[name]):
             raise ValueError("registry entry %r is not executable" % name)
 
-    def run_one(name):
-        try:
-            return _REGISTRY_MAP[name](ctx)
-        except Exception as exc:
-            return EstimateResult(name, False, error="%s: %s"
-                                  % (type(exc).__name__, exc))
-
-    results = [run_one(name) for name in checks]
+    workers = min(usable_cores(), len(checks))
+    if workers < 2:
+        results = [_run_check(name, ctx) for name in checks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_one_blas_thread) as pool:
+            results = list(pool.map(_run_check, checks,
+                                    [ctx] * len(checks)))
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

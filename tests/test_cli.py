@@ -339,6 +339,26 @@ def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     assert flags[0] == "yes" and flags[1] == "no"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow at 1e308
+def test_sweep_keeps_other_values_when_the_solver_refuses_one(tmp_path,
+                                                              capsys):
+    # drift_c -1.5 gives a model with c <= -1 and 1e308 a zero pivot; each
+    # is an invalid row and the valid value keeps its row
+    cfg = _write_config(tmp_path, {
+        "operator": SMALL_OPERATOR,
+        "sweep": {"parameter": "drift_c", "values": [0.5, -1.5, 1e308]},
+    })
+    d = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
+    rows = [r.split(",") for r in
+            (d / "sweep.csv").read_text().strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["0.5", "-1.5", "1e+308"]
+    assert rows[0][4] == "yes" and math.isfinite(float(rows[0][5]))
+    for row in rows[1:]:
+        assert row[4] == "invalid"
+        assert all(math.isnan(float(cell)) for cell in row[1:4] + row[5:])
+
+
 def test_sweep_table_does_not_depend_on_seed(tmp_path, capsys):
     # the sector column is an exact norm, so no seed enters sweep.csv
     cfg = _write_config(tmp_path, {

@@ -1,6 +1,9 @@
-"""Suite runner: registry integrity, error capture, CSV reproducibility."""
+"""Suite runner: registry integrity, error capture, CSV reproducibility,
+and the forked check workers."""
 
+import ctypes
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -198,7 +201,7 @@ def test_estimate_result_repr_and_defaults():
     res = EstimateResult("demo", True, constant=1.5, drift=0.01)
     assert "demo" in repr(res)
     assert res.rows == [] and res.header == () and res.error == ""
-    assert res.csv_path == ""
+    assert res.csv_path == "" and np.isnan(res.seconds)
 
 
 def test_square_function_ratio_guards():
@@ -264,3 +267,126 @@ def test_square_function_pair_cache_matches_uncached_run():
                                      profiles=profs)
     assert cached == uncached
     assert cached > 0.0
+
+
+# cheap checks: two_route seeds its RNG from its id and the suite seed,
+# semigroup_structure from the suite seed alone
+_CHEAP = ["resolvent_two_route_identity", "semigroup_structure",
+          "selfadjoint_spectrum", "xi_derivative_order",
+          "interpolation_gradient_fit", "nd_manufactured_convergence"]
+
+
+def _report_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+
+
+def _register_pid_check(monkeypatch):
+    """A check that reports the pid it ran in, outside every CSV."""
+    monkeypatch.setitem(
+        harness._REGISTRY_MAP, "synthetic_pid",
+        lambda ctx: EstimateResult("synthetic_pid", True, constant=0.0,
+                                   drift=0.0, detail={"pid": os.getpid()}))
+
+
+def _suite_outputs(out_dir):
+    return {name: (out_dir / name).read_bytes()
+            for name in sorted(os.listdir(out_dir))}
+
+
+def test_forked_suite_equals_the_serial_suite(tmp_path, monkeypatch):
+    _register_pid_check(monkeypatch)
+    checks = _CHEAP + ["synthetic_pid"]
+    runs = {}
+    for label, cores in (("forked", {0, 1, 2}), ("serial", {0})):
+        _report_cores(monkeypatch, cores)
+        out = tmp_path / label
+        runs[label] = (run_suite({"checks": checks, "seed": 71,
+                                  "out_dir": str(out)}),
+                       _suite_outputs(out))
+    (forked, forked_csv), (serial, serial_csv) = runs["forked"], runs["serial"]
+    assert forked[-1].detail["pid"] != os.getpid()
+    assert serial[-1].detail["pid"] == os.getpid()
+    assert [r.estimate_id for r in forked] == checks
+    for a, b in zip(forked, serial):
+        assert (a.passed, a.constant, a.drift) == (b.passed, b.constant,
+                                                   b.drift), a.estimate_id
+        assert a.rows == b.rows, a.estimate_id
+        assert a.seconds > 0.0 and b.seconds > 0.0
+    assert len(forked_csv) == len(_CHEAP) + 1   # estimates plus summary
+    assert forked_csv == serial_csv
+
+
+def test_check_exception_in_a_worker_is_recorded_not_raised(monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("synthetic failure in %d" % os.getpid())
+
+    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_boom", boom)
+    _report_cores(monkeypatch, {0, 1, 2})
+    results = run_suite({"checks": ["xi_derivative_order", "synthetic_boom",
+                                    "selfadjoint_spectrum"]})
+    assert [r.passed for r in results] == [True, False, True]
+    assert "RuntimeError: synthetic failure in" in results[1].error
+    assert "in %d" % os.getpid() not in results[1].error
+
+
+def test_dead_worker_raises_and_leaves_no_child(monkeypatch):
+    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_exit",
+                        lambda ctx: os._exit(3))
+    _report_cores(monkeypatch, {0, 1, 2})
+    with pytest.raises(BrokenProcessPool):
+        run_suite({"checks": ["xi_derivative_order", "synthetic_exit",
+                              "selfadjoint_spectrum"]})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_suite_without_fork_or_affinity_runs_in_process(monkeypatch,
+                                                        missing):
+    _register_pid_check(monkeypatch)
+    _report_cores(monkeypatch, {0, 1, 2})
+    monkeypatch.delattr(os, missing)
+    results = run_suite({"checks": ["xi_derivative_order", "synthetic_pid"]})
+    assert results[0].passed
+    assert results[1].detail["pid"] == os.getpid()
+
+
+_BLAS_GET_THREADS = ("openblas_get_num_threads",
+                     "scipy_openblas_get_num_threads",
+                     "scipy_openblas_get_num_threads64_")
+
+
+def _blas_thread_counts():
+    """Thread count of each loaded OpenBLAS that has a known getter."""
+    with open("/proc/self/maps") as fh:
+        paths = {fields[5] for fields in map(str.split, fh)
+                 if len(fields) == 6
+                 and "openblas" in os.path.basename(fields[5])}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in _BLAS_GET_THREADS:
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(
+        monkeypatch):
+    parent = _blas_thread_counts()
+    if not parent:
+        pytest.skip("no OpenBLAS thread getter in this process")
+    monkeypatch.setitem(
+        harness._REGISTRY_MAP, "synthetic_blas",
+        lambda ctx: EstimateResult("synthetic_blas", True,
+                                   detail={"counts": _blas_thread_counts(),
+                                           "pid": os.getpid()}))
+    _report_cores(monkeypatch, {0, 1, 2})
+    results = run_suite({"checks": ["synthetic_blas"] * 3})
+    for res in results:
+        assert res.detail["pid"] != os.getpid()
+        assert res.detail["counts"] == [1] * len(parent)
+    assert _blas_thread_counts() == parent
