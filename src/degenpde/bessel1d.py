@@ -124,12 +124,21 @@ def _rows(v, ndim):
     return v.reshape(v.shape + (1,) * (ndim - v.ndim))
 
 
-def _band_apply(sub, diag, sup, u):
-    """Tridiagonal (sub, diag, sup) product along axis 0 of u."""
+def _band_apply(sub, diag, sup, u, out=None, scratch=None):
+    """Tridiagonal (sub, diag, sup) product along axis 0 of u.
+
+    Written into `out` when given, and the off-diagonal products into
+    `scratch` (an array of the product's shape); with both given nothing is
+    allocated.
+    """
     sub, diag, sup = (_rows(b, u.ndim) for b in (sub, diag, sup))
-    out = diag * u
-    out[:-1] += sup * u[1:]
-    out[1:] += sub * u[:-1]
+    out = np.multiply(diag, u, out=out)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.multiply(sup, u[1:], out=scratch[:-1])
+    out[:-1] += scratch[:-1]
+    np.multiply(sub, u[:-1], out=scratch[1:])
+    out[1:] += scratch[1:]
     return out
 
 
@@ -162,9 +171,14 @@ class TridiagForm:
     def size(self):
         return self.diag.shape[0]
 
-    def apply(self, u):
-        """F u along axis 0 of u."""
-        return _band_apply(self.sub, self.diag, self.sup, u)
+    def apply(self, u, out=None, scratch=None):
+        """F u along axis 0 of u, into `out` when given (see _band_apply)."""
+        return _band_apply(self.sub, self.diag, self.sup, u, out, scratch)
+
+    def columns(self, cols):
+        """The form of the modes in slice `cols` of a batch: band views."""
+        return TridiagForm(self.sub[:, cols], self.diag[:, cols],
+                           self.sup[:, cols], self.weight, self.grid)
 
     def apply_adjoint(self, u):
         """F^H u along axis 0 of u: the conjugate-transposed bands."""
@@ -208,7 +222,7 @@ class TridiagForm:
             diag = self._shifted_diag(lam)
         if diag.ndim == 1 or diag.shape[1] <= _STACK_MODES:
             return _PivotedLU(self.sub, diag, self.sup)
-        return _ThomasLU(self.sub, diag, self.sup)
+        return _ThomasLU.factor(self.sub, diag, self.sup)
 
     def backward_error(self, lam, u, b):
         """Componentwise backward error of u for (lam W + F) u = b.
@@ -279,9 +293,16 @@ class _PivotedLU:
 
 class _ThomasLU:
     """Thomas LU of a batch wider than _STACK_MODES: multipliers and inverse
-    pivots."""
+    pivots, one column per mode."""
 
-    def __init__(self, sub, piv, sup):
+    def __init__(self, sup, mult, inv_piv):
+        self.sup = sup
+        self.mult = mult
+        self.inv_piv = inv_piv
+
+    @classmethod
+    def factor(cls, sub, piv, sup):
+        """Factor the batch with bands (sub, piv, sup); piv is overwritten."""
         mult = np.empty_like(sub)
         with np.errstate(all="ignore"):
             for i in range(1, piv.shape[0]):
@@ -290,9 +311,12 @@ class _ThomasLU:
         bad = np.flatnonzero(~np.all(np.isfinite(piv) & (piv != 0), axis=0))
         if bad.size:
             raise SingularFormError(bad[0])
-        self.sup = sup
-        self.mult = mult
-        self.inv_piv = np.reciprocal(piv, out=piv)
+        return cls(sup, mult, np.reciprocal(piv, out=piv))
+
+    def columns(self, cols):
+        """The factors of the modes in slice `cols`: views, no copy."""
+        return _ThomasLU(self.sup[:, cols], self.mult[:, cols],
+                         self.inv_piv[:, cols])
 
     def solve(self, b, overwrite_b=False):
         """A^(-1) b for (J, modes) b, by one forward and one backward sweep.

@@ -255,18 +255,39 @@ def _write_blocks(fh, rows, indices, blocks):
         fh.write((prefix + prefix.join(rows)) % tuple(vals.tolist()))
 
 
-def _write_part(path, rows, indices, blocks):
-    """Forked child: write the blocks to `path`, then end the process.
+def fork_ranges(ranges, work):
+    """Run work(k) for k = 1 .. ranges - 1, each in a forked child, and
+    work(0) in this process; returns the children's wait statuses.
 
-    The collector stays off, so no finalizer of an object inherited from
-    the parent runs here, and os._exit skips the parent's unflushed buffers
-    and exit handlers.  Status 0 only once the file is closed.
+    The children are forked before work(0) starts, so nothing it allocates
+    is copied to them.  A child runs with the collector off, so no
+    finalizer of an object inherited from the parent runs there, and ends
+    by os._exit, which skips the parent's unflushed buffers and exit
+    handlers: status 0 once work(k) has returned, 1 if it raised.  Its
+    results must reach the parent through files or shared memory made
+    before the fork, and it must not call BLAS, whose threads the fork did
+    not copy.  Every child is reaped in a `finally`, also when work(0) or a
+    fork raises, so no child outlives the call.  One range forks nothing.
     """
+    pids = []
+    try:
+        for k in range(1, ranges):
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, k)
+            pids.append(pid)
+        work(0)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return statuses
+
+
+def _run_child(work, k):
+    """Forked child: run work(k) and end the process (see fork_ranges)."""
     status = 1
     try:
         gc.disable()
-        with open(path, "w") as fh:
-            _write_blocks(fh, rows, indices, blocks)
+        work(k)
         status = 0
     finally:
         os._exit(status)
@@ -294,15 +315,14 @@ def write_field_csv(path, field):
     into one contiguous range of x-points per usable core; a smaller field,
     a 1-d field (one x-point block), one core, or a platform without os.fork
     or os.sched_getaffinity (Windows, macOS) writes one range and forks
-    nothing.  The ranges after the first are written to sibling part files
-    by children forked before `path` is opened.  A child runs only Python
-    formatting and file writes, never BLAS, whose threads the fork did not
-    copy, and ends by os._exit with status 0 only after its part is closed.
-    This process writes the header and the first range, reaps every child
-    in a `finally` (also when its own range raises), appends the parts in
-    order and deletes them, so the bytes are those of one process.  A failed
-    child raises OSError naming `path`; no part file and no child process
-    outlives the call.
+    nothing.  The ranges run through fork_ranges: the ranges after the first
+    are written to sibling part files by children forked before `path` is
+    opened, each running only Python formatting and file writes and
+    exiting with status 0 only after its part is closed.  This process
+    writes the header and the first range, appends the parts in order once
+    every child is reaped, and deletes them, so the bytes are those of one
+    process.  A failed child raises OSError naming `path`; no part file and
+    no child process outlives the call.
     """
     g = field.grid
     dim = 0 if g.x_box is None else g.x_box.dim
@@ -317,19 +337,16 @@ def write_field_csv(path, field):
         ranges = min(usable_cores(), len(blocks))
     cuts = [len(blocks) * k // ranges for k in range(ranges + 1)]
     parts = ["%s.part%d" % (path, k) for k in range(1, ranges)]
-    pids = []
-    try:
-        try:
-            for part, lo, hi in zip(parts, cuts[1:], cuts[2:]):
-                pid = os.fork()
-                if pid == 0:
-                    _write_part(part, rows, indices[lo:hi], blocks[lo:hi])
-                pids.append(pid)
-            with open(path, "w") as fh:
+
+    def write(k):
+        lo, hi = cuts[k], cuts[k + 1]
+        with open(parts[k - 1] if k else path, "w") as fh:
+            if not k:
                 fh.write(header + "\n")
-                _write_blocks(fh, rows, indices[:cuts[1]], blocks[:cuts[1]])
-        finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+            _write_blocks(fh, rows, indices[lo:hi], blocks[lo:hi])
+
+    try:
+        statuses = fork_ranges(ranges, write)
         if any(statuses):
             raise OSError("writing %s: part writers exited with status %r"
                           % (path, statuses))

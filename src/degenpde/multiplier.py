@@ -12,6 +12,10 @@ mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
 once and solves all modes in one batched tridiagonal solve: one LAPACK
 gttrs of the stacked block-diagonal system for at most
 bessel1d._STACK_MODES = 32 modes, one vectorised Thomas sweep for more.
+Every mode is solved on its own, so a contiguous range of mode columns of
+a wide batch is solved by the column views of its form and Thomas factors
+(TridiagForm.columns, the factors' columns): semigroup.evolve marches a
+large batch as one such range per usable core, in forked processes.
 The derived multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),
@@ -73,7 +77,8 @@ class FrequencySolvePlan:
     The mode-space entries work on (J, modes) x-Fourier coefficients:
     `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is the
     sweep with its residual.  `solve` and `apply_operator` wrap them in one
-    forward and one inverse FFT; a time stepper calls them directly and
+    forward and one inverse FFT; semigroup.evolve repeats solve_modes in
+    its own step buffers, on `form` and `lu` or their column views, and
     stays in mode space between steps.
     """
 

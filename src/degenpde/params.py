@@ -27,6 +27,9 @@ power maps form a one-parameter group: applying beta1 then beta2 equals the
 single map with (beta+1) = (beta1+1)(beta2+1).
 """
 
+import math
+import sys
+
 import numpy as np
 
 
@@ -386,10 +389,37 @@ def _check_finite(key, value):
         raise ValueError("operator.%s must be finite, got %r" % (key, value))
 
 
+# The model's Bessel exponent c enters the solver as node weights y^c and
+# power moments of y^(c+1).  For |c| > 308 a weight leaves the double range
+# (about 10^308) within one decade of y, so no grid resolves it.
+_MAX_MODEL_C = 308.0
+
+
+def _check_drift_c(spec):
+    """Reject a drift_c that no solve can use, naming its key: one whose
+    model exponent c = (drift_c / gamma + beta) / (beta + 1) has
+    |c| > _MAX_MODEL_C, or whose square, taken by the shear of a nonzero
+    drift_b, overflows."""
+    beta = 0.5 * (spec.alpha1 - spec.alpha2)
+    c = beta_map(beta, spec.alpha1, spec.alpha2, spec.drift_c / spec.gamma,
+                 0.0)[2]
+    if not abs(c) <= _MAX_MODEL_C:
+        raise ValueError("operator.drift_c = %r is out of range: the model "
+                         "exponent (drift_c/gamma + beta)/(beta + 1) = %g "
+                         "must have |c| <= %g" % (spec.drift_c, c,
+                                                  _MAX_MODEL_C))
+    if (spec.dim and abs(spec.drift_b).max() != 0.0
+            and not abs(spec.drift_c) <= math.sqrt(sys.float_info.max)):
+        raise ValueError("operator.drift_c = %r is out of range: the shear "
+                         "of drift_b squares it beyond the float range"
+                         % (spec.drift_c,))
+
+
 def config_to_problem(cfg):
     """Parse the flat config dict; unknown or missing keys raise ValueError.
 
-    q_matrix is a flat row-major list of length dimension^2.
+    q_matrix is a flat row-major list of length dimension^2.  A drift_c
+    whose model exponent no grid resolves is rejected here (_check_drift_c).
     """
     if not isinstance(cfg, dict):
         raise ValueError("config must be a mapping")
@@ -414,5 +444,6 @@ def config_to_problem(cfg):
     spec = OperatorSpec(qm.reshape(n, n) if n else np.zeros((0, 0)),
                         cfg["q_vector"], cfg["gamma"], cfg["drift_b"],
                         cfg["drift_c"], cfg["alpha1"], cfg["alpha2"])
+    _check_drift_c(spec)
     space = SpaceSpec(cfg["p"], cfg["m"])
     return spec, space

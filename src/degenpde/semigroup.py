@@ -19,12 +19,14 @@ single level; the harness runs them coarse to fine to confirm the ratio is
 stable and the slack vanishes.
 """
 
+import mmap
 import os
 
 import numpy as np
 
-from .grid import Field, XBox, lp_norm, make_grid, write_field_csv
-from .bessel1d import ModeOperators, resolvent_pair
+from .grid import (Field, XBox, fork_ranges, lp_norm, make_grid,
+                   usable_cores, write_field_csv)
+from .bessel1d import _STACK_MODES, ModeOperators, resolvent_pair
 from .multiplier import FrequencySolvePlan, monolithic_sparse_solve
 from .params import ModelParams
 from . import panels
@@ -94,6 +96,22 @@ def _forcing_at(forcing, t):
     return None if forcing is None else np.asarray(forcing(t), dtype=complex)
 
 
+# A batch on the Thomas path (more than bessel1d._STACK_MODES modes) is
+# marched in one range of mode columns per usable core only when its work,
+# modes x J x steps complex entries, reaches this.  A step costs about 50 ns
+# per entry in one process.  Forking a ~120 MB process and reaping it costs
+# about 4 ms, but a split run pays 10-25 ms more: the first-touch faults of
+# a child's buffers and, mostly, the scheduler moving the new child to the
+# idle core.  Medians of 21 interleaved in-process Crank-Nicolson evolve
+# runs (stride = steps), one range against two, 2 cores, Python 3.11.7,
+# numpy 2.4.6, a 124 MB process: 128 x 256 x 20 (0.66M) 59.1 against
+# 59.4 ms, 256 x 256 x 20 (1.3M) 101.8 against 122.4 ms, 256 x 256 x 30
+# (2.0M) 131.7 against 115.8 ms, 512 x 256 x 20 (2.6M) 167.8 against
+# 128.7 ms; the README command's 1024 x 256 x 40 (10.5M) about 700
+# against 360 ms.
+_SPLIT_WORK = 2_000_000
+
+
 def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     """March (d/dt - L) u = f from u0 over time_grid; returns EvolutionRun.
 
@@ -103,11 +121,28 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     Euler step is one batched solve of a FrequencySolvePlan, a
     Crank-Nicolson step one solve plus its explicit half L u_k = -F u_k / W,
     where F u_k is the band product the previous step's residual already
-    formed.  Plans are cached per distinct step size, so a uniform time grid
-    reuses one factorisation for all its steps.  Forcing is transformed once
-    per step; the inverse FFT runs only for the snapshots kept, every
-    `stride`-th time index and the final state.  A step with non-finite
-    values raises RuntimeError.
+    formed.  Plans are built in this process, one per distinct step size,
+    before the march starts, so a uniform time grid reuses one
+    factorisation for all its steps.
+
+    Every mode column evolves on its own, so a batch on the Thomas path
+    whose work reaches _SPLIT_WORK (timings at the constant) is marched as
+    one contiguous range of mode columns per usable core, through
+    grid.fork_ranges: this process marches the first range, forked children
+    the others.  Any other batch, one core, or a platform without os.fork
+    or os.sched_getaffinity marches one range here.  A range runs every
+    step in five (J, columns) buffers it allocates once, so no step
+    allocates (forcing aside, which is transformed once per step, whole,
+    in each range).  It writes its kept states, the row sums of |W r|^2 and
+    |f|^2 of each step's weighted residual and the first step with
+    non-finite values into arrays that, for more than one range, live in
+    MAP_SHARED anonymous mappings made before the fork.  This process
+    reduces the row sums to the worst weighted residual, transforms back
+    only the kept states (every `stride`-th time index and the final
+    state), dropping each once transformed, and raises RuntimeError for the first step, over all ranges,
+    that produced non-finite values, or when a range's child failed.  The
+    snapshots do not depend on the number of ranges; the residual adds the
+    ranges' row sums, so its last bits may.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -124,42 +159,143 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
                          % (u.shape, grid.shape))
     snapshots = [Field(u.copy(), grid)]
     last = times.size - 1
-    final = None
-    worst = 0.0
+    if last == 0:
+        return EvolutionRun(times, scheme, snapshots, stride=stride)
     plans = {}
-    uh = fu = None
+    keys = []
     for k in range(last):
         dt = times[k + 1] - times[k]
         key = round(float(dt), 15)
         if key not in plans:
             lam = 1.0 / dt if scheme == "backward_euler" else 2.0 / dt
             plans[key] = FrequencySolvePlan(lam, model, grid)
-        plan = plans[key]
-        if uh is None:
-            uh = plan._to_modes(u)
-            if scheme == "crank_nicolson":
-                fu = plan.form.apply(uh)
-        if scheme == "backward_euler":
-            rhs = uh / dt
-            fv = _forcing_at(forcing, times[k + 1])
-            if fv is not None:
-                rhs = rhs + plan._to_modes(fv)
+        keys.append(key)
+    plan = plans[keys[0]]
+    uh0 = plan._to_modes(u)
+    J, modes = uh0.shape
+    kept = [k for k in range(1, last + 1) if k % stride == 0 or k == last]
+    ranges = 1
+    if modes > _STACK_MODES and modes * J * last >= _SPLIT_WORK:
+        ranges = min(usable_cores(), modes)
+    cuts = [modes * r // ranges for r in range(ranges + 1)]
+    states, rows, bad = _march_arrays(ranges, len(kept), J, modes, last)
+
+    def march(r):
+        cols = slice(cuts[r], cuts[r + 1])
+        parts = {key: (p.lam, p.form, p.lu) if ranges == 1
+                 else (p.lam, p.form.columns(cols), p.lu.columns(cols))
+                 for key, p in plans.items()}
+        bad[r] = _march_range(scheme, times, forcing, plan,
+                              [parts[key] for key in keys], uh0, cols,
+                              dict(zip(kept, states)), rows[r])
+
+    statuses = fork_ranges(ranges, march)
+    if any(statuses):
+        raise RuntimeError("evolve: march ranges exited with status %r"
+                           % (statuses,))
+    if bad.any():
+        raise RuntimeError("step %d produced non-finite values"
+                           % (bad[bad > 0].min(),))
+    w = plan.ops.weight
+    sums = rows.sum(axis=0)
+    worst = 0.0
+    for wr_rows, f_rows in sums:
+        # one dot per step, as solve_modes reduces them
+        num, den = wr_rows @ (1.0 / w), f_rows @ w
+        worst = max(worst, float(np.sqrt(num / max(den, 1e-300))))
+    final = None
+    for k in kept:
+        # a state is dropped once transformed, so states and snapshots
+        # together hold about what the snapshots alone will
+        state = states.pop(0)
+        if modes <= _STACK_MODES:
+            # a stacked gttrs solves in Fortran order; the snapshot keeps
+            # that layout, so a reduction over it adds in the same order
+            state = np.asfortranarray(state)
+        field = Field(plan._from_modes(state), grid)
+        if k % stride == 0:
+            snapshots.append(field)
         else:
-            # (2/dt + L) u_k with L u_k = -F u_k / W
-            rhs = 2.0 * uh / dt - fu / plan.ops.weight[:, None]
-            fv = _forcing_at(forcing, 0.5 * (times[k] + times[k + 1]))
-            if fv is not None:
-                rhs = rhs + 2.0 * plan._to_modes(fv)
-        uh, fu, residual = plan.solve_modes(rhs)
-        if not np.all(np.isfinite(uh)):
-            raise RuntimeError("step %d produced non-finite values" % (k + 1,))
-        worst = max(worst, residual)
-        if (k + 1) % stride == 0:
-            snapshots.append(Field(plan._from_modes(uh), grid))
-        elif k + 1 == last:
-            final = Field(plan._from_modes(uh), grid)
+            final = field
     return EvolutionRun(times, scheme, snapshots, stride=stride, final=final,
                         residual=worst)
+
+
+def _march_arrays(ranges, kept, J, modes, steps):
+    """(states, rows, bad) of a march: a list of the `kept` (J, modes)
+    states, each range's per-step residual row sums and each range's first
+    step with non-finite values (0 for none).  For more than one range each
+    array lives in a MAP_SHARED anonymous mapping made here, before the
+    fork, so the children's writes reach this process; a mapping is
+    unmapped once its array is dropped."""
+    def shared(shape, dtype):
+        size = int(np.prod(shape))
+        buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
+        return np.frombuffer(buf, dtype, size).reshape(shape)
+
+    new = np.zeros if ranges == 1 else shared
+    return ([new((J, modes), np.complex128) for _ in range(kept)],
+            new((ranges, steps, 2, J), np.float64), new((ranges,), np.int64))
+
+
+def _march_range(scheme, times, forcing, plan, steps, uh0, cols, kept,
+                 rows):
+    """March the mode columns `cols` of uh0 over every step; returns the
+    first step with non-finite values, or 0.
+
+    steps holds each step's (lam, form, factors) of these columns; `plan`
+    gives the weights W and transforms the forcing.  The five (J, columns)
+    buffers are allocated here, after any fork; a step writes only into
+    them and into rows[k] (the row sums of |W r|^2 and |f|^2, r the step's
+    weighted residual and f its right-hand side) and, at a kept step, into
+    its state in `kept`.  The operations are those of
+    FrequencySolvePlan.solve_modes, bit for bit on finite values, with each
+    division by a real scalar or by W a product with its reciprocal
+    (numpy's complex division multiplies by the reciprocal too) and the
+    real factors applied to the float view.
+    """
+    uh = np.array(uh0[:, cols])
+    fu, rhs, wr, scratch = (np.empty_like(uh) for _ in range(4))
+    uh_f, fu_f, rhs_f, wr_f, scratch_f = (
+        a.view(float) for a in (uh, fu, rhs, wr, scratch))
+    weight = plan.ops.weight[:, None]
+    inv_weight = 1.0 / weight
+    if scheme == "crank_nicolson":
+        steps[0][1].apply(uh, out=fu, scratch=scratch)
+    for k, (lam, form, lu) in enumerate(steps):
+        dt = times[k + 1] - times[k]
+        if scheme == "backward_euler":
+            np.multiply(uh_f, 1.0 / dt, out=rhs_f)
+            fv = _forcing_at(forcing, times[k + 1])
+            if fv is not None:
+                rhs += plan._to_modes(fv)[:, cols]
+        else:
+            # (2/dt + L) u_k with L u_k = -F u_k / W
+            np.multiply(uh_f, 2.0 / dt, out=rhs_f)
+            np.multiply(fu_f, inv_weight, out=scratch_f)
+            rhs -= scratch
+            fv = _forcing_at(forcing, 0.5 * (times[k] + times[k + 1]))
+            if fv is not None:
+                rhs += 2.0 * plan._to_modes(fv)[:, cols]
+        np.multiply(rhs_f, weight, out=uh_f)
+        solved = lu.solve(uh, overwrite_b=True)
+        if solved is not uh:
+            uh[...] = solved
+        form.apply(uh, out=fu, scratch=scratch)
+        # W r = F u + (lam u - f) W, as in solve_modes
+        np.multiply(lam, uh, out=wr)
+        wr -= rhs
+        wr_f *= weight
+        wr += fu
+        np.einsum("ij,ij->i", wr_f, wr_f, out=rows[k, 0])
+        np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[k, 1])
+        # a non-finite entry of uh makes its row of W r non-finite, so the
+        # full test runs only when a row sum is not finite
+        if not np.isfinite(rows[k, 0]).all() and not np.isfinite(uh).all():
+            return k + 1
+        if k + 1 in kept:
+            kept[k + 1][:, cols] = uh
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or not.
 
-    degenpde forks check workers and field-CSV writers; each must be reaped
-    before the call that forked it returns or raises.
+    degenpde forks check workers, field-CSV writers and march ranges; each
+    must be reaped before the call that forked it returns or raises.
     """
     yield
     try:

@@ -117,6 +117,83 @@ def test_solve_parabolic_snapshots_reproducible(tmp_path, capsys):
     assert "residual %.3e" % man["residual"] in out
 
 
+def test_solve_parabolic_snapshots_do_not_depend_on_the_core_count(
+        tmp_path, monkeypatch, capsys):
+    # 64 modes, on the Thomas path; every such batch is split here, so the
+    # two-core run marches two forked ranges of mode columns
+    from degenpde import semigroup
+
+    monkeypatch.setattr(semigroup, "_SPLIT_WORK", 1)
+    cfg = _write_config(tmp_path, {
+        "operator": README_OPERATOR,
+        "grid": {"num_cells": 16, "num_x": 8},
+        "parabolic": {"steps": 4, "snapshot_stride": 2,
+                      "scheme": "crank_nicolson"},
+    })
+    forks = []
+    real_fork = os.fork
+
+    def logged_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    runs = {}
+    for label, cores in (("one", {0}), ("two", {0, 1}), ("again", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        d = tmp_path / label
+        assert main(["solve_parabolic", "--config", cfg, "--out",
+                     str(d)]) == 0
+        names = json.loads((d / "manifest.json").read_text())[
+            "evolution"]["snapshots"]
+        runs[label] = (names, _read_bytes(d, names + ["manifest.json"]))
+    assert len(forks) == 2
+    names, one = runs["one"]
+    assert names == ["snapshot_0000.csv", "snapshot_0002.csv",
+                     "snapshot_0004.csv"]
+    two = runs["two"][1]
+    assert all(one[name] == two[name] for name in names)
+    assert runs["again"][1] == two
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
+@pytest.mark.parametrize("drift_b", [[0.5, -0.3], [0.0, 0.0]])
+@pytest.mark.parametrize("drift_c", [1e308, -1e308, 1e155])
+def test_huge_drift_c_is_config_error(tmp_path, capsys, command, drift_b,
+                                      drift_c):
+    # the shear of a nonzero drift_b used to overflow at c ** 2 with a
+    # traceback; with drift_b = 0 the moments overflowed with warnings
+    cfg = _write_config(tmp_path, {
+        "operator": dict(README_OPERATOR, drift_b=drift_b, drift_c=drift_c),
+        "grid": {"num_cells": 16, "num_x": 4},
+    })
+    out_dir = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: operator.drift_c = %r is out of range" % drift_c \
+        in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("drift_b", [[0.5, -0.3], [0.0, 0.0]])
+def test_sweep_marks_huge_drift_c_invalid(tmp_path, capsys, drift_b):
+    cfg = _write_config(tmp_path, {
+        "operator": dict(README_OPERATOR, drift_b=drift_b),
+        "sweep": {"parameter": "drift_c", "values": [0.5, 1e308]},
+    })
+    d = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
+    rows = [r.split(",") for r in
+            (d / "sweep.csv").read_text().strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["0.5", "1e+308"]
+    assert rows[0][4] in ("yes", "no") and math.isfinite(float(rows[0][5]))
+    assert rows[1][4] == "invalid"
+    assert capsys.readouterr().err == ""
+
+
 def test_manifests_record_the_reduction_chain(tmp_path):
     from degenpde.params import config_to_problem, reduce_to_model
 

@@ -267,3 +267,24 @@ def test_field_csv_without_fork_or_affinity_writes_one_range(tmp_path,
     assert got.read_bytes() == want.read_bytes()
     assert forks == []
     assert sorted(os.listdir(tmp_path)) == ["new.csv", "oracle.csv"]
+
+
+def test_fork_ranges_runs_every_range_and_reaps_every_child(tmp_path,
+                                                            monkeypatch):
+    # range k writes its pid to a file; range 2 raises in its child, which
+    # then exits with status 1 instead of running the parent's code on
+    forks = _split_three_ways(monkeypatch)
+    parent = os.getpid()
+
+    def work(k):
+        (tmp_path / ("r%d" % k)).write_text(str(os.getpid()))
+        if k == 2:
+            raise RuntimeError("range 2 fails")
+
+    statuses = grid_module.fork_ranges(3, work)
+    assert len(forks) == 2
+    assert [os.WEXITSTATUS(s) for s in statuses] == [0, 1]
+    pids = [int((tmp_path / ("r%d" % k)).read_text()) for k in range(3)]
+    assert pids[0] == parent and parent not in pids[1:]
+    assert grid_module.fork_ranges(1, work) == []
+    assert len(forks) == 2

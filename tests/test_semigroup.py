@@ -263,3 +263,161 @@ def test_export_csvs_deterministic(tmp_path):
     assert loaded["steps"] == 4
     assert loaded["times"] == [float(t) for t in np.linspace(0.0, 0.1, 5)]
     assert loaded["model"]["alpha"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the march in forked ranges of mode columns
+
+
+_WIDE_MODEL = ModelParams([0.3, -0.2], 0.5, 1.0, 0.5, 2.0)
+
+
+def _wide_case(steps=7):
+    """A 64-mode batch (the Thomas path), rough data and a callable
+    forcing; 7 steps so that a stride of 3 leaves the final state off it."""
+    g = make_grid(24, 1.0, 2.0, XBox(2.0 * np.pi, 8, 2))
+    rng = np.random.default_rng(5)
+    u0 = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    shape = rng.standard_normal(g.shape)
+    return g, u0, shape, np.linspace(0.0, 0.07, steps + 1)
+
+
+def _cores(monkeypatch, count):
+    """Report `count` usable cores and split every batch on the Thomas
+    path; returns the log of forks (a one-core machine still forks)."""
+    monkeypatch.setattr(sg, "_SPLIT_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    forks = []
+    real_fork = os.fork
+
+    def logged_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    return forks
+
+
+def _shared_zero_maps():
+    """Lines of this process's shared anonymous mappings."""
+    with open("/proc/self/maps") as fh:
+        return [line for line in fh if "/dev/zero" in line]
+
+
+def _bits(field):
+    return np.ascontiguousarray(field.values).tobytes()
+
+
+@pytest.mark.parametrize("scheme", sg.SCHEMES)
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_forked_ranges_march_bitwise_as_one_range(monkeypatch, scheme,
+                                                  forced, stride):
+    g, u0, shape, ts = _wide_case()
+    forcing = (lambda t: (1.0 + t) * shape) if forced else None
+    maps = _shared_zero_maps()
+    runs = {}
+    for count in (1, 2, 3):
+        forks = _cores(monkeypatch, count)
+        runs[count] = sg.evolve(u0, forcing, _WIDE_MODEL, g, scheme, ts,
+                                stride=stride)
+        assert len(forks) == count - 1
+    one = runs[1]
+    assert one.kept == list(range(0, 8, stride))
+    for count in (2, 3):
+        run = runs[count]
+        assert run.kept == one.kept
+        assert [_bits(s) for s in run.snapshots] == \
+            [_bits(s) for s in one.snapshots]
+        assert _bits(run.final) == _bits(one.final)
+        # the ranges' row sums add in another order: the last bits may move
+        assert run.residual == pytest.approx(one.residual, rel=1e-6)
+        assert 0.0 < run.residual <= 1e-12
+    del runs
+    assert _shared_zero_maps() == maps
+
+
+def test_one_range_is_the_per_step_plan_solve(monkeypatch):
+    # the buffered march repeats solve_modes bit for bit, residual included
+    _cores(monkeypatch, 1)
+    g, u0, _, ts = _wide_case(steps=4)
+    run = sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
+    plan = mp.FrequencySolvePlan(2.0 / (ts[1] - ts[0]), _WIDE_MODEL, g)
+    uh = plan._to_modes(u0)
+    fu = plan.form.apply(uh)
+    worst = 0.0
+    for k in range(ts.size - 1):
+        dt = ts[k + 1] - ts[k]
+        uh, fu, res = plan.solve_modes(2.0 * uh / dt
+                                       - fu / plan.ops.weight[:, None])
+        worst = max(worst, res)
+        assert np.array_equal(run.snapshots[k + 1].values,
+                              plan._from_modes(uh))
+    assert run.residual == worst
+
+
+def test_dead_march_child_raises_and_leaves_no_child(monkeypatch):
+    _cores(monkeypatch, 3)
+    parent = os.getpid()
+    real = sg._march_range
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(sg, "_march_range", dying)
+    g, u0, _, ts = _wide_case()
+    with pytest.raises(RuntimeError, match="exited with status"):
+        sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parent_step,child_step,raised", [
+    (None, 3, 3), (5, 3, 3), (2, 4, 2), (6, None, 6),
+])
+def test_non_finite_step_in_any_range_names_the_first(monkeypatch,
+                                                      parent_step,
+                                                      child_step, raised):
+    # a forcing that is NaN at one step, in this process or in the children
+    # only, plants non-finite values in the ranges marched there
+    _cores(monkeypatch, 2)
+    parent = os.getpid()
+    g, u0, _, ts = _wide_case()
+    bad_at = {True: parent_step, False: child_step}
+
+    def forcing(t):
+        step = bad_at[os.getpid() == parent]
+        if step is not None and t == ts[step]:
+            return np.full(g.shape, np.nan)
+        return np.zeros(g.shape)
+
+    with pytest.raises(RuntimeError,
+                       match="step %d produced non-finite" % raised):
+        sg.evolve(u0, forcing, _WIDE_MODEL, g, "backward_euler", ts)
+
+
+def test_march_without_fork_runs_one_range(monkeypatch):
+    forks = _cores(monkeypatch, 3)
+    g, u0, _, ts = _wide_case()
+    split = sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    alone = sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
+    assert [_bits(s) for s in alone.snapshots] == \
+        [_bits(s) for s in split.snapshots]
+    assert len(forks) == 2
+
+
+def test_narrow_and_small_batches_march_in_one_range(monkeypatch):
+    # at most _STACK_MODES modes, or work below _SPLIT_WORK: no fork
+    forks = _cores(monkeypatch, 3)
+    g = _grid(J=24, nx=8)
+    sg.evolve(np.ones(g.shape), None, MODEL, g, "crank_nicolson",
+              np.linspace(0.0, 0.1, 4))
+    monkeypatch.setattr(sg, "_SPLIT_WORK", 64 * 24 * 7 + 1)
+    g, u0, _, ts = _wide_case()
+    sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
+    assert forks == []
