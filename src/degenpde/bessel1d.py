@@ -45,9 +45,7 @@ up to the identity.
 """
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.sparse.linalg import LinearOperator, svds
+import scipy
 
 from .grid import lp_norm, make_grid, default_grading
 from . import panels
@@ -270,13 +268,15 @@ class _PivotedLU:
         J = diag.shape[0]
         if self._batch:
             sub, diag, sup = (_mode_major(b, J) for b in (sub, diag, sup))
-        *self._lu, info = zgttrf(sub, diag, sup, overwrite_d=True)
+        *self._lu, info = scipy.linalg.lapack.zgttrf(sub, diag, sup,
+                                                     overwrite_d=True)
         piv = self._lu[1]
         if info > 0 or not np.isfinite(piv).all():
             bad = np.flatnonzero(~np.isfinite(piv) | (piv == 0))
             raise SingularFormError(bad[0] // J)
 
     def _gttrs(self, b, trans, overwrite_b):
+        zgttrs = scipy.linalg.lapack.zgttrs
         if not self._batch:
             return zgttrs(*self._lu, b, trans=trans, overwrite_b=overwrite_b)[0]
         x = zgttrs(*self._lu, b.T.flatten(), trans=trans, overwrite_b=True)[0]
@@ -544,8 +544,9 @@ def _numerical_range_polygon(d, sub, sup):
     for k, a in enumerate(angles):
         rot = np.exp(-1j * a)
         off = 0.5 * np.abs(rot * sub + np.conj(rot * sup))
-        support[k] = eigh_tridiagonal((rot * d).real, off, eigvals_only=True,
-                                      select="i", select_range=(J - 1, J - 1))[0]
+        support[k] = scipy.linalg.eigh_tridiagonal(
+            (rot * d).real, off, eigvals_only=True, select="i",
+            select_range=(J - 1, J - 1))[0]
     a2, h2 = np.roll(angles, -1), np.roll(support, -1)
     det = np.sin(a2 - angles)
     vertices = ((support * np.sin(a2) - h2 * np.sin(angles))
@@ -676,6 +677,7 @@ def expm_kernel(op, z):
     if op.hermitian_defect() <= 1e-12:
         d, e, _ = op.symmetric_bands()
         d, e = d.real, e.real
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
         lam0 = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                 select_range=(0, 0))[0]
         lam, V = eigh_tridiagonal(
@@ -734,24 +736,26 @@ def operator_norm(apply, apply_adjoint, weights):
     sqw = np.sqrt(np.asarray(weights, dtype=float))
     n = sqw.size
     start = np.random.default_rng(_NORM_SEED).standard_normal(n)
-    scaled = LinearOperator(
+    scaled = scipy.sparse.linalg.LinearOperator(
         (n, n), dtype=complex,
         matvec=lambda x: sqw * apply(np.ravel(x) / sqw),
         rmatvec=lambda x: apply_adjoint(sqw * np.ravel(x)) / sqw)
 
     def top_triplet(maxiter):
-        return svds(scaled, k=1, tol=_NORM_TOL, v0=start, maxiter=maxiter,
-                    solver="propack", rng=np.random.default_rng(_NORM_SEED),
-                    return_singular_vectors="vh")
+        return scipy.sparse.linalg.svds(
+            scaled, k=1, tol=_NORM_TOL, v0=start, maxiter=maxiter,
+            solver="propack", rng=np.random.default_rng(_NORM_SEED),
+            return_singular_vectors="vh")
 
     try:
         _, sigma, vh = top_triplet(min(n, _NORM_STEPS))
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         _, sigma, vh = top_triplet(n)
     attained = np.linalg.norm(scaled.matvec(np.conj(vh[0])))
     if not attained >= (1.0 - _NORM_TOL) * sigma[0]:
-        raise LinAlgError("top singular value %.17g is not attained by its "
-                          "singular vector (%.17g)" % (sigma[0], attained))
+        raise np.linalg.LinAlgError(
+            "top singular value %.17g is not attained by its singular vector "
+            "(%.17g)" % (sigma[0], attained))
     return float(sigma[0])
 
 

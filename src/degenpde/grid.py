@@ -22,7 +22,7 @@ import os
 import shutil
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 
 class XBox:
@@ -198,7 +198,7 @@ def _three_point_matrix(y, interior, end):
     vals = np.concatenate([end(y[first], y[0]), *interior(hl, hr),
                            end(y[last], y[-1])])
     row_of = np.concatenate([[0, 0, 0], rows, rows, rows, [J - 1] * 3])
-    return sparse.csr_array((vals, (row_of, cols)), shape=(J, J))
+    return scipy.sparse.csr_array((vals, (row_of, cols)), shape=(J, J))
 
 
 def diff1_matrix(y):

@@ -33,7 +33,7 @@ import os
 import time
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy
 
 from . import bessel1d, panels, semigroup, transforms
 from .bessel1d import (ModeOperators, assemble_form, expm_kernel,
@@ -394,7 +394,8 @@ def _check_selfadjoint_spectrum(ctx):
                                mixing_freq=0.0, freq_norm2=1.0)
             hd = op.hermitian_defect()
             d, e, _ = op.symmetric_bands()
-            evs = eigh_tridiagonal(d.real, e.real, eigvals_only=True)
+            evs = scipy.linalg.eigh_tridiagonal(d.real, e.real,
+                                                eigvals_only=True)
             worst_h = max(worst_h, hd)
             worst_neg = max(worst_neg, max(0.0, -float(evs.min())))
             rows.append((c, alpha, J, hd, float(evs.min())))
@@ -1036,9 +1037,12 @@ def run_suite(config=None):
     cannot depend on the split: it reads only its own models and grids and
     an RNG seeded from its id and the suite seed, or from the suite seed
     alone, never state another check left behind.  The workers are forked,
-    not spawned: a spawned worker would import numpy and scipy afresh
-    (about 0.5 s, a quarter of the suite), and a forked one sees the
-    registry as this process holds it.  Each worker runs OpenBLAS on one
+    so each sees the registry as this process holds it.  scipy.linalg and
+    scipy.sparse.linalg, which the package otherwise loads on first use,
+    are loaded here before the fork: a worker that loaded them itself
+    would pay the import again on every run (about 0.3 s per worker in a
+    fresh process), and a worker's OpenBLAS setup below reaches only the
+    libraries mapped when it starts.  Each worker runs OpenBLAS on one
     thread, since the workers already fill the cores and BLAS threads on
     top of them only contend; this process's BLAS threads are left alone.
     The results come back in input order, each with the seconds its check
@@ -1074,6 +1078,8 @@ def run_suite(config=None):
     if workers < 2:
         results = [_run_check(name, ctx) for name in checks]
     else:
+        import scipy.linalg
+        import scipy.sparse.linalg
         with concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_one_blas_thread) as pool:

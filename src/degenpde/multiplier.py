@@ -36,8 +36,7 @@ mode-decoupled path to solver tolerance.
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from .grid import Field, lp_norm
 from .bessel1d import (ModeOperators, TridiagForm, SingularFormError,
@@ -417,6 +416,7 @@ def monolithic_sparse_solve(lam, f, model, grid):
     nx = box.num_points
     D1 = spectral_derivative_matrix(box, 1)
     D2 = spectral_derivative_matrix(box, 2)
+    sp = scipy.sparse
     Winv = sp.diags(1.0 / ops.weight)
     K = sp.diags([ops.stiff.sub, ops.stiff.diag, ops.stiff.sup], [-1, 0, 1])
     P = sp.diags([ops.trans.sub, ops.trans.diag, ops.trans.sup], [-1, 0, 1])
@@ -425,7 +425,7 @@ def monolithic_sparse_solve(lam, f, model, grid):
            + 2.0 * model.mixing[0] * sp.kron(sp.csr_matrix(D1), Winv @ P)
            + sp.kron(sp.csr_matrix(D2), sp.diags(ops.y_alpha)))
     A = (lam * sp.identity(nx * J) - L2d).tocsc()
-    u = spla.spsolve(A, _values(f).reshape(-1))
+    u = sp.linalg.spsolve(A, _values(f).reshape(-1))
     return Field(u.reshape(grid.shape), grid)
 
 

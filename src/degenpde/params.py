@@ -394,12 +394,22 @@ def _check_finite(key, value):
 # (about 10^308) within one decade of y, so no grid resolves it.
 _MAX_MODEL_C = 308.0
 
+# The shear x -> x - (b/c) y adds (gamma/c^2) b b^T to Q, a term that
+# outgrows the diffusion block by the squared slope (|b|/|c|)^2, and so
+# does its rounding.  From the slope 1/sqrt(eps) = 2^26 on, that rounding
+# is as large as the block itself and the sheared block is positive
+# definite only by chance: the README operator's shear fails from
+# drift_c = 1e-9 (slope 5.8e8).  Below the bound, a reduction that rounds
+# |mixing| to 1 is still refused by reduce_to_model.
+_MAX_SHEAR_SLOPE = 2.0 ** 26
+
 
 def _check_drift_c(spec):
     """Reject a drift_c that no solve can use, naming its key: one whose
     model exponent c = (drift_c / gamma + beta) / (beta + 1) has
-    |c| > _MAX_MODEL_C, or whose square, taken by the shear of a nonzero
-    drift_b, overflows."""
+    |c| > _MAX_MODEL_C, or, with a nonzero drift_b, one whose square the
+    shear cannot take in floats or whose shear slope |drift_b| / |drift_c|
+    exceeds _MAX_SHEAR_SLOPE."""
     beta = 0.5 * (spec.alpha1 - spec.alpha2)
     c = beta_map(beta, spec.alpha1, spec.alpha2, spec.drift_c / spec.gamma,
                  0.0)[2]
@@ -408,18 +418,28 @@ def _check_drift_c(spec):
                          "exponent (drift_c/gamma + beta)/(beta + 1) = %g "
                          "must have |c| <= %g" % (spec.drift_c, c,
                                                   _MAX_MODEL_C))
-    if (spec.dim and abs(spec.drift_b).max() != 0.0
-            and not abs(spec.drift_c) <= math.sqrt(sys.float_info.max)):
+    b = math.hypot(*spec.drift_b)
+    if b == 0.0:
+        return
+    if not abs(spec.drift_c) <= math.sqrt(sys.float_info.max):
         raise ValueError("operator.drift_c = %r is out of range: the shear "
                          "of drift_b squares it beyond the float range"
                          % (spec.drift_c,))
+    slope = b / abs(spec.drift_c)   # OperatorSpec: drift_c != 0 here
+    if not slope <= _MAX_SHEAR_SLOPE:
+        raise ValueError("operator.drift_c = %r is out of range: the shear "
+                         "slope |drift_b|/|drift_c| = %g must be <= %g "
+                         "(1/sqrt(eps)), beyond which rounding swamps the "
+                         "sheared diffusion block"
+                         % (spec.drift_c, slope, _MAX_SHEAR_SLOPE))
 
 
 def config_to_problem(cfg):
     """Parse the flat config dict; unknown or missing keys raise ValueError.
 
     q_matrix is a flat row-major list of length dimension^2.  A drift_c
-    whose model exponent no grid resolves is rejected here (_check_drift_c).
+    whose model exponent no grid resolves, or whose shear no float block
+    holds, is rejected here (_check_drift_c).
     """
     if not isinstance(cfg, dict):
         raise ValueError("config must be a mapping")

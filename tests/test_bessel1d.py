@@ -566,7 +566,7 @@ def test_operator_norm_reruns_with_all_steps_when_capped(monkeypatch):
         caps.append(kwargs["maxiter"])
         return svds(*args, **kwargs)
 
-    monkeypatch.setattr(b1, "svds", recording_svds)
+    monkeypatch.setattr("scipy.sparse.linalg.svds", recording_svds)
     d = np.linspace(0.0, 1.0, 200)
     got = b1.operator_norm(lambda u: d * u, lambda u: d * u, np.ones(200))
     assert caps == [b1._NORM_STEPS, 200]

@@ -194,6 +194,40 @@ def test_sweep_marks_huge_drift_c_invalid(tmp_path, capsys, drift_b):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_tiny_drift_c_is_config_error(tmp_path, capsys):
+    # 1e-200 under the README drift_b used to end in a ZeroDivisionError
+    # traceback and exit 1
+    cfg = _write_config(tmp_path, {
+        "operator": dict(README_OPERATOR, drift_c=1e-200),
+        "grid": {"num_cells": 16, "num_x": 4},
+    })
+    out_dir = tmp_path / "o"
+    assert main(["solve_elliptic", "--config", cfg, "--out",
+                 str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: operator.drift_c = 1e-200 is out of range: the " \
+           "shear slope" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_marks_tiny_drift_c_invalid(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "operator": README_OPERATOR,
+        "sweep": {"parameter": "drift_c", "values": [0.5, 1e-10]},
+    })
+    d = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
+    rows = [r.split(",") for r in
+            (d / "sweep.csv").read_text().strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["0.5", "1e-10"]
+    assert rows[0][4] in ("yes", "no") and math.isfinite(float(rows[0][5]))
+    assert rows[1][4] == "invalid"
+    assert capsys.readouterr().err == ""
+
+
 def test_manifests_record_the_reduction_chain(tmp_path):
     from degenpde.params import config_to_problem, reduce_to_model
 
@@ -416,11 +450,12 @@ def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     assert flags[0] == "yes" and flags[1] == "no"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow at 1e308
+@pytest.mark.filterwarnings("error")
 def test_sweep_keeps_other_values_when_the_solver_refuses_one(tmp_path,
                                                               capsys):
-    # drift_c -1.5 gives a model with c <= -1 and 1e308 a zero pivot; each
-    # is an invalid row and the valid value keeps its row
+    # drift_c -1.5 gives a model with c <= -1, which the solver refuses,
+    # and 1e308 a model exponent beyond the config's range; each is an
+    # invalid row and the valid value keeps its row
     cfg = _write_config(tmp_path, {
         "operator": SMALL_OPERATOR,
         "sweep": {"parameter": "drift_c", "values": [0.5, -1.5, 1e308]},

@@ -376,6 +376,10 @@ def _blas_thread_counts():
 
 def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(
         monkeypatch):
+    # run_suite maps scipy's OpenBLAS before it forks; load it here first,
+    # so that the parent's libraries are the workers' also when this test
+    # runs alone
+    import scipy.linalg
     parent = _blas_thread_counts()
     if not parent:
         pytest.skip("no OpenBLAS thread getter in this process")

@@ -193,6 +193,31 @@ def test_reduce_mixing_is_schur_bounded():
         assert np.linalg.norm(model.mixing) < 1.0
 
 
+@pytest.mark.parametrize("drift_c", [1e-200, 1e-160, 1e-100, 1e-10])
+def test_tiny_drift_c_under_a_drift_b_is_rejected_naming_the_key(drift_c):
+    # the shear's slope |b|/|c| used to blow up past the config boundary:
+    # ZeroDivisionError at 1e-200, LinAlgError at 1e-160 and "shear lost
+    # ellipticity" at 1e-100 and 1e-10
+    with pytest.raises(ValueError, match=r"operator\.drift_c = %r is out of "
+                       r"range: the shear slope" % drift_c):
+        config_to_problem(dict(README_OPERATOR, drift_c=drift_c))
+    # without a drift_b there is no shear, and the value reduces
+    spec, space = config_to_problem(dict(README_OPERATOR, drift_b=[0.0, 0.0],
+                                         drift_c=drift_c))
+    reduce_to_model(spec, space)
+
+
+def test_shear_slope_bound_is_inclusive_and_keeps_small_drift_c():
+    one = dict(README_OPERATOR, drift_b=[1.0, 0.0])
+    config_to_problem(dict(one, drift_c=2.0 ** -26))   # slope exactly 2^26
+    with pytest.raises(ValueError, match="shear slope"):
+        config_to_problem(dict(one, drift_c=math.nextafter(2.0 ** -26, 0)))
+    for drift_c in (1e-3, -1e-3):
+        model, _ = reduce_to_model(*config_to_problem(
+            dict(README_OPERATOR, drift_c=drift_c)))
+        assert np.linalg.norm(model.mixing) < 1.0
+
+
 def test_config_roundtrip_and_bad_keys():
     cfg = {"q_matrix": [2.0, 0.1, 0.1, 1.0], "q_vector": [0.2, -0.1],
            "gamma": 1.5, "drift_b": [0.3, 0.0], "drift_c": 0.8,
