@@ -822,23 +822,23 @@ def semigroup_domination_check(grid, c, beta, drift_b, potential_coeff, t):
     return {"field_excess": excess_f, "kernel_excess": excess_k}
 
 
-def gaussian_envelope_fit(kernel, t, dist, prefactor):
-    """Fit |p| <= C prefactor(rho) exp(-dist(y, rho)^2 / (kappa t)).
+def _bessel_envelope_fit(kernel, z, c, t):
+    """Fit |p| <= C t^(-1/2) zr^(-c) min(zr / sqrt(t), 1)^c
+    exp(-|z - zr|^2 / (kappa t)), the Bessel envelope in the node
+    coordinate z (zr the coordinate of the column's node rho).
 
-    dist: (y_i, rho_j) -> separation in the kernel's natural distance;
-    prefactor: rho_j -> on-diagonal envelope (t-dependence included by the
-    caller).  Envelope regression over the entries |p| >= 1e-13 max |p|:
-    bin s = dist^2/t into 20 bins, regress the per-bin max of
+    Envelope regression over the entries |p| >= 1e-13 max |p|: bin
+    s = |z - zr|^2/t into 20 bins, regress the per-bin max of
     log(|p| / prefactor) linearly in s; kappa = -1/slope and C is the
     uniform max of |p| / (prefactor exp(-s/kappa)).
 
     Returns dict with C, kappa and the masked-point count.  kappa = inf when
     no Gaussian decay is visible (slope >= 0): callers treat that as failure.
     """
-    y = kernel.grid.y_nodes
     P = np.abs(kernel.values)
-    pref = prefactor(y)[None, :] * np.ones((y.size, 1))
-    s = dist(y[:, None], y[None, :]) ** 2 / t
+    pref = np.broadcast_to(
+        t ** -0.5 * z ** -c * np.minimum(z / np.sqrt(t), 1.0) ** c, P.shape)
+    s = np.abs(z[:, None] - z[None, :]) ** 2 / t
     mask = P >= 1e-13 * P.max()
     g = np.log(P[mask] / pref[mask])
     sv = s[mask]
@@ -869,13 +869,7 @@ def bessel_kernel_fit(kernel, c, t):
     Envelope C t^(-1/2) rho^(-c) min(rho/sqrt(t), 1)^c exp(-|y-rho|^2/(kappa t)),
     stated with respect to the measure rho^c d rho.
     """
-    rt = np.sqrt(t)
-
-    def pref(rho):
-        return t ** -0.5 * rho ** -float(c) * np.minimum(rho / rt, 1.0) ** float(c)
-
-    return gaussian_envelope_fit(kernel, t, lambda yy, rr: np.abs(yy - rr),
-                                 pref)
+    return _bessel_envelope_fit(kernel, kernel.grid.y_nodes, float(c), t)
 
 
 def model_kernel_fit(kernel, c, alpha, t):
@@ -883,25 +877,18 @@ def model_kernel_fit(kernel, c, alpha, t):
 
     The substitution z = y^e with e = 1 - alpha/2 turns y^alpha B_c into
     e^2 B_ct, ct = (c - alpha/2)/e, so the kernel is exactly
-    e * p_bessel(e^2 t, y^e, rho^e) and inherits the Bessel envelope
+    e * p_bessel(e^2 t, y^e, rho^e) and is fitted with the Bessel envelope
+    in z at time e^2 t,
 
         C (e^2 t)^(-1/2) rho^(-e ct) min(rho^e / (e sqrt(t)), 1)^ct
           exp(-|y^e - rho^e|^2 / (kappa e^2 t)),
 
     with respect to the measure rho^(c-alpha) d rho.
     """
-    a = float(alpha)
-    e = 1.0 - a / 2.0
-    ct = (float(c) - a / 2.0) / e
-    te = e * e * t
-    rte = np.sqrt(te)
-
-    def pref(rho):
-        ze = rho ** e
-        return te ** -0.5 * ze ** -ct * np.minimum(ze / rte, 1.0) ** ct
-
-    return gaussian_envelope_fit(
-        kernel, te, lambda yy, rr: np.abs(yy ** e - rr ** e), pref)
+    e = 1.0 - float(alpha) / 2.0
+    ct = (float(c) - float(alpha) / 2.0) / e
+    return _bessel_envelope_fit(kernel, kernel.grid.y_nodes ** e, ct,
+                                e * e * t)
 
 
 # ---------------------------------------------------------------------------

@@ -198,16 +198,17 @@ def _check_sweep(sec):
 
 
 def _problem(cfg):
-    """(spec, space) of the operator section for a solve command, which
-    solves on an x-box and so needs at least one horizontal dimension."""
+    """(spec, space, model, chain) of the operator section for a solve
+    command, which solves on an x-box and so needs at least one horizontal
+    dimension; an operator the reduction refuses is a config error."""
     try:
         spec, space = config_to_problem(cfg["operator"])
+        if spec.dim == 0:
+            raise ValueError("operator.dimension must be >= 1 for the solve "
+                             "commands, which solve on an x-box; got 0")
+        return (spec, space) + reduce_to_model(spec, space)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if spec.dim == 0:
-        raise ConfigError("operator.dimension must be >= 1 for the solve "
-                          "commands, which solve on an x-box; got 0")
-    return spec, space
 
 
 def _grid_for(cfg, model, refine=0):
@@ -242,8 +243,7 @@ def _manifest_base(command, cfg, seed, chain):
 
 
 def cmd_solve_elliptic(cfg, out_dir, seed, refine):
-    spec, space = _problem(cfg)
-    model, chain = reduce_to_model(spec, space)
+    spec, space, model, chain = _problem(cfg)
     window = validate_window(spec, space)
     grid = _grid_for(cfg, model, refine)
     esec = _section(cfg, "elliptic", ELLIPTIC_KEYS)
@@ -277,8 +277,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
 
 
 def cmd_solve_parabolic(cfg, out_dir, seed, refine):
-    spec, space = _problem(cfg)
-    model, chain = reduce_to_model(spec, space)
+    model, chain = _problem(cfg)[2:]
     grid = _grid_for(cfg, model, refine)
     psec = _section(cfg, "parabolic", PARABOLIC_KEYS)
     steps = psec["steps"] * 2 ** refine

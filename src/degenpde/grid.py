@@ -20,6 +20,7 @@ import gc
 import itertools
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import scipy
@@ -316,13 +317,15 @@ def write_field_csv(path, field):
     a 1-d field (one x-point block), one core, or a platform without os.fork
     or os.sched_getaffinity (Windows, macOS) writes one range and forks
     nothing.  The ranges run through fork_ranges: the ranges after the first
-    are written to sibling part files by children forked before `path` is
-    opened, each running only Python formatting and file writes and
-    exiting with status 0 only after its part is closed.  This process
-    writes the header and the first range, appends the parts in order once
-    every child is reaped, and deletes them, so the bytes are those of one
-    process.  A failed child raises OSError naming `path`; no part file and
-    no child process outlives the call.
+    are written to part files by children forked before `path` is opened,
+    each running only Python formatting and file writes and exiting with
+    status 0 only after its part is closed.  Each part is a new file of a
+    unique name next to `path` (`<name>.<random>.part`), created before the
+    fork by tempfile.mkstemp, so no existing file is opened or removed.
+    This process writes the header and the first range, appends the parts
+    in order once every child is reaped, and deletes them, so the bytes are
+    those of one process.  A failed child raises OSError naming `path`; no
+    part file and no child process outlives the call.
     """
     g = field.grid
     dim = 0 if g.x_box is None else g.x_box.dim
@@ -336,7 +339,7 @@ def write_field_csv(path, field):
     if blocks.size >= _SPLIT_FLOATS:
         ranges = min(usable_cores(), len(blocks))
     cuts = [len(blocks) * k // ranges for k in range(ranges + 1)]
-    parts = ["%s.part%d" % (path, k) for k in range(1, ranges)]
+    parts = []
 
     def write(k):
         lo, hi = cuts[k], cuts[k + 1]
@@ -346,6 +349,11 @@ def write_field_csv(path, field):
             _write_blocks(fh, rows, indices[lo:hi], blocks[lo:hi])
 
     try:
+        for _ in range(1, ranges):
+            fd, part = tempfile.mkstemp(".part", os.path.basename(path) + ".",
+                                        os.path.dirname(path) or ".")
+            os.close(fd)
+            parts.append(part)
         statuses = fork_ranges(ranges, write)
         if any(statuses):
             raise OSError("writing %s: part writers exited with status %r"

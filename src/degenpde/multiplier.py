@@ -49,10 +49,37 @@ def _values(f):
     return np.asarray(f.values if isinstance(f, Field) else f, dtype=complex)
 
 
-def _row_squares(z):
-    """sum_k |z[i, k]|^2 for each row i of a complex (rows, k) array."""
-    x = np.ascontiguousarray(z).view(float)
-    return np.einsum("ij,ij->i", x, x)
+def mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows):
+    """Solve (lam W + F) uh = W rhs in place and set fu = F uh.
+
+    rhs, uh, fu and wr are C-ordered (J, modes) buffers, `form` and `lu` a
+    batch's form and factors or their column views, weight the (J,) W.  wr
+    gets W r = F uh + (lam uh - rhs) W, rows[0] and rows[1] the row sums of
+    |W r|^2 and |rhs|^2.  Float-view products and einsums: no BLAS call, so
+    forked march ranges run it, and only a stacked gttrs allocates.
+    Returns the solver's result: uh, or the stacked solve's Fortran-ordered
+    array of the same values.
+    """
+    uh_f, rhs_f, wr_f = (a.view(float) for a in (uh, rhs, wr))
+    weight = weight[:, None]
+    np.multiply(rhs_f, weight, out=uh_f)
+    solved = lu.solve(uh, overwrite_b=True)
+    if solved is not uh:
+        uh[...] = solved
+    form.apply(uh, out=fu, scratch=wr)
+    np.multiply(lam, uh, out=wr)
+    wr -= rhs
+    wr_f *= weight
+    wr += fu
+    np.einsum("ij,ij->i", wr_f, wr_f, out=rows[0])
+    np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[1])
+    return solved
+
+
+def weighted_residual(rows, weight):
+    """|r|_W / |rhs|_W from mode_step's row sums, |r|^2_W = sum |W r|^2 / W."""
+    num, den = rows[0] @ (1.0 / weight), rows[1] @ weight
+    return float(np.sqrt(num / max(den, 1e-300)))
 
 
 def xi_lattice(box):
@@ -74,11 +101,11 @@ class FrequencySolvePlan:
     its xi, and every solve reports its weighted residual.
 
     The mode-space entries work on (J, modes) x-Fourier coefficients:
-    `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is the
-    sweep with its residual.  `solve` and `apply_operator` wrap them in one
-    forward and one inverse FFT; semigroup.evolve repeats solve_modes in
-    its own step buffers, on `form` and `lu` or their column views, and
-    stays in mode space between steps.
+    `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is one
+    mode_step, the sweep with its residual.  `solve` and `apply_operator`
+    wrap them in one forward and one inverse FFT; semigroup.evolve runs
+    mode_step in its own step buffers, on `form` and `lu` or their column
+    views, and stays in mode space between steps.
     """
 
     def __init__(self, lam, model, grid):
@@ -111,31 +138,19 @@ class FrequencySolvePlan:
         vals = modes.T.reshape(self.grid.shape)
         return np.fft.ifftn(vals, axes=self._axes)
 
-    def _sweep(self, fh):
-        """(lam - M(xi))^(-1) fh for every mode: W fh through the factors."""
-        return self.lu.solve(self.ops.weight[:, None] * fh, overwrite_b=True)
-
     def solve_modes(self, fh):
         """(lam - M(xi))^(-1) fh for (J, modes) coefficients fh.
 
-        Returns (uh, fu, residual): fu = F(xi) uh is the band product that
-        the weighted residual |(lam - M) uh - fh|_W / |fh|_W is built from,
-        and L uh = -fu / W for a caller that needs it.
+        Returns (uh, fu, residual) of one mode_step in fresh buffers: fu =
+        F(xi) uh (so L uh = -fu / W) and the weighted residual
+        |(lam - M) uh - fh|_W / |fh|_W.
         """
-        uh = self._sweep(fh)
-        fu = self.form.apply(uh)
+        fh = np.ascontiguousarray(fh, dtype=complex)
+        uh, fu, wr = (np.empty_like(fh) for _ in range(3))
+        rows = np.empty((2, fh.shape[0]))
         w = self.ops.weight
-        # W r = F u + (lam u - f) W, and |r|^2_W = sum_rows |W r|^2 / W; a
-        # row's sum of |.|^2 is the sum of squares of its float view, one
-        # pass with no temporary
-        wr = self.lam * uh
-        wr -= fh
-        wr *= w[:, None]
-        wr += fu
-        num = _row_squares(wr) @ (1.0 / w)
-        den = _row_squares(fh) @ w
-        residual = np.sqrt(num / max(den, 1e-300))
-        return uh, fu, float(residual)
+        uh = mode_step(self.lam, self.form, self.lu, w, fh, uh, fu, wr, rows)
+        return uh, fu, weighted_residual(rows, w)
 
     def apply_operator(self, u):
         """L u through the same per-mode form realization as the solves."""
@@ -150,7 +165,7 @@ class FrequencySolvePlan:
 
     def derived(self, f):
         """(y^alpha Dxx u, [y^alpha Dx_j Dy u], y^alpha B u) and u itself."""
-        uh = self._sweep(self._to_modes(_values(f)))
+        uh = self.solve_modes(self._to_modes(_values(f)))[0]
         g = self.ops.grad_term(uh)
         lap = -self.k2_flat[None, :] * self.ops.y_alpha[:, None] * uh
 

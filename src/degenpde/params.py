@@ -321,7 +321,9 @@ def reduce_to_model(spec, space):
     with scale s = gamma (beta+1)^2, alpha = 2 alpha1 / (alpha1 - alpha2 + 2),
     c_bessel = (c/gamma + beta) / (beta+1), mixing = Q^(-1/2) q / sqrt(gamma),
     and m mapped to (m - beta)/(beta+1).  |mixing| < 1 is exactly the Schur
-    complement condition gamma - q^T Q^(-1) q > 0, hence guaranteed.
+    complement condition gamma - q^T Q^(-1) q > 0, hence guaranteed in
+    exact arithmetic; a shear whose rounding takes |mixing| to 1 raises
+    ValueError naming operator.drift_c.
 
     Returns
     -------
@@ -355,6 +357,14 @@ def reduce_to_model(spec, space):
         beta, work.alpha1, work.alpha2, work.drift_c / g, space.m)
     # beta = (a1-a2)/2 equalizes the powers: alpha1_t == alpha2_t == alpha.
     alpha = alpha1_t
+    if work is not spec and not np.linalg.norm(mixing) < 1.0:
+        # 1 - |mixing| falls like drift_c^2 while the shear's rounding grows
+        # like eps (|drift_b|/|drift_c|)^2: a small drift_c can round the
+        # sheared mixing up to 1
+        raise ValueError("operator.drift_c = %r is out of range: the shear "
+                         "of drift_b rounds |mixing| to %g, and the model "
+                         "needs |mixing| < 1"
+                         % (spec.drift_c, np.linalg.norm(mixing)))
     model = ModelParams(mixing, alpha, c_t, m_t, space.p)
     chain = {"scale": g * (beta + 1.0) ** 2, "p": space.p, "steps": steps}
     return model, chain

@@ -27,7 +27,8 @@ import numpy as np
 from .grid import (Field, XBox, fork_ranges, lp_norm, make_grid,
                    usable_cores, write_field_csv)
 from .bessel1d import _STACK_MODES, ModeOperators, resolvent_pair
-from .multiplier import FrequencySolvePlan, monolithic_sparse_solve
+from .multiplier import (FrequencySolvePlan, mode_step,
+                         monolithic_sparse_solve, weighted_residual)
 from .params import ModelParams
 from . import panels
 
@@ -38,33 +39,28 @@ class EvolutionRun:
     """Evolved trajectory: time grid, scheme and kept snapshots.
 
     `snapshots` holds one Field per kept time index, `kept` =
-    0, stride, 2 stride, ...; `final` is the state at the last time, kept
-    also when its index is off the stride.  `residual` is the worst weighted
-    residual over the steps' mode solves; solve_parabolic's manifest
-    records it.
+    0, stride, 2 stride, ... and the last index, also when it is off the
+    stride; `final` = snapshots[-1] is the state at the last time.
+    `residual` is the worst weighted residual over the steps' mode solves;
+    solve_parabolic's manifest records it.
     """
 
-    def __init__(self, times, scheme, snapshots, stride=1, final=None,
-                 residual=0.0):
+    def __init__(self, times, scheme, snapshots, stride=1, residual=0.0):
         self.times = np.asarray(times, dtype=float)
         self.scheme = scheme
         self.snapshots = snapshots
-        self.kept = list(range(0, self.times.size, int(stride)))
+        last = self.times.size - 1
+        self.kept = list(range(0, last, int(stride))) + [last]
         self.residual = float(residual)
         if len(snapshots) != len(self.kept):
             raise ValueError("one snapshot per kept time point required")
-        if final is None:
-            if self.kept[-1] != self.times.size - 1:
-                raise ValueError("final state required when the last time "
-                                 "is off the stride")
-            final = snapshots[-1]
-        self.final = final
+        self.final = snapshots[-1]
 
     def export_csvs(self, outdir, basename="snapshot", model=None, chain=None):
-        """Write the kept snapshots' CSVs; returns their manifest, which
-        solve_parabolic stores in manifest.json as "evolution".  "forcing"
-        is empty: the command-line runs that write manifests are
-        unforced."""
+        """Write the kept snapshots' CSVs, the last time's among them;
+        returns their manifest, which solve_parabolic stores in
+        manifest.json as "evolution".  "forcing" is empty: the command-line
+        runs that write manifests are unforced."""
         os.makedirs(outdir, exist_ok=True)
         paths = []
         for k, snap in zip(self.kept, self.snapshots):
@@ -118,12 +114,12 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     scheme: "backward_euler" or "crank_nicolson".  forcing is None or a
     callable t -> array of grid values.  u0 is transformed to
     (J, modes) x-Fourier coefficients once and marched there: a backward
-    Euler step is one batched solve of a FrequencySolvePlan, a
-    Crank-Nicolson step one solve plus its explicit half L u_k = -F u_k / W,
-    where F u_k is the band product the previous step's residual already
-    formed.  Plans are built in this process, one per distinct step size,
-    before the march starts, so a uniform time grid reuses one
-    factorisation for all its steps.
+    Euler step is one multiplier.mode_step, the batched solve of a
+    FrequencySolvePlan with its residual, a Crank-Nicolson step one
+    mode_step plus its explicit half L u_k = -F u_k / W, where F u_k is the
+    band product the previous step already formed.  Plans are built in
+    this process, one per distinct step size, before the march starts, so
+    a uniform time grid reuses one factorisation for all its steps.
 
     Every mode column evolves on its own, so a batch on the Thomas path
     whose work reaches _SPLIT_WORK (timings at the constant) is marched as
@@ -131,18 +127,19 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     grid.fork_ranges: this process marches the first range, forked children
     the others.  Any other batch, one core, or a platform without os.fork
     or os.sched_getaffinity marches one range here.  A range runs every
-    step in five (J, columns) buffers it allocates once, so no step
-    allocates (forcing aside, which is transformed once per step, whole,
-    in each range).  It writes its kept states, the row sums of |W r|^2 and
-    |f|^2 of each step's weighted residual and the first step with
-    non-finite values into arrays that, for more than one range, live in
-    MAP_SHARED anonymous mappings made before the fork.  This process
-    reduces the row sums to the worst weighted residual, transforms back
-    only the kept states (every `stride`-th time index and the final
-    state), dropping each once transformed, and raises RuntimeError for the first step, over all ranges,
-    that produced non-finite values, or when a range's child failed.  The
-    snapshots do not depend on the number of ranges; the residual adds the
-    ranges' row sums, so its last bits may.
+    step in four (J, columns) buffers it allocates once, so no step on the
+    Thomas path allocates (forcing aside, which is transformed once per
+    step, whole, in each range).  It writes its kept states, each step's residual row
+    sums and the first step with non-finite values into arrays that, for
+    more than one range, live in MAP_SHARED anonymous mappings made before
+    the fork.  This process reduces the row sums to the worst weighted
+    residual (multiplier.weighted_residual, as solve_modes does),
+    transforms back only the kept states (every `stride`-th time index
+    and the last), dropping each once transformed, and raises RuntimeError
+    for the first step, over all ranges, that produced non-finite values,
+    or when a range's child failed.  The snapshots do not depend on the
+    number of ranges; the residual adds the ranges' row sums, so its last
+    bits may.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -173,7 +170,7 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     plan = plans[keys[0]]
     uh0 = plan._to_modes(u)
     J, modes = uh0.shape
-    kept = [k for k in range(1, last + 1) if k % stride == 0 or k == last]
+    kept = list(range(stride, last, stride)) + [last]
     ranges = 1
     if modes > _STACK_MODES and modes * J * last >= _SPLIT_WORK:
         ranges = min(usable_cores(), modes)
@@ -196,46 +193,34 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     if bad.any():
         raise RuntimeError("step %d produced non-finite values"
                            % (bad[bad > 0].min(),))
-    w = plan.ops.weight
-    sums = rows.sum(axis=0)
-    worst = 0.0
-    for wr_rows, f_rows in sums:
-        # one dot per step, as solve_modes reduces them
-        num, den = wr_rows @ (1.0 / w), f_rows @ w
-        worst = max(worst, float(np.sqrt(num / max(den, 1e-300))))
-    final = None
-    for k in kept:
+    worst = max(weighted_residual(step, plan.ops.weight)
+                for step in rows.sum(axis=0))
+    while states:
         # a state is dropped once transformed, so states and snapshots
         # together hold about what the snapshots alone will
-        state = states.pop(0)
-        if modes <= _STACK_MODES:
-            # a stacked gttrs solves in Fortran order; the snapshot keeps
-            # that layout, so a reduction over it adds in the same order
-            state = np.asfortranarray(state)
-        field = Field(plan._from_modes(state), grid)
-        if k % stride == 0:
-            snapshots.append(field)
-        else:
-            final = field
-    return EvolutionRun(times, scheme, snapshots, stride=stride, final=final,
+        snapshots.append(Field(plan._from_modes(states.pop(0)), grid))
+    return EvolutionRun(times, scheme, snapshots, stride=stride,
                         residual=worst)
 
 
 def _march_arrays(ranges, kept, J, modes, steps):
     """(states, rows, bad) of a march: a list of the `kept` (J, modes)
     states, each range's per-step residual row sums and each range's first
-    step with non-finite values (0 for none).  For more than one range each
-    array lives in a MAP_SHARED anonymous mapping made here, before the
-    fork, so the children's writes reach this process; a mapping is
-    unmapped once its array is dropped."""
-    def shared(shape, dtype):
+    step with non-finite values (0 for none).  The states are in Fortran
+    order, the layout of a stacked gttrs solve, so the inverse FFT of one
+    is C-ordered, as that of a stacked FrequencySolvePlan.solve is.  For
+    more than one range each array lives in a MAP_SHARED anonymous mapping
+    made here, before the fork, so the children's writes reach this
+    process; a mapping is unmapped once its array is dropped."""
+    def shared(shape, dtype, order):
         size = int(np.prod(shape))
         buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
-        return np.frombuffer(buf, dtype, size).reshape(shape)
+        return np.frombuffer(buf, dtype, size).reshape(shape, order=order)
 
     new = np.zeros if ranges == 1 else shared
-    return ([new((J, modes), np.complex128) for _ in range(kept)],
-            new((ranges, steps, 2, J), np.float64), new((ranges,), np.int64))
+    return ([new((J, modes), np.complex128, "F") for _ in range(kept)],
+            new((ranges, steps, 2, J), np.float64, "C"),
+            new((ranges,), np.int64, "C"))
 
 
 def _march_range(scheme, times, forcing, plan, steps, uh0, cols, kept,
@@ -244,24 +229,20 @@ def _march_range(scheme, times, forcing, plan, steps, uh0, cols, kept,
     first step with non-finite values, or 0.
 
     steps holds each step's (lam, form, factors) of these columns; `plan`
-    gives the weights W and transforms the forcing.  The five (J, columns)
-    buffers are allocated here, after any fork; a step writes only into
-    them and into rows[k] (the row sums of |W r|^2 and |f|^2, r the step's
-    weighted residual and f its right-hand side) and, at a kept step, into
-    its state in `kept`.  The operations are those of
-    FrequencySolvePlan.solve_modes, bit for bit on finite values, with each
-    division by a real scalar or by W a product with its reciprocal
-    (numpy's complex division multiplies by the reciprocal too) and the
-    real factors applied to the float view.
+    gives the weights W and transforms the forcing.  Each step forms its
+    right-hand side and runs multiplier.mode_step in the four (J, columns)
+    buffers allocated here, after any fork; a step writes only into them
+    and into rows[k] and, at a kept step, into its state in `kept`.  The
+    divisions by dt and by W are products with the reciprocal on the float
+    views (numpy's complex division multiplies by the reciprocal too).
     """
     uh = np.array(uh0[:, cols])
-    fu, rhs, wr, scratch = (np.empty_like(uh) for _ in range(4))
-    uh_f, fu_f, rhs_f, wr_f, scratch_f = (
-        a.view(float) for a in (uh, fu, rhs, wr, scratch))
-    weight = plan.ops.weight[:, None]
-    inv_weight = 1.0 / weight
+    fu, rhs, wr = (np.empty_like(uh) for _ in range(3))
+    uh_f, fu_f, rhs_f, wr_f = (a.view(float) for a in (uh, fu, rhs, wr))
+    weight = plan.ops.weight
+    inv_weight = 1.0 / weight[:, None]
     if scheme == "crank_nicolson":
-        steps[0][1].apply(uh, out=fu, scratch=scratch)
+        steps[0][1].apply(uh, out=fu, scratch=wr)
     for k, (lam, form, lu) in enumerate(steps):
         dt = times[k + 1] - times[k]
         if scheme == "backward_euler":
@@ -272,23 +253,12 @@ def _march_range(scheme, times, forcing, plan, steps, uh0, cols, kept,
         else:
             # (2/dt + L) u_k with L u_k = -F u_k / W
             np.multiply(uh_f, 2.0 / dt, out=rhs_f)
-            np.multiply(fu_f, inv_weight, out=scratch_f)
-            rhs -= scratch
+            np.multiply(fu_f, inv_weight, out=wr_f)
+            rhs -= wr
             fv = _forcing_at(forcing, 0.5 * (times[k] + times[k + 1]))
             if fv is not None:
                 rhs += 2.0 * plan._to_modes(fv)[:, cols]
-        np.multiply(rhs_f, weight, out=uh_f)
-        solved = lu.solve(uh, overwrite_b=True)
-        if solved is not uh:
-            uh[...] = solved
-        form.apply(uh, out=fu, scratch=scratch)
-        # W r = F u + (lam u - f) W, as in solve_modes
-        np.multiply(lam, uh, out=wr)
-        wr -= rhs
-        wr_f *= weight
-        wr += fu
-        np.einsum("ij,ij->i", wr_f, wr_f, out=rows[k, 0])
-        np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[k, 1])
+        mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows[k])
         # a non-finite entry of uh makes its row of W r non-finite, so the
         # full test runs only when a row sum is not finite
         if not np.isfinite(rows[k, 0]).all() and not np.isfinite(uh).all():

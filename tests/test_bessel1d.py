@@ -510,12 +510,12 @@ def test_singular_form_error_names_the_column_on_both_paths(modes, last):
         assert err.value.column == col
 
 
-def _loop_binned_fit(kernel, t, dist, prefactor):
-    """gaussian_envelope_fit with one masked pass per bin."""
-    y = kernel.grid.y_nodes
+def _loop_binned_fit(kernel, z, c, t):
+    """_bessel_envelope_fit with one masked pass per bin."""
     P = np.abs(kernel.values)
-    pref = prefactor(y)[None, :] * np.ones((y.size, 1))
-    s = dist(y[:, None], y[None, :]) ** 2 / t
+    edge = np.minimum(z / np.sqrt(t), 1.0)
+    pref = (t ** -0.5 * z ** -c * edge ** c)[None, :] * np.ones((z.size, 1))
+    s = np.abs(z[:, None] - z[None, :]) ** 2 / t
     mask = P >= 1e-13 * P.max()
     g = np.log(P[mask] / pref[mask])
     sv = s[mask]
@@ -537,16 +537,10 @@ def test_envelope_binning_is_bitwise_the_loop():
     g = make_grid(128, 1.0, 2.0)
     for c in (0.0, 1.0, 2.0):
         ker = b1.expm_kernel(b1.assemble_form(g, "bessel", c=c), t)
-
-        def pref(rho):
-            edge = np.minimum(rho / np.sqrt(t), 1.0)
-            return t ** -0.5 * rho ** -c * edge ** c
-
-        def dist(yy, rr):
-            return np.abs(yy - rr)
-
-        assert (b1.gaussian_envelope_fit(ker, t, dist, pref)
-                == _loop_binned_fit(ker, t, dist, pref))
+        # the Bessel fit's nodes y, and the model fit's y^e at e = 0.75
+        for z in (g.y_nodes, g.y_nodes ** 0.75):
+            assert (b1._bessel_envelope_fit(ker, z, c, t)
+                    == _loop_binned_fit(ker, z, c, t))
 
 
 def _scaled_resolvent_pair(op, lam):

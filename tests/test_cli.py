@@ -117,6 +117,30 @@ def test_solve_parabolic_snapshots_reproducible(tmp_path, capsys):
     assert "residual %.3e" % man["residual"] in out
 
 
+def test_solve_parabolic_writes_the_final_state_off_the_stride(tmp_path,
+                                                               capsys):
+    # 7 steps at stride 3 keep 0, 3 and 6, and the state at t_final too
+    names = {}
+    for stride in (3, 1):
+        cfg = _write_config(tmp_path, {
+            "operator": SMALL_OPERATOR,
+            "grid": {"num_cells": 32, "num_x": 8},
+            "parabolic": {"t_final": 0.2, "steps": 7,
+                          "snapshot_stride": stride},
+        })
+        d = tmp_path / ("s%d" % stride)
+        assert main(["solve_parabolic", "--config", cfg, "--out",
+                     str(d)]) == 0
+        names[stride] = json.loads((d / "manifest.json").read_text())[
+            "evolution"]["snapshots"]
+    assert names[3] == ["snapshot_0000.csv", "snapshot_0003.csv",
+                        "snapshot_0006.csv", "snapshot_0007.csv"]
+    assert sorted(os.listdir(tmp_path / "s3")) == sorted(
+        names[3] + ["manifest.json"])
+    assert (_read_bytes(tmp_path / "s3", names[3])
+            == _read_bytes(tmp_path / "s1", names[3]))
+
+
 def test_solve_parabolic_snapshots_do_not_depend_on_the_core_count(
         tmp_path, monkeypatch, capsys):
     # 64 modes, on the Thomas path; every such batch is split here, so the
@@ -210,6 +234,28 @@ def test_tiny_drift_c_is_config_error(tmp_path, capsys):
            "shear slope" in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("drift_c,code", [
+    (1e-6, 2), (1e-7, 2), (1e-8, 2), (1e-5, 0), (3e-7, 0),
+])
+def test_small_drift_c_that_rounds_mixing_to_one_is_config_error(
+        tmp_path, capsys, drift_c, code):
+    # below the slope bound, the README drift_b's shear rounds |mixing| to
+    # 1 at these three values; at the other two it solves
+    cfg = _write_config(tmp_path, {
+        "operator": dict(README_OPERATOR, drift_c=drift_c),
+        "grid": {"num_cells": 16, "num_x": 4},
+    })
+    out_dir = tmp_path / "o"
+    assert main(["solve_elliptic", "--config", cfg, "--out",
+                 str(out_dir)]) == code
+    err = capsys.readouterr().err
+    named = "config error: operator.drift_c = %r is out of range: the " \
+            "shear of drift_b rounds |mixing| to 1" % drift_c
+    assert (named in err) == (code == 2)
+    assert "Traceback" not in err
+    assert out_dir.exists() == (code == 0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -224,6 +224,33 @@ def test_split_field_csv_matches_per_row_oracle(tmp_path, monkeypatch, box,
     assert sorted(os.listdir(tmp_path)) == ["new.csv", "oracle.csv"]
 
 
+def test_split_field_csv_leaves_existing_files_alone(tmp_path, monkeypatch):
+    # two cores and a field above _SPLIT_FLOATS: one forked part writer,
+    # whose part file gets a new unique name, so a file named like an old
+    # `<path>.part1` is neither overwritten nor removed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    real_fork = os.fork
+
+    def logged_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    f = _special_field(XBox(2.0 * np.pi, 32, 1), 512)
+    assert 2 * f.values.size > grid_module._SPLIT_FLOATS
+    bystander = tmp_path / "solution.csv.part1"
+    bystander.write_text("keep")
+    got, want = tmp_path / "solution.csv", tmp_path / "oracle.csv"
+    write_field_csv(str(got), f)
+    _oracle_field_csv(str(want), f)
+    assert len(forks) == 1
+    assert bystander.read_text() == "keep"
+    assert got.read_bytes() == want.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["oracle.csv", "solution.csv",
+                                            "solution.csv.part1"]
+
+
 @pytest.mark.parametrize("in_child,error", [(True, OSError),
                                               (False, RuntimeError)])
 def test_split_field_csv_failure_leaves_no_part_or_child(tmp_path,

@@ -48,15 +48,20 @@ def test_run_snapshot_bookkeeping():
     assert 0.0 < run.residual <= 1e-12
     with pytest.raises(ValueError, match="one snapshot per kept time point"):
         sg.EvolutionRun(ts, "backward_euler", run.snapshots[:-1])
-    with pytest.raises(ValueError, match="final state required"):
+    # stride 3 keeps 0, 3 and the last index 4
+    with pytest.raises(ValueError, match="one snapshot per kept time point"):
         sg.EvolutionRun(ts, "backward_euler", run.snapshots[::3], stride=3)
+    kept = [run.snapshots[k] for k in (0, 3, 4)]
+    strided = sg.EvolutionRun(ts, "backward_euler", kept, stride=3)
+    assert strided.kept == [0, 3, 4] and strided.final is kept[-1]
     for stride in (0, 1.5, "2"):
         with pytest.raises(ValueError, match="stride"):
             sg.evolve(u0, None, MODEL, g, "backward_euler", ts, stride=stride)
 
 
 @pytest.mark.parametrize("steps,stride,kept", [
-    (6, 2, [0, 2, 4, 6]), (7, 3, [0, 3, 6]), (5, 9, [0]), (4, 4, [0, 4]),
+    (6, 2, [0, 2, 4, 6]), (7, 3, [0, 3, 6, 7]), (5, 9, [0, 5]),
+    (4, 4, [0, 4]),
 ])
 def test_stride_keeps_every_stride_th_and_the_final(steps, stride, kept):
     g = _grid(J=32, nx=8)
@@ -69,7 +74,7 @@ def test_stride_keeps_every_stride_th_and_the_final(steps, stride, kept):
     # the march is the same; the stride only skips inverse transforms
     for k, snap in zip(run.kept, run.snapshots):
         assert np.array_equal(snap.values, full.snapshots[k].values)
-    assert np.array_equal(run.final.values, full.final.values)
+    assert run.final is run.snapshots[-1]
     assert run.residual == full.residual
 
 
@@ -272,10 +277,11 @@ def test_export_csvs_deterministic(tmp_path):
 _WIDE_MODEL = ModelParams([0.3, -0.2], 0.5, 1.0, 0.5, 2.0)
 
 
-def _wide_case(steps=7):
-    """A 64-mode batch (the Thomas path), rough data and a callable
-    forcing; 7 steps so that a stride of 3 leaves the final state off it."""
-    g = make_grid(24, 1.0, 2.0, XBox(2.0 * np.pi, 8, 2))
+def _wide_case(steps=7, nx=8):
+    """An nx^2-mode batch (64 by default, the Thomas path), rough data and
+    a callable forcing; 7 steps so that a stride of 3 leaves the final
+    state off it."""
+    g = make_grid(24, 1.0, 2.0, XBox(2.0 * np.pi, nx, 2))
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     shape = rng.standard_normal(g.shape)
@@ -324,7 +330,7 @@ def test_forked_ranges_march_bitwise_as_one_range(monkeypatch, scheme,
                                 stride=stride)
         assert len(forks) == count - 1
     one = runs[1]
-    assert one.kept == list(range(0, 8, stride))
+    assert one.kept == {1: list(range(8)), 3: [0, 3, 6, 7]}[stride]
     for count in (2, 3):
         run = runs[count]
         assert run.kept == one.kept
@@ -338,10 +344,13 @@ def test_forked_ranges_march_bitwise_as_one_range(monkeypatch, scheme,
     assert _shared_zero_maps() == maps
 
 
-def test_one_range_is_the_per_step_plan_solve(monkeypatch):
-    # the buffered march repeats solve_modes bit for bit, residual included
+@pytest.mark.parametrize("nx", [4, 8])
+def test_one_range_is_the_per_step_plan_solve(monkeypatch, nx):
+    # the march and solve_modes run the same mode_step, so they agree bit
+    # for bit, residual included, on the stacked gttrs path (16 modes) and
+    # on the Thomas path (64 modes)
     _cores(monkeypatch, 1)
-    g, u0, _, ts = _wide_case(steps=4)
+    g, u0, _, ts = _wide_case(steps=4, nx=nx)
     run = sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
     plan = mp.FrequencySolvePlan(2.0 / (ts[1] - ts[0]), _WIDE_MODEL, g)
     uh = plan._to_modes(u0)
@@ -352,8 +361,11 @@ def test_one_range_is_the_per_step_plan_solve(monkeypatch):
         uh, fu, res = plan.solve_modes(2.0 * uh / dt
                                        - fu / plan.ops.weight[:, None])
         worst = max(worst, res)
-        assert np.array_equal(run.snapshots[k + 1].values,
-                              plan._from_modes(uh))
+        snap = run.snapshots[k + 1].values
+        assert np.array_equal(snap, plan._from_modes(uh))
+        # a kept state is column-major, so its inverse FFT is C-ordered, as
+        # that of a stacked solve's result is
+        assert snap.flags.c_contiguous
     assert run.residual == worst
 
 
