@@ -24,6 +24,7 @@ CSVs.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -221,8 +222,8 @@ def _grid_for(cfg, model, refine=0):
     return make_grid(J, gsec["y_max"], grading, box)
 
 
-def _write_manifest(out_dir, name, payload):
-    path = os.path.join(out_dir, name)
+def _write_manifest(out_dir, payload):
+    path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return path
@@ -242,6 +243,34 @@ def _manifest_base(command, cfg, seed, chain):
     }
 
 
+def _manufactured(model, grid, lam, esec):
+    """manufactured_mode_case for the elliptic section.  Its bump lives on
+    (c - w, c + w), c = center y_max and w = width y_max, and its second
+    derivative divides by w^2.  A w^2 beyond the float range, or a bump
+    that is 0 or not finite at every node, is a config error naming
+    elliptic.center when the support misses the nodes and elliptic.width
+    otherwise."""
+    c, w = esec["center"] * grid.y_max, esec["width"] * grid.y_max
+    if not math.isfinite(w * w):
+        raise ConfigError("elliptic.width = %r is out of range: the "
+                          "manufactured bump's second derivative divides by "
+                          "(width y_max)^2, beyond the float range"
+                          % (esec["width"],))
+    u_exact, f = manufactured_mode_case(model, grid, lam, esec["mode"],
+                                        esec["center"], esec["width"])
+    if np.any(u_exact.values) and np.isfinite(f.values).all():
+        return u_exact, f
+    y = grid.y_nodes
+    if c + w <= y[0] or c - w >= y[-1]:
+        raise ConfigError("elliptic.center = %r is out of range: the "
+                          "manufactured bump's support (%g, %g) misses the "
+                          "grid's nodes in [%g, %g]"
+                          % (esec["center"], c - w, c + w, y[0], y[-1]))
+    raise ConfigError("elliptic.width = %r is too narrow for the grid: the "
+                      "manufactured bump is 0 or not finite at every node"
+                      % (esec["width"],))
+
+
 def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     spec, space, model, chain = _problem(cfg)
     window = validate_window(spec, space)
@@ -255,8 +284,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     if not in_sector:
         print("warning: lam = %r lies outside the analytic sector "
               "|arg lam| < %.4f" % (lam, half_angle), file=sys.stderr)
-    u_exact, f = manufactured_mode_case(model, grid, lam, esec["mode"],
-                                        esec["center"], esec["width"])
+    u_exact, f = _manufactured(model, grid, lam, esec)
     u, info = resolvent_nd(lam, f, model, grid, return_info=True)
     err = (lp_norm(u.values - u_exact.values, model.p, model.m, grid)
            / lp_norm(u_exact.values, model.p, model.m, grid))
@@ -270,7 +298,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     manifest["window"] = {"value": window.value, "lower": window.lower,
                           "upper": window.upper, "passed": window.passed}
     manifest["lam_in_sector"] = in_sector
-    _write_manifest(out_dir, "manifest.json", manifest)
+    _write_manifest(out_dir, manifest)
     print("solve_elliptic: residual %.3e manufactured_error %.3e -> %s"
           % (info["residual"], err, sol_path))
     return 0
@@ -289,10 +317,10 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
                            stride=psec["snapshot_stride"])
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_base("solve_parabolic", cfg, seed, chain)
-    sub = run.export_csvs(out_dir, "snapshot", model=model, chain=chain)
+    sub = run.export_csvs(out_dir, model=model, chain=chain)
     manifest["evolution"] = sub
     manifest["residual"] = run.residual
-    _write_manifest(out_dir, "manifest.json", manifest)
+    _write_manifest(out_dir, manifest)
     final_norm = lp_norm(run.final.values, model.p, model.m, grid)
     print("solve_parabolic: %d steps of %s, residual %.3e, final norm %.6g "
           "-> %s" % (steps, psec["scheme"], run.residual, final_norm, out_dir))
@@ -357,7 +385,7 @@ def cmd_sweep(cfg, out_dir, seed):
     manifest = _manifest_base("sweep", cfg, seed, None)
     manifest["outputs"] = ["sweep.csv"]
     manifest["parameter"] = param
-    _write_manifest(out_dir, "manifest.json", manifest)
+    _write_manifest(out_dir, manifest)
     print("sweep %s over %d values -> %s" % (param, len(values), path))
     return 0
 

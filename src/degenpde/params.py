@@ -444,12 +444,27 @@ def _check_drift_c(spec):
                          % (spec.drift_c, slope, _MAX_SHEAR_SLOPE))
 
 
+def _check_scale(spec):
+    """Reject an alpha1 - alpha2 whose reduction scale gamma (beta + 1)^2,
+    beta = (alpha1 - alpha2)/2, leaves the float range, naming the alpha of
+    larger magnitude."""
+    beta = 0.5 * (spec.alpha1 - spec.alpha2)
+    if math.isfinite(spec.gamma * ((beta + 1.0) * (beta + 1.0))):
+        return
+    key = "alpha2" if abs(spec.alpha2) >= abs(spec.alpha1) else "alpha1"
+    raise ValueError("operator.%s = %r is out of range: the reduction scale "
+                     "gamma (beta + 1)^2, beta = (alpha1 - alpha2)/2, "
+                     "exceeds the float range"
+                     % (key, getattr(spec, key)))
+
+
 def config_to_problem(cfg):
     """Parse the flat config dict; unknown or missing keys raise ValueError.
 
-    q_matrix is a flat row-major list of length dimension^2.  A drift_c
-    whose model exponent no grid resolves, or whose shear no float block
-    holds, is rejected here (_check_drift_c).
+    q_matrix is a flat row-major list of length dimension^2.  An alpha1 -
+    alpha2 whose reduction scale is not finite (_check_scale), and a
+    drift_c whose model exponent no grid resolves or whose shear no float
+    block holds (_check_drift_c), are rejected here.
     """
     if not isinstance(cfg, dict):
         raise ValueError("config must be a mapping")
@@ -474,6 +489,7 @@ def config_to_problem(cfg):
     spec = OperatorSpec(qm.reshape(n, n) if n else np.zeros((0, 0)),
                         cfg["q_vector"], cfg["gamma"], cfg["drift_b"],
                         cfg["drift_c"], cfg["alpha1"], cfg["alpha2"])
+    _check_scale(spec)
     _check_drift_c(spec)
     space = SpaceSpec(cfg["p"], cfg["m"])
     return spec, space

@@ -56,15 +56,15 @@ class EvolutionRun:
             raise ValueError("one snapshot per kept time point required")
         self.final = snapshots[-1]
 
-    def export_csvs(self, outdir, basename="snapshot", model=None, chain=None):
-        """Write the kept snapshots' CSVs, the last time's among them;
-        returns their manifest, which solve_parabolic stores in
-        manifest.json as "evolution".  "forcing" is empty: the command-line
-        runs that write manifests are unforced."""
+    def export_csvs(self, outdir, model=None, chain=None):
+        """Write the kept snapshots' CSVs, snapshot_<step>.csv, the last
+        time's among them; returns their manifest, which solve_parabolic
+        stores in manifest.json as "evolution".  "forcing" is empty: the
+        command-line runs that write manifests are unforced."""
         os.makedirs(outdir, exist_ok=True)
         paths = []
         for k, snap in zip(self.kept, self.snapshots):
-            name = "%s_%04d.csv" % (basename, k)
+            name = "snapshot_%04d.csv" % k
             write_field_csv(os.path.join(outdir, name), snap)
             paths.append(name)
         manifest = {

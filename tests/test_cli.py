@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from degenpde.cli import main
+from degenpde.cli import DEFAULT_OPERATOR, main
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -218,6 +218,35 @@ def test_sweep_marks_huge_drift_c_invalid(tmp_path, capsys, drift_b):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("alpha2,code", [(-1e155, 2), (-1e154, 0)])
+def test_huge_alpha_gap_is_config_error(tmp_path, capsys, alpha2, code):
+    # on the default operator, gamma (beta + 1)^2 used to overflow in
+    # reduce_to_model with a traceback at -1e155; -1e154 solves
+    cfg = _write_config(tmp_path, {
+        "operator": dict(DEFAULT_OPERATOR, alpha2=alpha2)})
+    out_dir = tmp_path / "o"
+    assert main(["solve_elliptic", "--config", cfg, "--out",
+                 str(out_dir)]) == code
+    err = capsys.readouterr().err
+    named = "config error: operator.alpha2 = %r is out of range" % alpha2
+    assert (named in err) == (code == 2)
+    assert "Traceback" not in err
+    assert out_dir.exists() == (code == 0)
+
+
+def test_sweep_marks_a_huge_alpha_gap_invalid(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "sweep": {"parameter": "alpha2", "values": [0.3, -1e300]}})
+    d = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
+    rows = [r.split(",") for r in
+            (d / "sweep.csv").read_text().strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["0.29999999999999999",
+                                    "-1.0000000000000001e+300"]
+    assert rows[0][4] in ("yes", "no") and math.isfinite(float(rows[0][5]))
+    assert rows[1][4] == "invalid"
+
+
 @pytest.mark.filterwarnings("error")
 def test_tiny_drift_c_is_config_error(tmp_path, capsys):
     # 1e-200 under the README drift_b used to end in a ZeroDivisionError
@@ -427,6 +456,24 @@ def test_bad_elliptic_value_is_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert rc == 2
     assert "config error:" in err and "elliptic.%s" % key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key,value", [
+    ("center", 2.0), ("center", -1e10), ("width", 1e-300), ("width", 1e300),
+])
+def test_bump_that_misses_the_grid_is_config_error(tmp_path, capsys, key,
+                                                   value):
+    # on the default operator and grid, u_exact was 0 at every node (a
+    # ZeroDivisionError) or the bump's width ** 2 overflowed
+    cfg = _write_config(tmp_path, {"elliptic": {key: value}})
+    out_dir = tmp_path / "o"
+    rc = main(["solve_elliptic", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: elliptic.%s = %r" % (key, value) in err
     assert "Traceback" not in err
     assert not out_dir.exists()
 

@@ -10,8 +10,8 @@ import pytest
 
 from degenpde import harness, panels
 from degenpde.bessel1d import node_weights, two_route_resolvent
-from degenpde.harness import (REGISTRY, SUITES, EstimateResult, decay_order,
-                              refinement_study, run_suite,
+from degenpde.harness import (REGISTRY, SUITES, EstimateResult, case_study,
+                              decay_order, refinement_study, run_suite,
                               square_function_ratio)
 from degenpde.grid import make_grid
 
@@ -176,6 +176,37 @@ def test_refinement_study_nonfinite_level_gives_inf_drift():
     assert drift == np.inf
 
 
+def test_case_study_rows_follow_cases_then_levels():
+    calls = []
+
+    def measure(a, b, J):
+        calls.append((a, b, J))
+        return np.float64(a * J)
+
+    rows, studies = case_study([(1, "x"), (2, "y")], (10, 20), measure)
+    assert calls == [(1, "x", 10), (1, "x", 20), (2, "y", 10), (2, "y", 20)]
+    assert rows == [(1, "x", 10, 10.0), (1, "x", 20, 20.0),
+                    (2, "y", 10, 20.0), (2, "y", 20, 40.0)]
+    assert all(type(r[-1]) is float for r in rows)
+    assert studies == [([10.0, 20.0], 1.0), ([20.0, 40.0], 1.0)]
+
+    # a tuple measure adds one column per component
+    rows, studies = case_study([(0.5,)], (1, 2), lambda c, k: (c, c * k))
+    assert rows == [(0.5, 1, 0.5, 0.5), (0.5, 2, 0.5, 1.0)]
+    assert studies == [([(0.5, 0.5), (0.5, 1.0)], 1.0)]
+
+
+def test_case_study_case_without_fields_and_nonfinite_level():
+    rows, studies = case_study([()], (1, 2, 3),
+                               lambda k: [1.0, np.inf, 1.05][k - 1])
+    assert rows == [(1, 1.0), (2, np.inf), (3, 1.05)]
+    assert studies[0][1] == np.inf
+    # one case's non-finite level leaves the other cases' drifts alone
+    _, studies = case_study([(1.0,), (np.nan,)], (1, 2),
+                            lambda c, k: c * k)
+    assert [d for _, d in studies] == [1.0, np.inf]
+
+
 def test_decay_order_fits_slope_and_flags_exact():
     assert decay_order((128, 256, 512), [4e-3, 1e-3, 2.5e-4]) \
         == pytest.approx(2.0)
@@ -204,6 +235,11 @@ def test_estimate_result_repr_and_defaults():
     assert res.csv_path == "" and np.isnan(res.seconds)
 
 
+def _dictionary(g):
+    return [prof(g.y_nodes).astype(complex)
+            for prof in panels.vertical_panel(1.0, count=6)]
+
+
 def test_square_function_ratio_guards():
     g = make_grid(32, 1.0, 2.0)
 
@@ -211,9 +247,9 @@ def test_square_function_ratio_guards():
         return lambda v: v
 
     with pytest.raises(ValueError, match="n <= 32"):
-        square_function_ratio(family, 64, 4, 2.0, 0.0, g)
+        square_function_ratio(family, 64, 4, 2.0, 0.0, g, _dictionary(g))
     with pytest.raises(ValueError, match="trials <= 200"):
-        square_function_ratio(family, 4, 500, 2.0, 0.0, g)
+        square_function_ratio(family, 4, 500, 2.0, 0.0, g, _dictionary(g))
 
 
 def test_square_function_identity_family_is_unit():
@@ -222,7 +258,8 @@ def test_square_function_identity_family_is_unit():
     def family(rng):
         return lambda v: v
 
-    r = square_function_ratio(family, 4, 6, 2.0, 0.0, g, seed=1)
+    r = square_function_ratio(family, 4, 6, 2.0, 0.0, g, _dictionary(g),
+                              seed=1)
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
@@ -253,18 +290,16 @@ def test_resolvent_family_members_equal_mode_solve_bitwise():
 def test_square_function_pair_cache_matches_uncached_run():
     g = make_grid(64, 1.0, 2.0)
     draw = harness.resolvent_family(harness.ModeOperators(g, 1.0, 0.5), 0.3)
-    profs = [prof(g.y_nodes).astype(complex)
-             for prof in panels.vertical_panel(1.0, count=6)]
+    profs = _dictionary(g)
 
     def fresh(rng):
         # a new callable on every draw, so the pair cache never hits
         member = draw(rng)
         return lambda f: member(f)
 
-    cached = square_function_ratio(draw, 8, 12, 2.4, 0.3, g, seed=3,
-                                   profiles=profs)
-    uncached = square_function_ratio(fresh, 8, 12, 2.4, 0.3, g, seed=3,
-                                     profiles=profs)
+    cached = square_function_ratio(draw, 8, 12, 2.4, 0.3, g, profs, seed=3)
+    uncached = square_function_ratio(fresh, 8, 12, 2.4, 0.3, g, profs,
+                                     seed=3)
     assert cached == uncached
     assert cached > 0.0
 

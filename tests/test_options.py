@@ -1,15 +1,18 @@
-"""Every option of the package is set by some caller, and every parameter
-is read.
+"""Every option of the package is set by some caller, to more than one
+value, and every parameter is read.
 
 Plain AST scans, like test_imports.  Each default-valued parameter of a
 function or method in src/degenpde (constructors excepted) must be passed,
 by keyword or by position, by some call of that name in the package or the
 benchmark; tests and demos do not justify an option.  An option that no
 program call sets is a configuration only tests exercise; it belongs in the
-body as a constant.  Each parameter of a `def` must be read by its body,
-except the `ctx` of the harness REGISTRY checks (the registry's calling
-convention) and the parameters of a nested function passed as an argument
-(a callback whose signature its caller fixes).
+body as a constant.  So does a parameter that every such call passes the
+same literal (an omitted argument counting as its default), when it has a
+default or its function is private: it has one value in use.  Each
+parameter of a `def` must be read by its body, except the `ctx` of the
+harness REGISTRY checks (the registry's calling convention) and the
+parameters of a nested function passed as an argument (a callback whose
+signature its caller fixes).
 """
 
 import ast
@@ -21,9 +24,10 @@ CALLERS = sorted(path for top in ("src", "perfbench")
                  for path in (ROOT / top).rglob("*.py"))
 
 
-def options(tree):
-    """(function name, positional index or None, parameter name) of every
-    default-valued parameter; a method's index skips self or cls."""
+def parameters(tree):
+    """(function name, positional index or None, parameter name, default
+    node or None) of every parameter of a function or method but a
+    constructor; a method's index skips self or cls."""
     found = []
 
     def visit(node, in_class):
@@ -37,20 +41,37 @@ def options(tree):
                                  for d in child.decorator_list)
                     if in_class and not static:
                         positional = positional[1:]
-                    first = len(positional) - len(args.defaults)
-                    found.extend((child.name, i, arg.arg)
-                                 for i, arg in enumerate(positional)
-                                 if i >= first)
-                    found.extend((child.name, None, arg.arg)
+                    defaults = [None] * (len(positional)
+                                         - len(args.defaults))
+                    found.extend(
+                        (child.name, i, arg.arg, d) for i, (arg, d)
+                        in enumerate(zip(positional,
+                                         defaults + args.defaults)))
+                    found.extend((child.name, None, arg.arg, d)
                                  for arg, d in zip(args.kwonlyargs,
-                                                   args.kw_defaults)
-                                 if d is not None)
+                                                   args.kw_defaults))
                 visit(child, False)
             else:
                 visit(child, in_class or isinstance(child, ast.ClassDef))
 
     visit(tree, False)
     return found
+
+
+def options(tree):
+    """(function name, positional index or None, parameter name) of every
+    default-valued parameter."""
+    return [(name, index, param)
+            for name, index, param, default in parameters(tree)
+            if default is not None]
+
+
+def _called_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
 
 
 def passed_arguments(trees):
@@ -60,16 +81,9 @@ def passed_arguments(trees):
     passed = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or not _called_name(node):
                 continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                continue
-            got = passed.setdefault(name, set())
+            got = passed.setdefault(_called_name(node), set())
             for i, arg in enumerate(node.args):
                 if isinstance(arg, ast.Starred):
                     got.add(("*", i))
@@ -113,6 +127,78 @@ def test_every_option_has_a_caller():
     unset = unset_options([ast.parse(path.read_text()) for path in SOURCES],
                           callers)
     assert unset == []
+
+
+def _argument(call, index, param, default):
+    """The node `call` passes for a parameter, its default node when the
+    call omits it, or None when a starred argument hides it."""
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return None
+        if i == index:
+            return arg
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords):
+        return None
+    return default
+
+
+def _literal(node):
+    """ast.dump of a literal node, None for anything else."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return ast.dump(node)
+
+
+def fixed_options(source_trees, caller_trees):
+    """"function.parameter" of each parameter with one value in use: every
+    call of its function's name passes it the same literal, an omitted
+    argument counting as its default, and the parameter has a default or
+    its function is private (a leading underscore)."""
+    calls = {}
+    for tree in caller_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node):
+                calls.setdefault(_called_name(node), []).append(node)
+    fixed = []
+    for tree in source_trees:
+        for name, index, param, default in parameters(tree):
+            if default is None and not name.startswith("_"):
+                continue
+            used = {_literal(_argument(call, index, param, default))
+                    for call in calls.get(name, [])}
+            if len(used) == 1 and None not in used:
+                fixed.append("%s.%s" % (name, param))
+    return sorted(fixed)
+
+
+def test_scan_flags_an_option_with_one_value():
+    src = ast.parse(
+        "def f(a, b=1, *, c=(2,)):\n    pass\n"
+        "def _g(a, b):\n    pass\n"
+        "def h(a, b):\n    pass\n"
+        "class K:\n"
+        "    def _m(self, u, v=0):\n        pass\n"
+        "def _s(a):\n    pass\n")
+    calls = ast.parse(
+        "f(x, 1)\nf(y)\nf(x, 2, c=(2,))\n"
+        "_g(1.0, x)\n_g(1.0, 'a')\nh('k', 1)\nh('k', 2)\n"
+        "K()._m(-3, v=1)\nK()._m(-3, 0)\n_s(*xs)\n_s(4)\n")
+    assert fixed_options([src], [calls]) == ["_g.a", "_m.u", "f.c"]
+    # a mapping may pass b, but not the c passed by name
+    calls = ast.parse("f(x, c=(2,), **kw)\nf(y, 1)\n")
+    assert fixed_options([src], [calls]) == ["f.c"]
+
+
+def test_every_option_has_more_than_one_value():
+    callers = [ast.parse(path.read_text()) for path in CALLERS]
+    fixed = fixed_options([ast.parse(path.read_text()) for path in SOURCES],
+                          callers)
+    assert fixed == []
 
 
 def unread_parameters(tree, registry=()):

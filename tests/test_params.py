@@ -1,6 +1,7 @@
 """Parameter calculus: power substitution action, shear congruence, reduction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ def test_shear_slope_bound_is_inclusive_and_keeps_small_drift_c():
         model, _ = reduce_to_model(*config_to_problem(
             dict(README_OPERATOR, drift_c=drift_c)))
         assert np.linalg.norm(model.mixing) < 1.0
+
+
+@pytest.mark.parametrize("alpha1,alpha2,key", [
+    (0.0, -1e155, "alpha2"), (1e155, 0.0, "alpha1"), (1e308, -1e308, "alpha2"),
+])
+def test_alpha_gap_whose_scale_overflows_is_rejected_naming_the_key(
+        alpha1, alpha2, key):
+    # gamma (beta + 1)^2 used to raise OverflowError in reduce_to_model
+    cfg = dict(README_OPERATOR, alpha1=alpha1, alpha2=alpha2)
+    with pytest.raises(ValueError, match=re.escape(
+            "operator.%s = %r is out of range: the reduction scale"
+            % (key, cfg[key]))):
+        config_to_problem(cfg)
 
 
 def test_config_roundtrip_and_bad_keys():
