@@ -229,6 +229,17 @@ def _write_manifest(out_dir, payload):
     return path
 
 
+def _make_out_dir(out_dir):
+    """Create the --out directory once the config is validated and before
+    any solve, so a path that cannot be a directory is bad input (exit 2)
+    and not a failure after the whole run."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out %s is not a usable output directory: %s"
+                          % (out_dir, exc.strerror or exc))
+
+
 def _manifest_base(command, cfg, seed, chain):
     return {
         "command": command,
@@ -285,10 +296,10 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
         print("warning: lam = %r lies outside the analytic sector "
               "|arg lam| < %.4f" % (lam, half_angle), file=sys.stderr)
     u_exact, f = _manufactured(model, grid, lam, esec)
+    _make_out_dir(out_dir)
     u, info = resolvent_nd(lam, f, model, grid, return_info=True)
     err = (lp_norm(u.values - u_exact.values, model.p, model.m, grid)
            / lp_norm(u_exact.values, model.p, model.m, grid))
-    os.makedirs(out_dir, exist_ok=True)
     sol_path = os.path.join(out_dir, "solution.csv")
     write_field_csv(sol_path, u)
     manifest = _manifest_base("solve_elliptic", cfg, seed, chain)
@@ -313,9 +324,9 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     prof = panels.bump_profile(0.4 * grid.y_max, 0.15 * grid.y_max)
     wave = panels.plane_wave(grid.x_box, [psec["forcing_mode"]] * model.dim)
     u0 = Field(panels.tensor_values(grid, wave, prof), grid)
+    _make_out_dir(out_dir)
     run = semigroup.evolve(u0, None, model, grid, psec["scheme"], times,
                            stride=psec["snapshot_stride"])
-    os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest_base("solve_parabolic", cfg, seed, chain)
     sub = run.export_csvs(out_dir, model=model, chain=chain)
     manifest["evolution"] = sub
@@ -332,6 +343,9 @@ def cmd_verify(cfg, suite, out_dir, seed):
         raise ConfigError("verify reads only the suite key; every check "
                           "builds its own operator, so 'operator' is not used")
     suite = suite or cfg.get("suite", "default")
+    # an unknown suite is run_suite's config error, with no directory made
+    if suite in harness.SUITES:
+        _make_out_dir(out_dir)
     try:
         results = run_suite({"suite": suite, "out_dir": out_dir,
                              "seed": seed})
@@ -355,6 +369,7 @@ def cmd_sweep(cfg, out_dir, seed):
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a config with a sweep section")
     param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
+    _make_out_dir(out_dir)
     rows = []
     for v in map(float, values):
         op_cfg = dict(cfg["operator"])
@@ -377,7 +392,6 @@ def cmd_sweep(cfg, out_dir, seed):
             continue
         rows.append((v, window.value, window.lower, window.upper,
                      "yes" if window.passed else "no", scan["sup"]))
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
     harness._write_csv(path, ("value", "window_value", "window_lower",
                               "window_upper", "admissible", "sector_sup"),

@@ -674,6 +674,29 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic",
+                                     "verify", "sweep"])
+@pytest.mark.parametrize("target", ["file", "under_file"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys,
+                                                        command, target):
+    # --out naming an existing file, or a path below one, used to run the
+    # whole command and then exit 1 with a traceback from os.makedirs
+    existing = tmp_path / "taken"
+    existing.write_text("keep")
+    out = existing if target == "file" else existing / "o"
+    argv = [command] + (["spectral_1d"] if command == "verify" else [])
+    if command == "sweep":
+        argv += ["--config", _write_config(tmp_path, {
+            "sweep": {"parameter": "m", "values": [0.2]}})]
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: --out %s is not a usable output directory" % out \
+        in err
+    assert "Traceback" not in err
+    assert existing.read_text() == "keep"
+
+
 @pytest.mark.parametrize("key,value", [
     ("gamma", float("nan")), ("gamma", float("inf")),
     ("drift_c", float("nan")), ("alpha1", float("-inf")),

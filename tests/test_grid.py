@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenpde import grid as grid_module
 from degenpde.bessel1d import node_weights
@@ -186,6 +187,59 @@ def test_field_csv_matches_per_row_oracle(tmp_path, box, header):
     assert lines[1].endswith(",-0,inf")
 
 
+def _assert_formats_like_percent(values):
+    values = np.asarray(values, dtype=float)
+    for lo in range(0, values.size, grid_module._CHUNK_FLOATS):
+        chunk = values[lo:lo + grid_module._CHUNK_FLOATS]
+        want = np.array([b"%.17g" % v for v in chunk.tolist()], dtype="S24")
+        got = grid_module._format_17g(chunk)
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, list(zip(chunk[bad], got[bad], want[bad]))[:5]
+
+
+def test_format_17g_matches_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(24).integers(0, 2 ** 64, 10 ** 6,
+                                              dtype=np.uint64)
+    _assert_formats_like_percent(bits.view(np.float64))
+
+
+def test_format_17g_matches_percent_at_powers_of_ten_and_specials():
+    powers = np.array([float("1e%d" % k) for k in range(-323, 309)])
+    near = [np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)]
+    tiny = np.finfo(float).tiny
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, tiny,
+                np.nextafter(tiny, 0.0), 1e-290, 1e290, np.finfo(float).max]
+    subnormals = np.random.default_rng(7).integers(
+        1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([powers, *near, specials, subnormals])
+    _assert_formats_like_percent(np.concatenate([values, -values]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_format_17g_matches_percent_on_any_float(values):
+    _assert_formats_like_percent(values)
+
+
+def test_format_17g_hands_exact_ties_to_percent():
+    # m 2^-k with m odd is m 5^k / 10^k: with 18 significant digits it ends
+    # in 5, a tie at 17 digits that only Python's % rounds half-even
+    rng = np.random.default_rng(5)
+    ties, parities = [], set()
+    for k in range(2, 26):
+        low = -(-10 ** 17 // 5 ** k) // 2
+        high = min(10 ** 18 // 5 ** k, 2 ** 53) // 2
+        for m in rng.integers(low, high, 40).tolist():
+            digits = str((2 * m + 1) * 5 ** k)
+            if len(digits) == 18:
+                ties.append((2 * m + 1) / 2 ** k)
+                parities.add(int(digits[16]) % 2)
+    ties = np.array(ties + [2.98023223876953125e-08])
+    assert ties.size > 500 and parities == {0, 1}   # rounds down and up
+    assert not grid_module._decimal_digits(ties)[2].any()
+    _assert_formats_like_percent(np.concatenate([ties, -ties]))
+
+
 def _split_three_ways(monkeypatch):
     """Split every field, over three reported cores; returns the fork log.
 
@@ -237,7 +291,8 @@ def test_split_field_csv_leaves_existing_files_alone(tmp_path, monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", logged_fork)
-    f = _special_field(XBox(2.0 * np.pi, 32, 1), 512)
+    f = _special_field(XBox(2.0 * np.pi, 32, 1),
+                       grid_module._SPLIT_FLOATS // 32)
     assert 2 * f.values.size > grid_module._SPLIT_FLOATS
     bystander = tmp_path / "solution.csv.part1"
     bystander.write_text("keep")

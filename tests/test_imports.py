@@ -81,6 +81,22 @@ def test_import_leaves_scipy_linalg_and_sparse_unloaded(tmp_path):
     assert [name for name in LAZY if name in loaded] == []
 
 
+def test_import_leaves_the_field_formatter_tables_unbuilt(tmp_path):
+    # the exact %.17g formatter's tables are built by the first field
+    # write, so importing the package (and every suite worker) skips them
+    built = run_fresh("""
+        import json
+        import degenpde
+        from degenpde import grid
+        built = [grid._format_tables.cache_info().currsize]
+        g = grid.make_grid(4)
+        grid.write_field_csv("field.csv", grid.Field([1.0, 2.0, 3.0, 4.0], g))
+        built.append(grid._format_tables.cache_info().currsize)
+        print(json.dumps(built))
+        """, tmp_path)
+    assert built == [0, 1]
+
+
 @pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic"])
 def test_wide_2d_solve_leaves_scipy_linalg_and_sparse_unloaded(tmp_path,
                                                                command):
