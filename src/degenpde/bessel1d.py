@@ -47,7 +47,9 @@ up to the identity.
 import numpy as np
 import scipy
 
-from .grid import lp_norm, make_grid, default_grading
+from .grid import (Field, default_grading, diff1_matrix, diff2_matrix,
+                   lp_norm, make_grid)
+from .transforms import apply_phase, apply_power, power_image_grid
 from . import panels
 
 
@@ -215,6 +217,8 @@ class TridiagForm:
         Re lam > 0 the Hermitian part of lam W + F is positive definite (the
         form is accretive), so no pivoting is needed (Golub & Van Loan,
         section 4.2).  A zero or non-finite pivot raises SingularFormError.
+        For a (J, modes) batch, every factor's solve(b, overwrite_b=True)
+        writes the solution into b and returns b.
         """
         with np.errstate(all="ignore"):
             diag = self._shifted_diag(lam)
@@ -280,7 +284,10 @@ class _PivotedLU:
         if not self._batch:
             return zgttrs(*self._lu, b, trans=trans, overwrite_b=overwrite_b)[0]
         x = zgttrs(*self._lu, b.T.flatten(), trans=trans, overwrite_b=True)[0]
-        return x.reshape(b.shape[::-1]).T
+        if not overwrite_b:
+            return x.reshape(b.shape[::-1]).T
+        b[...] = x.reshape(b.shape[::-1]).T
+        return b
 
     def solve(self, b, overwrite_b=False):
         """A^(-1) b for b of shape (J,) or (J, k), or (J, modes) for a batch."""
@@ -912,9 +919,6 @@ def equivalence_transform_check(alpha, c, mixing_freq, freq_norm2, J):
     Returns the max relative discrepancy over the panel; it must decay at
     first order or better under refinement.
     """
-    from .transforms import apply_power, apply_phase, power_image_grid
-    from .grid import Field, diff1_matrix, diff2_matrix
-
     a = float(alpha)
     if not a < 2:
         raise ValueError("need alpha < 2")

@@ -94,6 +94,8 @@ def load_config(path):
     for key in cfg:
         if key not in TOP_KEYS:
             raise ConfigError("unknown config key: %s" % key)
+    if not isinstance(cfg.get("suite", ""), str):
+        raise ConfigError("suite must be a string, got %r" % (cfg["suite"],))
     num_x = _check_grid(_section(cfg, "grid", GRID_KEYS))
     if "elliptic" in cfg:
         _check_elliptic(_section(cfg, "elliptic", ELLIPTIC_KEYS), num_x)
@@ -393,9 +395,9 @@ def cmd_sweep(cfg, out_dir, seed):
         rows.append((v, window.value, window.lower, window.upper,
                      "yes" if window.passed else "no", scan["sup"]))
     path = os.path.join(out_dir, "sweep.csv")
-    harness._write_csv(path, ("value", "window_value", "window_lower",
-                              "window_upper", "admissible", "sector_sup"),
-                       rows)
+    harness.write_csv(path, ("value", "window_value", "window_lower",
+                             "window_upper", "admissible", "sector_sup"),
+                      rows)
     manifest = _manifest_base("sweep", cfg, seed, None)
     manifest["outputs"] = ["sweep.csv"]
     manifest["parameter"] = param

@@ -933,7 +933,8 @@ SUITES = {
 }
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """Write a CSV of `header` and `rows`, every float as FMT."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -996,10 +997,10 @@ def run_suite(config=None):
     """Run registered checks; returns a list of EstimateResult.
 
     config keys (all optional): suite (name), checks (explicit id list),
-    out_dir and seed (an integer >= 0); any other key, or a bad seed,
-    raises ValueError.  Every check builds
-    its own models and grids.  Individual check failures are recorded in the
-    results, not raised.
+    out_dir and seed (an integer >= 0, not a bool); any other key, or a bad
+    seed, raises ValueError.  out_dir is made before the first check runs.
+    Every check builds its own models and grids.  Individual check
+    failures are recorded in the results, not raised.
 
     With at least two checks and two usable cores (grid.usable_cores), the
     checks go to a pool of min(cores, checks) workers forked from this
@@ -1027,7 +1028,8 @@ def run_suite(config=None):
     checks = config.pop("checks", None)
     out_dir = config.pop("out_dir", None)
     seed = config.pop("seed", 0)
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (isinstance(seed, numbers.Integral)
+            and not isinstance(seed, bool) and seed >= 0):
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     ctx = SuiteContext(seed=seed)
     if config:
@@ -1043,6 +1045,8 @@ def run_suite(config=None):
             raise ValueError("no executable check registered for %r" % name)
         if not callable(_REGISTRY_MAP[name]):
             raise ValueError("registry entry %r is not executable" % name)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
 
     workers = min(usable_cores(), len(checks))
     if workers < 2:
@@ -1057,15 +1061,14 @@ def run_suite(config=None):
                                     [ctx] * len(checks)))
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         for res in results:
             if res.rows:
                 path = os.path.join(out_dir, "estimate_%s.csv"
                                     % res.estimate_id)
-                _write_csv(path, res.header, res.rows)
+                write_csv(path, res.header, res.rows)
                 res.csv_path = path
         summary = [(r.estimate_id, "true" if r.passed else "false",
                     r.constant, r.drift) for r in results]
-        _write_csv(os.path.join(out_dir, "summary.csv"),
+        write_csv(os.path.join(out_dir, "summary.csv"),
                    ("estimate_id", "pass", "constant", "drift"), summary)
     return results

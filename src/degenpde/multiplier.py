@@ -9,13 +9,11 @@ the one-dimensional frozen-mode operator
 so (lam - L)^(-1) = IFFT o (lam - M(xi))^(-1) o FFT (the xi = 0 mode is the
 plain Bessel solve).  bessel1d.ModeOperators builds the forms F(xi), of one
 mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
-once and solves all modes in one batched tridiagonal solve: one LAPACK
-gttrs of the stacked block-diagonal system for at most
-bessel1d._STACK_MODES = 32 modes, one vectorised Thomas sweep for more.
-Every mode is solved on its own, so a contiguous range of mode columns of
-a wide batch is solved by the column views of its form and Thomas factors
-(TridiagForm.columns, the factors' columns): semigroup.evolve marches a
-large batch as one such range per usable core, in forked processes.
+once (TridiagForm.factor) and solves all modes in one batched tridiagonal
+solve, in place.  Every mode is solved on its own, so a contiguous range
+of mode columns is solved by the column views of the form and of factors
+that have them: semigroup.evolve marches a large batch as one such range
+per usable core, in forked processes.
 The derived multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),
@@ -42,6 +40,9 @@ from .grid import Field, lp_norm
 from .bessel1d import (ModeOperators, TridiagForm, SingularFormError,
                        stiffness_tridiag, transport_tridiag, node_weights,
                        operator_norm, resolvent_pair)
+from .params import reduce_to_model
+from .transforms import power_image_grid
+from . import panels
 
 
 def _values(f):
@@ -57,15 +58,11 @@ def mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows):
     gets W r = F uh + (lam uh - rhs) W, rows[0] and rows[1] the row sums of
     |W r|^2 and |rhs|^2.  Float-view products and einsums: no BLAS call, so
     forked march ranges run it, and only a stacked gttrs allocates.
-    Returns the solver's result: uh, or the stacked solve's Fortran-ordered
-    array of the same values.
     """
     uh_f, rhs_f, wr_f = (a.view(float) for a in (uh, rhs, wr))
     weight = weight[:, None]
     np.multiply(rhs_f, weight, out=uh_f)
-    solved = lu.solve(uh, overwrite_b=True)
-    if solved is not uh:
-        uh[...] = solved
+    lu.solve(uh, overwrite_b=True)
     form.apply(uh, out=fu, scratch=wr)
     np.multiply(lam, uh, out=wr)
     wr -= rhs
@@ -73,7 +70,6 @@ def mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows):
     wr += fu
     np.einsum("ij,ij->i", wr_f, wr_f, out=rows[0])
     np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[1])
-    return solved
 
 
 def weighted_residual(rows, weight):
@@ -94,11 +90,9 @@ class FrequencySolvePlan:
 
     The form of F(xi) for every retained mode is one batched TridiagForm
     with (J, modes) bands, and lam W + F(xi) is factored once by
-    TridiagForm.factor: up to _STACK_MODES modes as one block-diagonal
-    gttrf, each solve one gttrs; a wider batch by its Thomas LU, each solve
-    one forward and one backward sweep over the J rows, each row a vector
-    over all modes.  A non-finite or zero pivot raises RuntimeError naming
-    its xi, and every solve reports its weighted residual.
+    TridiagForm.factor, whose solve writes into its right-hand side.  A
+    non-finite or zero pivot raises RuntimeError naming its xi, and every
+    solve reports its weighted residual.
 
     The mode-space entries work on (J, modes) x-Fourier coefficients:
     `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is one
@@ -135,8 +129,12 @@ class FrequencySolvePlan:
         return np.ascontiguousarray(fh.reshape(-1, self.grid.num_y).T)
 
     def _from_modes(self, modes):
+        """Grid values of (J, modes) coefficients, C-ordered for any layout
+        of `modes` (numpy.fft's `out`, numpy >= 2.0), so the sums of a norm
+        of them do not depend on it."""
         vals = modes.T.reshape(self.grid.shape)
-        return np.fft.ifftn(vals, axes=self._axes)
+        out = np.empty(vals.shape, dtype=complex)
+        return np.fft.ifftn(vals, axes=self._axes, out=out)
 
     def solve_modes(self, fh):
         """(lam - M(xi))^(-1) fh for (J, modes) coefficients fh.
@@ -149,7 +147,7 @@ class FrequencySolvePlan:
         uh, fu, wr = (np.empty_like(fh) for _ in range(3))
         rows = np.empty((2, fh.shape[0]))
         w = self.ops.weight
-        uh = mode_step(self.lam, self.form, self.lu, w, fh, uh, fu, wr, rows)
+        mode_step(self.lam, self.form, self.lu, w, fh, uh, fu, wr, rows)
         return uh, fu, weighted_residual(rows, w)
 
     def apply_operator(self, u):
@@ -508,9 +506,6 @@ def reduced_mode_solve(spec, space, lam, xi, fhat, grid):
     an operator identity when b = 0 or a1 = a2 (the subfamilies on which the
     shear and power maps commute with the coefficients).
     """
-    from .params import reduce_to_model
-    from .transforms import power_image_grid
-
     model, chain = reduce_to_model(spec, space)
     steps = {st["kind"]: st for st in chain["steps"]}
     scale = chain["scale"]
@@ -541,8 +536,6 @@ def reduction_consistency_check(spec, space, lam, grid):
     it must vanish under refinement (the two routes discretize the same
     operator on different matched grids).
     """
-    from . import panels
-
     y = grid.y_nodes
     L = grid.x_box.length if grid.x_box is not None else 2.0 * np.pi
     worst = 0.0

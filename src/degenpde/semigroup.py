@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import (Field, XBox, fork_ranges, lp_norm, make_grid,
                    usable_cores, write_field_csv)
-from .bessel1d import _STACK_MODES, ModeOperators, resolvent_pair
+from .bessel1d import ModeOperators, resolvent_pair
 from .multiplier import (FrequencySolvePlan, mode_step,
                          monolithic_sparse_solve, weighted_residual)
 from .params import ModelParams
@@ -92,9 +92,9 @@ def _forcing_at(forcing, t):
     return None if forcing is None else np.asarray(forcing(t), dtype=complex)
 
 
-# A batch on the Thomas path (more than bessel1d._STACK_MODES modes) is
-# marched in one range of mode columns per usable core only when its work,
-# modes x J x steps complex entries, reaches this.  A step costs about 50 ns
+# A batch whose factors slice by columns (the Thomas path) is marched in
+# one range of mode columns per usable core only when its work, modes x J
+# x steps complex entries, reaches this.  A step costs about 50 ns
 # per entry in one process.  Forking a ~120 MB process and reaping it costs
 # about 4 ms, but a split run pays 10-25 ms more: the first-touch faults of
 # a child's buffers and, mostly, the scheduler moving the new child to the
@@ -121,25 +121,25 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     this process, one per distinct step size, before the march starts, so
     a uniform time grid reuses one factorisation for all its steps.
 
-    Every mode column evolves on its own, so a batch on the Thomas path
-    whose work reaches _SPLIT_WORK (timings at the constant) is marched as
-    one contiguous range of mode columns per usable core, through
-    grid.fork_ranges: this process marches the first range, forked children
-    the others.  Any other batch, one core, or a platform without os.fork
-    or os.sched_getaffinity marches one range here.  A range runs every
-    step in four (J, columns) buffers it allocates once, so no step on the
-    Thomas path allocates (forcing aside, which is transformed once per
-    step, whole, in each range).  It writes its kept states, each step's residual row
-    sums and the first step with non-finite values into arrays that, for
-    more than one range, live in MAP_SHARED anonymous mappings made before
-    the fork.  This process reduces the row sums to the worst weighted
-    residual (multiplier.weighted_residual, as solve_modes does),
-    transforms back only the kept states (every `stride`-th time index
-    and the last), dropping each once transformed, and raises RuntimeError
-    for the first step, over all ranges, that produced non-finite values,
-    or when a range's child failed.  The snapshots do not depend on the
-    number of ranges; the residual adds the ranges' row sums, so its last
-    bits may.
+    Every mode column evolves on its own, so a batch whose factors slice by
+    columns (the Thomas path) and whose work reaches _SPLIT_WORK (timings
+    at the constant) is marched as one contiguous range of mode columns per
+    usable core, through grid.fork_ranges: this process marches the first
+    range, forked children the others.  Any other batch, one core, or a
+    platform without os.fork or os.sched_getaffinity marches one range
+    here.  A range runs every step in four (J, columns) buffers it
+    allocates once, so no step on the Thomas path allocates (forcing aside,
+    which is transformed once per step, whole, in each range).  It writes
+    its kept states, each step's residual row sums and the first step with
+    non-finite values into arrays that, for more than one range, live in
+    MAP_SHARED anonymous mappings made before the fork.  This process
+    reduces the row sums to the worst weighted residual
+    (multiplier.weighted_residual, as solve_modes does), transforms back
+    only the kept states (every `stride`-th time index and the last),
+    dropping each once transformed, and raises RuntimeError for the first
+    step, over all ranges, that produced non-finite values, or when a
+    range's child failed.  The snapshots do not depend on the number of
+    ranges; the residual adds the ranges' row sums, so its last bits may.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -172,7 +172,7 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     J, modes = uh0.shape
     kept = list(range(stride, last, stride)) + [last]
     ranges = 1
-    if modes > _STACK_MODES and modes * J * last >= _SPLIT_WORK:
+    if hasattr(plan.lu, "columns") and modes * J * last >= _SPLIT_WORK:
         ranges = min(usable_cores(), modes)
     cuts = [modes * r // ranges for r in range(ranges + 1)]
     states, rows, bad = _march_arrays(ranges, len(kept), J, modes, last)
@@ -206,21 +206,18 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
 def _march_arrays(ranges, kept, J, modes, steps):
     """(states, rows, bad) of a march: a list of the `kept` (J, modes)
     states, each range's per-step residual row sums and each range's first
-    step with non-finite values (0 for none).  The states are in Fortran
-    order, the layout of a stacked gttrs solve, so the inverse FFT of one
-    is C-ordered, as that of a stacked FrequencySolvePlan.solve is.  For
-    more than one range each array lives in a MAP_SHARED anonymous mapping
-    made here, before the fork, so the children's writes reach this
-    process; a mapping is unmapped once its array is dropped."""
-    def shared(shape, dtype, order):
+    step with non-finite values (0 for none).  For more than one range
+    each array lives in a MAP_SHARED anonymous mapping made here, before
+    the fork, so the children's writes reach this process; a mapping is
+    unmapped once its array is dropped."""
+    def shared(shape, dtype):
         size = int(np.prod(shape))
         buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
-        return np.frombuffer(buf, dtype, size).reshape(shape, order=order)
+        return np.frombuffer(buf, dtype, size).reshape(shape)
 
     new = np.zeros if ranges == 1 else shared
-    return ([new((J, modes), np.complex128, "F") for _ in range(kept)],
-            new((ranges, steps, 2, J), np.float64, "C"),
-            new((ranges,), np.int64, "C"))
+    return ([new((J, modes), np.complex128) for _ in range(kept)],
+            new((ranges, steps, 2, J), np.float64), new((ranges,), np.int64))
 
 
 def _march_range(scheme, times, forcing, plan, steps, uh0, cols, kept,

@@ -351,6 +351,16 @@ def test_verify_reads_only_suite(tmp_path, capsys):
     assert "verify spectral_1d: 3/3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", [["default"], {"name": "default"}])
+def test_non_string_suite_is_config_error(tmp_path, capsys, suite):
+    cfg = _write_config(tmp_path, {"suite": suite})
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: suite must be a string" in err
+    assert not os.path.exists(str(tmp_path / "v"))
+
+
 def test_unknown_top_level_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
                                    "bogus_section": {}})

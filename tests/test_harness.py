@@ -38,6 +38,30 @@ def test_run_suite_validation():
             run_suite({"checks": ["parameter_roundtrip"], "seed": seed})
 
 
+def test_run_suite_rejects_a_bool_seed():
+    # bool is an Integral, so True would otherwise run as seed 1
+    for seed in (True, False):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_suite({"checks": ["parameter_roundtrip"], "seed": seed})
+
+
+def test_out_dir_that_is_a_file_raises_before_any_check(monkeypatch,
+                                                        tmp_path):
+    ran = []
+
+    def record(ctx):
+        ran.append(ctx.seed)
+        return EstimateResult("synthetic_record", True)
+
+    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_record", record)
+    path = tmp_path / "file"
+    path.write_text("kept")
+    with pytest.raises(FileExistsError):
+        run_suite({"checks": ["synthetic_record"], "out_dir": str(path)})
+    assert ran == []
+    assert path.read_text() == "kept"
+
+
 def test_check_exception_is_recorded_not_raised(monkeypatch):
     def boom(ctx):
         raise RuntimeError("synthetic failure")

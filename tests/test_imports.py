@@ -1,5 +1,6 @@
-"""What the package imports: every imported name is read, and scipy's
-linalg and sparse load only where they are used.
+"""What the package imports: every imported name is read, no module uses
+another package module's underscore names, package imports sit at module
+top, and scipy's linalg and sparse load only where they are used.
 
 The first part is a plain AST scan, so it needs no linter: a module's
 imported names are compared with the names it loads.  Modules that define
@@ -18,8 +19,8 @@ import textwrap
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(list((ROOT / "src" / "degenpde").glob("*.py"))
-               + list((ROOT / "demos").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "degenpde").glob("*.py"))
+FILES = sorted(PACKAGE + list((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source):
@@ -52,6 +53,81 @@ def test_scan_flags_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _package_import(node):
+    """Whether `node` is an import from the degenpde package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "degenpde"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "degenpde" for alias in node.names)
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names_used(source):
+    """The underscore names of other package modules that `source` imports
+    (from .mod import _name) or reads (mod._name of a module it imported
+    as a name)."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if not _package_import(node):
+            continue
+        for alias in node.names:
+            if isinstance(node, ast.Import):
+                modules.add(alias.asname)
+            elif _private(alias.name):
+                found.append(alias.name)
+            elif node.module in (None, "degenpde"):
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append("%s.%s" % (node.value.id, node.attr))
+    return sorted(found)
+
+
+def test_scan_flags_a_private_name_of_another_module():
+    src = ("from .grid import Field, _chunks\n"
+           "from . import __version__, harness\n"
+           "from degenpde import semigroup as sg\n"
+           "import degenpde.params as params\nimport numpy as np\n"
+           "harness._write_csv()\nharness.run_suite()\nsg._SPLIT_WORK\n"
+           "params._check\nnp._core\nself._lu\n")
+    assert private_names_used(src) == ["_chunks", "harness._write_csv",
+                                       "params._check", "sg._SPLIT_WORK"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_private_names_of_other_modules(path):
+    assert private_names_used(path.read_text()) == []
+
+
+def nested_package_imports(source):
+    """The package imports of `source` that are not module-body statements."""
+    tree = ast.parse(source)
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if _package_import(node) and node not in tree.body]
+
+
+def test_scan_flags_a_nested_package_import():
+    src = ("from .grid import Field\nimport numpy\n\n\ndef f():\n"
+           "    import scipy.linalg\n    from .params import beta_map\n"
+           "    from . import panels\n")
+    assert nested_package_imports(src) == ["from .params import beta_map",
+                                           "from . import panels"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_imports_sit_at_module_top(path):
+    assert nested_package_imports(path.read_text()) == []
 
 
 # scipy subpackages the package loads on first use; a 2-d solve uses none

@@ -158,6 +158,33 @@ def test_stacked_plan_matches_mode_loop():
     _check_plan_against_mode_loop(4, _PivotedLU)
 
 
+@pytest.mark.parametrize("nx,lu_type", [(4, _PivotedLU), (8, _ThomasLU)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_plan_factors_solve_in_place(nx, lu_type, order):
+    # one contract on both paths, 16 modes by the stacked gttrs and 64 by
+    # the Thomas sweep: overwrite_b=True writes the solution into b
+    model, grid, f, lams = _readme_case(nx=nx)
+    plan = mp.FrequencySolvePlan(lams[1], model, grid)
+    assert type(plan.lu) is lu_type
+    b = np.array(plan._to_modes(f), order=order)
+    kept = b.copy()
+    expected = plan.lu.solve(b.copy())
+    assert np.array_equal(plan.lu.solve(b), expected)
+    assert np.array_equal(b, kept)
+    assert plan.lu.solve(b, overwrite_b=True) is b
+    assert np.array_equal(b, expected)
+
+
+def test_from_modes_is_c_ordered_for_any_layout():
+    # a field's norm sums by its layout, so both layouts give the same bytes
+    model, grid, f, lams = _readme_case(nx=4)
+    plan = mp.FrequencySolvePlan(lams[1], model, grid)
+    modes = plan._to_modes(f)
+    vals = [plan._from_modes(np.array(modes, order=o)) for o in "CF"]
+    assert all(v.flags.c_contiguous for v in vals)
+    assert np.array_equal(vals[0], vals[1])
+
+
 def _check_crank_nicolson_against_mode_loop(nx):
     model, grid, f, _ = _readme_case(nx=nx)
     steps, t_final = 10, 0.05

@@ -363,8 +363,8 @@ def test_one_range_is_the_per_step_plan_solve(monkeypatch, nx):
         worst = max(worst, res)
         snap = run.snapshots[k + 1].values
         assert np.array_equal(snap, plan._from_modes(uh))
-        # a kept state is column-major, so its inverse FFT is C-ordered, as
-        # that of a stacked solve's result is
+        # _from_modes returns C-ordered values for any layout of the
+        # coefficients, so a snapshot sums in a norm as a solve's field does
         assert snap.flags.c_contiguous
     assert run.residual == worst
 
