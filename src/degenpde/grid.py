@@ -15,7 +15,6 @@ trapezoid rule on the nodes, the weights of the solver's forms), as the sum
 torus (= uniform weights L/Nx).
 """
 
-import contextlib
 import functools
 import gc
 import itertools
@@ -496,16 +495,14 @@ def write_field_csv(path, field):
     or a platform without os.fork or os.sched_getaffinity (Windows, macOS)
     writes one range and forks nothing.  The formatter's tables are built
     before any fork, so every range shares them.  The ranges run through
-    fork_ranges: the ranges after the first are written to part files by
-    children forked before `path` is opened, each running only elementwise
-    numpy, Python formatting and file writes and exiting with status 0 only
-    after its part is closed.  Each part is a new file of a unique name next
-    to `path` (`<name>.<random>.part`), created before the fork by
-    tempfile.mkstemp, so no existing file is opened or removed.  This
-    process writes the header and the first range, appends the parts in
-    order once every child is reaped, and deletes them, so the bytes are
-    those of one process.  A failed child raises OSError naming `path`; no
-    part file and no child process outlives the call.
+    fork_ranges: the ranges after the first are written by children forked
+    before `path` is opened, each running only elementwise numpy, Python
+    formatting and file writes into its own unnamed part file (made next to
+    `path` by tempfile.TemporaryFile before the fork) and exiting with
+    status 0 only after closing it.  This process writes the header and the
+    first range and appends the parts in order once every child is reaped,
+    so the bytes are those of one process and no name but `path` appears.
+    A failed child raises OSError naming `path`; no child outlives the call.
     """
     g = field.grid
     dim = 0 if g.x_box is None else g.x_box.dim
@@ -524,17 +521,14 @@ def write_field_csv(path, field):
 
     def write(k):
         lo, hi = cuts[k], cuts[k + 1]
-        with open(parts[k - 1] if k else path, "wb") as fh:
+        with parts[k - 1] if k else open(path, "wb") as fh:
             if not k:
                 fh.write(header)
             _write_blocks(fh, rows, indices[lo:hi], blocks[lo:hi])
 
     try:
-        for _ in range(1, ranges):
-            fd, part = tempfile.mkstemp(".part", os.path.basename(path) + ".",
-                                        os.path.dirname(path) or ".")
-            os.close(fd)
-            parts.append(part)
+        parts.extend(tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+                     for _ in range(1, ranges))
         _format_tables()                # built once, before any fork
         statuses = fork_ranges(ranges, write)
         if any(statuses):
@@ -542,9 +536,8 @@ def write_field_csv(path, field):
                           % (path, statuses))
         with open(path, "ab") as out:
             for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, out)
+                part.seek(0)
+                shutil.copyfileobj(part, out)
     finally:
         for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+            part.close()

@@ -10,16 +10,15 @@ refinement logic.  Exactly representable identities (parameter calculus,
 two solve routes of the same tridiagonal system, a backward Euler step vs
 the resolvent) are held to solver round-off instead.
 
-Every random draw is seeded, so the suite is reproducible.  The RNGs of
-parameter_roundtrip, resolvent_two_route_identity, nd_mode_vs_monolithic and
-apriori_regularity_fit are seeded from the check's id and the suite seed
-(SuiteContext.rng); parabolic_contraction, maximal_regularity_ratio,
-semigroup_structure and square_function_resolvent_family seed theirs from
-the suite seed alone.  No check reads another's state, so run_suite runs
-them on every usable core, one forked worker per core, and collects the
-results in registry order; they serialize to one CSV per estimate plus a
-summary CSV (estimate_id, pass, constant, drift), byte-identical to a run
-in one process.
+A check is check(seed) on one REGISTRY row (estimate id, check, suite)
+that names the one suite running it; SUITES is derived from the rows.
+Every draw is seeded: parameter_roundtrip, resolvent_two_route_identity,
+nd_mode_vs_monolithic and apriori_regularity_fit draw from _rng_for(their
+id, seed), the other drawing checks from the suite seed alone.  No check
+reads another's state, so run_suite runs them on every usable core, one
+forked worker per core, and collects the results in registry order; they
+serialize to one CSV per estimate plus a summary CSV (estimate_id, pass,
+constant, drift), byte-identical to a run in one process.
 Out-of-window behavior is probed by exact, matrix-free operator norms
 (bessel1d.operator_norm) of the scaled multiplier family on one Fourier
 mode: a window violation concentrates on the smallest graded cells, so the
@@ -87,16 +86,6 @@ def _rng_for(estimate_id, seed):
     digest = hashlib.sha256(estimate_id.encode()).digest()
     base = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(np.random.SeedSequence([base, seed]))
-
-
-class SuiteContext:
-    """Shared configuration for one suite run: the seed of every check RNG."""
-
-    def __init__(self, seed=0):
-        self.seed = int(seed)
-
-    def rng(self, estimate_id):
-        return _rng_for(estimate_id, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +233,8 @@ def resolvent_family(ops, mixing_norm):
 # individual checks
 
 
-def _check_parameter_roundtrip(ctx):
-    rng = ctx.rng("parameter_roundtrip")
+def _check_parameter_roundtrip(seed):
+    rng = _rng_for("parameter_roundtrip", seed)
     worst = 0.0
     for _ in range(1000):
         beta = rng.uniform(-0.9, 3.0)
@@ -306,7 +295,7 @@ def _check_parameter_roundtrip(ctx):
                           header=("quantity", "value"))
 
 
-def _check_transform_isometries(ctx):
+def _check_transform_isometries(seed):
     grid = make_grid(256, 1.0, 2.0)
     profs = panels.vertical_panel(1.0, count=10, kind="mixed")
     p, m = 2.7, 0.4
@@ -347,7 +336,7 @@ def _check_transform_isometries(ctx):
         header=("map", "norm_mismatch"))
 
 
-def _check_power_similarity(ctx):
+def _check_power_similarity(seed):
     cases = [(0.0, 1.0, 1.0, 0.0), (-0.5, 0.5, 1.2, 0.3), (0.5, 1.2, 0.9, 0.0)]
     levels = (128, 256, 512)
     rows = []
@@ -371,7 +360,7 @@ def _check_power_similarity(ctx):
         header=("alpha1", "alpha2", "c", "J", "error"))
 
 
-def _check_model_equivalence_1d(ctx):
+def _check_model_equivalence_1d(seed):
     cases = [(0.5, 1.0, 0.4, 1.0), (-0.5, 0.8, 0.7, 2.0), (1.0, 1.5, 0.3, 1.0)]
     levels = (128, 256, 512)
     rows, studies = case_study(cases, levels,
@@ -385,7 +374,7 @@ def _check_model_equivalence_1d(ctx):
         header=("alpha", "c", "mixing_freq", "freq_norm2", "J", "error"))
 
 
-def _check_selfadjoint_spectrum(ctx):
+def _check_selfadjoint_spectrum(seed):
     def measure(c, alpha, J):
         op = assemble_form(make_grid(J, 1.0, 2.0), "model_mode", c=c,
                            alpha=alpha, mixing_freq=0.0, freq_norm2=1.0)
@@ -406,7 +395,7 @@ def _check_selfadjoint_spectrum(ctx):
         rows=rows, header=("c", "alpha", "J", "hermitian_defect", "min_eig"))
 
 
-def _check_sector_resolvent(ctx):
+def _check_sector_resolvent(seed):
     def measure(amod, J):
         op = assemble_form(make_grid(J, 1.0, 2.0), "model_mode", c=1.0,
                            alpha=0.5, mixing_freq=amod, freq_norm2=1.0)
@@ -436,7 +425,7 @@ def _kernel_fit_result(estimate_id, cases, fit, header):
         rows=rows, header=header)
 
 
-def _check_kernel_bessel(ctx):
+def _check_kernel_bessel(seed):
     def fit(c, J):
         op = assemble_form(make_grid(J, 1.0, 2.0), "bessel", c=c)
         rep = bessel_kernel_fit(expm_kernel(op, KERNEL_T), c, KERNEL_T)
@@ -447,7 +436,7 @@ def _check_kernel_bessel(ctx):
                               ("c", "J", "C", "kappa"))
 
 
-def _check_kernel_model(ctx):
+def _check_kernel_model(seed):
     def fit(c, alpha, J):
         grid = make_grid(J, 1.0, default_grading(alpha))
         op = assemble_form(grid, "model_mode", c=c, alpha=alpha,
@@ -461,7 +450,7 @@ def _check_kernel_model(ctx):
                               ("c", "alpha", "J", "C", "kappa"))
 
 
-def _check_kernel_domination(ctx):
+def _check_kernel_domination(seed):
     cases = [(1.0, 0.0, 0.5), (0.5, 0.3, 0.4), (2.0, -0.2, 0.8),
              (1.0, 0.5, 1.0), (0.3, 0.0, 1.2), (1.5, 0.8, 0.6)]
 
@@ -486,9 +475,9 @@ def _check_kernel_domination(ctx):
         header=("c", "beta", "b", "J", "field_excess", "kernel_excess"))
 
 
-def _check_two_route(ctx):
+def _check_two_route(seed):
     grid = make_grid(256, 1.0, 2.0)
-    rng = ctx.rng("resolvent_two_route_identity")
+    rng = _rng_for("resolvent_two_route_identity", seed)
     profs = panels.vertical_panel(1.0, count=3, rng=rng)
     rows = []
     for alpha in (-0.5, 0.0, 0.5, 1.0):
@@ -510,8 +499,8 @@ def _check_two_route(ctx):
         levels=[256], rows=rows, header=("alpha", "lam", "max_rel_diff"))
 
 
-def _check_mode_vs_monolithic(ctx):
-    rng = ctx.rng("nd_mode_vs_monolithic")
+def _check_mode_vs_monolithic(seed):
+    rng = _rng_for("nd_mode_vs_monolithic", seed)
     model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 32, 1)
     grid = make_grid(128, 1.0, 2.0, box)
@@ -559,7 +548,7 @@ def manufactured_mode_case(model, grid, lam, k_mode, center=0.45, width=0.18):
     return Field(u, grid), Field(f, grid)
 
 
-def _check_manufactured(ctx):
+def _check_manufactured(seed):
     model = ModelParams(np.array([0.4]), 0.5, 1.2, 0.3, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     lam = 2.0
@@ -612,8 +601,8 @@ def _apriori_constant(model, grid, rng):
     return worst
 
 
-def _check_apriori_fit(ctx):
-    rng = ctx.rng("apriori_regularity_fit")
+def _check_apriori_fit(seed):
+    rng = _rng_for("apriori_regularity_fit", seed)
     model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     levels = (96, 192)
@@ -634,7 +623,7 @@ def _check_apriori_fit(ctx):
         rows=list(zip(levels, consts)), header=("J", "constant"))
 
 
-def _check_interpolation_fit(ctx):
+def _check_interpolation_fit(seed):
     levels = (128, 256)
     consts, drift = refinement_study(levels, lambda J: interpolation_constant(
         0.5, 1.0, 2.4, 0.3, J))
@@ -645,7 +634,7 @@ def _check_interpolation_fit(ctx):
         header=("J", "constant"))
 
 
-def _check_xi_derivative(ctx):
+def _check_xi_derivative(seed):
     grid = make_grid(192, 1.0, 2.0)
     m1 = ModelParams(np.array([0.4]), 0.5, 1.0, 0.2, 2.0)
     r1 = xi_derivative_check(1.2 + 0.3j, m1, grid, order=1, base_xi=[1.1])
@@ -664,7 +653,7 @@ def _check_xi_derivative(ctx):
         rows=rows, header=("n", "err_h", "err_h2", "order"))
 
 
-def _check_mikhlin_scan(ctx):
+def _check_mikhlin_scan(seed):
     m1 = ModelParams(np.array([0.4]), 0.5, 1.0, 0.2, 2.0)
     lam_set = (0.5, 2.0)
     xi_set = ((0.7,), (3.0,), (-1.5,))
@@ -696,7 +685,7 @@ def _check_mikhlin_scan(ctx):
         header=("family", "beta", "lambda", "xi", "J", "estimate"))
 
 
-def _check_square_function(ctx):
+def _check_square_function(seed):
     grid = make_grid(256, 1.0, 2.0)
     ops = ModeOperators(grid, 1.0, 0.5)
     fam = resolvent_family(ops, 0.3)
@@ -705,14 +694,14 @@ def _check_square_function(ctx):
              for prof in panels.vertical_panel(1.0, count=6)]
     levels = (4, 8, 16)
     values, drift = refinement_study(levels, lambda n: square_function_ratio(
-        fam, n, 80, p, m, grid, profs, seed=ctx.seed + n))
+        fam, n, 80, p, m, grid, profs, seed=seed + n))
     ratios = dict(zip(levels, values))
     # one identity callable (np.asarray(f) is f): its probes run once
     ident = square_function_ratio(lambda rng: np.asarray, 8, 10, p, m, grid,
-                                  profs, seed=ctx.seed)
+                                  profs, seed=seed)
     half = _scaled_resolvent(ops.form(0.0, 1.0), 2.0)
     single = square_function_ratio(lambda rng: half, 1, 20, 2.0, 0.5, grid,
-                                   profs, seed=ctx.seed)
+                                   profs, seed=seed)
     passed = drift < DRIFT_TOL and abs(ident - 1.0) <= 1e-14 \
         and single <= 1.01
     return EstimateResult(
@@ -724,7 +713,7 @@ def _check_square_function(ctx):
         header=("n", "ratio"))
 
 
-def _check_parabolic_heat(ctx):
+def _check_parabolic_heat(seed):
     levels = ((64, 16), (128, 32))
     errors, _ = refinement_study(
         levels, lambda lv: semigroup.heat_closed_form_check(*lv))
@@ -737,17 +726,17 @@ def _check_parabolic_heat(ctx):
         header=("J", "error"))
 
 
-def _check_parabolic_contraction(ctx):
+def _check_parabolic_contraction(seed):
     # baseline model: alpha = 0, a = 0, c = 0 on L^2
     model = ModelParams(np.array([0.0]), 0.0, 0.0, 0.0, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     grid = make_grid(96, 1.0, default_grading(model.alpha), box)
     rep = semigroup.contraction_check(model, grid, (0.0, 0.01, 0.1, 1.0),
-                                      probes=6, steps=16, seed=ctx.seed)
+                                      probes=6, steps=16, seed=seed)
     variant = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     gridv = make_grid(96, 1.0, 2.0, box)
     repv = semigroup.contraction_check(variant, gridv, (0.1,), probes=4,
-                                       steps=12, seed=ctx.seed)
+                                       steps=12, seed=seed)
     worst_v = repv[0.1]["l2_weighted"]
     # the t = 0 rows are 1 by definition, so only t > 0 ratios are reported
     worst = max([worst_v] + [v for t, d in rep.items() if t > 0
@@ -762,7 +751,7 @@ def _check_parabolic_contraction(ctx):
         header=("t", "norm", "ratio"))
 
 
-def _check_maximal_regularity(ctx):
+def _check_maximal_regularity(seed):
     hil_model = ModelParams(np.array([0.0]), 0.0, 0.0, 0.0, 2.0)
     gen_model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
@@ -774,7 +763,7 @@ def _check_maximal_regularity(ctx):
         (ratio, refined), drift = refinement_study((1, 2), lambda k: (
             semigroup.maximal_regularity_check(
                 model, make_grid(64 * k, 1.0, grading, box), q,
-                np.linspace(0.0, 0.5, 20 * k + 1), seed=ctx.seed)))
+                np.linspace(0.0, 0.5, 20 * k + 1), seed=seed)))
         rows.append((case, ratio, refined, drift))
         detail[case] = {"ratio": ratio, "ratio_refined": refined,
                         "drift": drift}
@@ -787,18 +776,18 @@ def _check_maximal_regularity(ctx):
         header=("case", "ratio", "ratio_refined", "drift"))
 
 
-def _check_semigroup_structure(ctx):
+def _check_semigroup_structure(seed):
     model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     grid = make_grid(64, 1.0, 2.0, box)
-    step_id = semigroup.resolvent_step_identity(model, grid, seed=ctx.seed)
-    prop = semigroup.semigroup_property_check(model, grid, seed=ctx.seed)
+    step_id = semigroup.resolvent_step_identity(model, grid, seed=seed)
+    prop = semigroup.semigroup_property_check(model, grid, seed=seed)
     pos_model = ModelParams(np.array([0.0]), 0.5, 1.0, 0.2, 2.0)
     pos, _ = refinement_study(
         (make_grid(48, 1.0, 2.0, box),
          make_grid(96, 1.0, 2.0, XBox(2.0 * np.pi, 16, 1))),
         lambda g: semigroup.positivity_check(pos_model, g))
-    dom_rng = np.random.default_rng(ctx.seed)
+    dom_rng = np.random.default_rng(seed)
     dom, _ = refinement_study((128, 256), lambda J: (
         semigroup.mode_domination_check(1.0, 0.5, 0.35, 1.0,
                                         make_grid(J, 1.0, 2.0), dom_rng)))
@@ -819,7 +808,7 @@ def _check_semigroup_structure(ctx):
         rows=rows, header=("quantity", "value"))
 
 
-def _check_reduction_consistency(ctx):
+def _check_reduction_consistency(seed):
     space = SpaceSpec(2.0, 0.2)
     specs = {
         "shear": OperatorSpec(q_matrix=np.array([[1.0]]),
@@ -851,7 +840,7 @@ def _family_norm_sup(model, grid, weight_m):
     return rep["suprema"]["scaled"]
 
 
-def _check_window_negative_control(ctx):
+def _check_window_negative_control(seed):
     alpha, c, p = 0.5, 1.0, 2.0
     upper = c + 1.0 - alpha          # window: 0 < (m+1)/p < upper
     m_in = p * 0.5 * upper - 1.0
@@ -884,53 +873,41 @@ def _check_window_negative_control(ctx):
         header=("quantity", "value"))
 
 
+# rows (estimate id, check(seed), named suite); "default" runs every row
 REGISTRY = (
-    ("parameter_roundtrip", _check_parameter_roundtrip),
-    ("transform_isometries", _check_transform_isometries),
-    ("power_similarity", _check_power_similarity),
-    ("model_equivalence_1d", _check_model_equivalence_1d),
-    ("selfadjoint_spectrum", _check_selfadjoint_spectrum),
-    ("sector_resolvent_scan", _check_sector_resolvent),
-    ("kernel_gaussian_fit_bessel", _check_kernel_bessel),
-    ("kernel_gaussian_fit_model", _check_kernel_model),
-    ("kernel_domination", _check_kernel_domination),
-    ("resolvent_two_route_identity", _check_two_route),
-    ("nd_mode_vs_monolithic", _check_mode_vs_monolithic),
-    ("nd_manufactured_convergence", _check_manufactured),
-    ("apriori_regularity_fit", _check_apriori_fit),
-    ("interpolation_gradient_fit", _check_interpolation_fit),
-    ("xi_derivative_order", _check_xi_derivative),
-    ("mikhlin_family_scan", _check_mikhlin_scan),
-    ("square_function_resolvent_family", _check_square_function),
-    ("parabolic_heat_closed_form", _check_parabolic_heat),
-    ("parabolic_contraction", _check_parabolic_contraction),
-    ("maximal_regularity_ratio", _check_maximal_regularity),
-    ("semigroup_structure", _check_semigroup_structure),
-    ("reduction_consistency", _check_reduction_consistency),
-    ("window_negative_control", _check_window_negative_control),
+    ("parameter_roundtrip", _check_parameter_roundtrip, "parameter_maps"),
+    ("transform_isometries", _check_transform_isometries, "parameter_maps"),
+    ("power_similarity", _check_power_similarity, "parameter_maps"),
+    ("model_equivalence_1d", _check_model_equivalence_1d, "parameter_maps"),
+    ("selfadjoint_spectrum", _check_selfadjoint_spectrum, "spectral_1d"),
+    ("sector_resolvent_scan", _check_sector_resolvent, "spectral_1d"),
+    ("kernel_gaussian_fit_bessel", _check_kernel_bessel, "kernel_bounds"),
+    ("kernel_gaussian_fit_model", _check_kernel_model, "kernel_bounds"),
+    ("kernel_domination", _check_kernel_domination, "kernel_bounds"),
+    ("resolvent_two_route_identity", _check_two_route, "spectral_1d"),
+    ("nd_mode_vs_monolithic", _check_mode_vs_monolithic, "multiplier_bounds"),
+    ("nd_manufactured_convergence", _check_manufactured, "multiplier_bounds"),
+    ("apriori_regularity_fit", _check_apriori_fit, "multiplier_bounds"),
+    ("interpolation_gradient_fit", _check_interpolation_fit,
+     "multiplier_bounds"),
+    ("xi_derivative_order", _check_xi_derivative, "multiplier_bounds"),
+    ("mikhlin_family_scan", _check_mikhlin_scan, "multiplier_bounds"),
+    ("square_function_resolvent_family", _check_square_function,
+     "multiplier_bounds"),
+    ("parabolic_heat_closed_form", _check_parabolic_heat, "parabolic"),
+    ("parabolic_contraction", _check_parabolic_contraction, "parabolic"),
+    ("maximal_regularity_ratio", _check_maximal_regularity, "parabolic"),
+    ("semigroup_structure", _check_semigroup_structure, "parabolic"),
+    ("reduction_consistency", _check_reduction_consistency, "parameter_maps"),
+    ("window_negative_control", _check_window_negative_control,
+     "negative_controls"),
 )
 
-_REGISTRY_MAP = dict(REGISTRY)
+_REGISTRY_MAP = {name: check for name, check, _ in REGISTRY}
 
-SUITES = {
-    "default": [name for name, _ in REGISTRY],
-    "parameter_maps": ["parameter_roundtrip", "transform_isometries",
-                       "power_similarity", "model_equivalence_1d",
-                       "reduction_consistency"],
-    "spectral_1d": ["selfadjoint_spectrum", "sector_resolvent_scan",
-                    "resolvent_two_route_identity"],
-    "kernel_bounds": ["kernel_gaussian_fit_bessel",
-                      "kernel_gaussian_fit_model", "kernel_domination"],
-    "multiplier_bounds": ["nd_mode_vs_monolithic",
-                          "nd_manufactured_convergence",
-                          "apriori_regularity_fit",
-                          "interpolation_gradient_fit",
-                          "xi_derivative_order", "mikhlin_family_scan",
-                          "square_function_resolvent_family"],
-    "parabolic": ["parabolic_heat_closed_form", "parabolic_contraction",
-                  "maximal_regularity_ratio", "semigroup_structure"],
-    "negative_controls": ["window_negative_control"],
-}
+SUITES = {"default": list(_REGISTRY_MAP)}
+SUITES.update({suite: [name for name, _, s in REGISTRY if s == suite]
+               for _, _, suite in REGISTRY})
 
 
 def write_csv(path, header, rows):
@@ -980,12 +957,12 @@ def _one_blas_thread():
                 break
 
 
-def _run_check(name, ctx):
+def _run_check(name, seed):
     """Run one registered check and time it where it runs; an exception
     becomes a failed result."""
     start = time.perf_counter()
     try:
-        res = _REGISTRY_MAP[name](ctx)
+        res = _REGISTRY_MAP[name](seed)
     except Exception as exc:
         res = EstimateResult(name, False, error="%s: %s"
                              % (type(exc).__name__, exc))
@@ -996,32 +973,29 @@ def _run_check(name, ctx):
 def run_suite(config=None):
     """Run registered checks; returns a list of EstimateResult.
 
-    config keys (all optional): suite (name), checks (explicit id list),
-    out_dir and seed (an integer >= 0, not a bool); any other key, or a bad
-    seed, raises ValueError.  out_dir is made before the first check runs.
-    Every check builds its own models and grids.  Individual check
-    failures are recorded in the results, not raised.
+    config keys (all optional): suite (a SUITES name, checked also when
+    checks is given), checks (a list or tuple of registered ids), out_dir
+    (None, a str or an os.PathLike; made before the first check runs) and
+    seed (an integer >= 0, not a bool).  A bad value or any other key
+    raises ValueError before any check runs.  Individual check failures
+    are recorded in the results, not raised.
 
     With at least two checks and two usable cores (grid.usable_cores), the
     checks go to a pool of min(cores, checks) workers forked from this
-    process, one check per task in the order given.  A check's result
-    cannot depend on the split: it reads only its own models and grids and
-    an RNG seeded from its id and the suite seed, or from the suite seed
-    alone, never state another check left behind.  The workers are forked,
-    so each sees the registry as this process holds it.  scipy.linalg and
-    scipy.sparse.linalg, which the package otherwise loads on first use,
-    are loaded here before the fork: a worker that loaded them itself
-    would pay the import again on every run (about 0.3 s per worker in a
-    fresh process), and a worker's OpenBLAS setup below reaches only the
-    libraries mapped when it starts.  Each worker runs OpenBLAS on one
-    thread, since the workers already fill the cores and BLAS threads on
-    top of them only contend; this process's BLAS threads are left alone.
-    The results come back in input order, each with the seconds its check
-    took where it ran, and the CSVs are written here, byte-identical to a
-    run in one process.  One check, one core, or a platform without
-    os.fork runs the checks in this process.  A worker that dies raises
-    BrokenProcessPool; every worker is reaped before run_suite returns or
-    raises.
+    process, one check per task in the order given; a check reads only its
+    own models, grids and seed, so its result cannot depend on the split.
+    Forked workers see the registry as this process holds it.
+    scipy.linalg and scipy.sparse.linalg (otherwise loaded on first use)
+    are loaded before the fork: a worker that loaded them would pay the
+    import on every run (about 0.3 s each in a fresh process), and its
+    OpenBLAS setup reaches only the libraries mapped when it starts.  Each
+    worker runs OpenBLAS on one thread, since the workers already fill the
+    cores; this process's BLAS threads are left alone.  The results come
+    back in input order, each with the seconds its check took where it
+    ran, and the CSVs are written here, byte-identical to a run in one
+    process.  One check, one core, or a platform without os.fork runs the
+    checks in this process.  A worker that dies raises BrokenProcessPool;
+    every worker is reaped before run_suite returns or raises.
     """
     config = dict(config or {})
     suite = config.pop("suite", "default")
@@ -1031,26 +1005,28 @@ def run_suite(config=None):
     if not (isinstance(seed, numbers.Integral)
             and not isinstance(seed, bool) and seed >= 0):
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
-    ctx = SuiteContext(seed=seed)
     if config:
         raise ValueError("unknown run_suite key(s): %s"
                          % ", ".join(sorted(config)))
+    if not (isinstance(suite, str) and suite in SUITES):
+        raise ValueError("unknown suite %r (have: %s)"
+                         % (suite, ", ".join(sorted(SUITES))))
     if checks is None:
-        if suite not in SUITES:
-            raise ValueError("unknown suite %r (have: %s)"
-                             % (suite, ", ".join(sorted(SUITES))))
         checks = SUITES[suite]
+    if not isinstance(checks, (list, tuple)):
+        raise ValueError("checks must be a list or tuple, got %r" % (checks,))
     for name in checks:
-        if name not in _REGISTRY_MAP:
-            raise ValueError("no executable check registered for %r" % name)
-        if not callable(_REGISTRY_MAP[name]):
-            raise ValueError("registry entry %r is not executable" % name)
+        if not (isinstance(name, str) and name in _REGISTRY_MAP):
+            raise ValueError("checks: no executable check %r" % (name,))
+    if not (out_dir is None or isinstance(out_dir, (str, os.PathLike))):
+        raise ValueError("out_dir must be None, a str or an os.PathLike, "
+                         "got %r" % (out_dir,))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     workers = min(usable_cores(), len(checks))
     if workers < 2:
-        results = [_run_check(name, ctx) for name in checks]
+        results = [_run_check(name, int(seed)) for name in checks]
     else:
         import scipy.linalg
         import scipy.sparse.linalg
@@ -1058,7 +1034,7 @@ def run_suite(config=None):
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_one_blas_thread) as pool:
             results = list(pool.map(_run_check, checks,
-                                    [ctx] * len(checks)))
+                                    [int(seed)] * len(checks)))
 
     if out_dir:
         for res in results:

@@ -148,7 +148,8 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
         raise ValueError("time_grid must increase strictly")
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r" % (scheme,))
-    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+    if not (isinstance(stride, (int, np.integer))
+            and not isinstance(stride, bool) and stride >= 1):
         raise ValueError("stride must be an integer >= 1, got %r" % (stride,))
     u = np.asarray(u0.values if isinstance(u0, Field) else u0, dtype=complex)
     if u.shape != grid.shape:

@@ -280,7 +280,7 @@ def test_split_field_csv_matches_per_row_oracle(tmp_path, monkeypatch, box,
 
 def test_split_field_csv_leaves_existing_files_alone(tmp_path, monkeypatch):
     # two cores and a field above _SPLIT_FLOATS: one forked part writer,
-    # whose part file gets a new unique name, so a file named like an old
+    # whose part file has no name, so a file named like an old
     # `<path>.part1` is neither overwritten nor removed
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = []
@@ -304,6 +304,31 @@ def test_split_field_csv_leaves_existing_files_alone(tmp_path, monkeypatch):
     assert got.read_bytes() == want.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["oracle.csv", "solution.csv",
                                             "solution.csv.part1"]
+
+
+def test_split_field_csv_names_no_part_file(tmp_path, monkeypatch):
+    # the directory as the parent sees it while writing its own range,
+    # after every part file is made: only `path` and what was already there
+    _split_three_ways(monkeypatch)
+    parent = os.getpid()
+    real_write = grid_module._write_blocks
+    seen = []
+
+    def listing_write(*args):
+        if os.getpid() == parent:
+            seen.append(sorted(os.listdir(tmp_path)))
+        real_write(*args)
+
+    monkeypatch.setattr(grid_module, "_write_blocks", listing_write)
+    (tmp_path / "before.txt").write_text("kept")
+    f = _special_field(XBox(3.0, 6, 2), 5)
+    got, want = tmp_path / "new.csv", tmp_path / "oracle.csv"
+    write_field_csv(str(got), f)
+    _oracle_field_csv(str(want), f)
+    assert seen == [["before.txt", "new.csv"]]
+    assert got.read_bytes() == want.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["before.txt", "new.csv",
+                                            "oracle.csv"]
 
 
 @pytest.mark.parametrize("in_child,error", [(True, OSError),

@@ -17,15 +17,55 @@ from degenpde.grid import make_grid
 
 
 def test_registry_and_suites_consistent():
-    names = [name for name, _ in REGISTRY]
+    names = [name for name, _, _ in REGISTRY]
     assert len(names) == len(set(names))
     assert SUITES["default"] == names
-    for suite, members in SUITES.items():
-        for member in members:
-            assert member in names, (suite, member)
-    # every registered check is callable
-    for _, fn in REGISTRY:
+    # each row names one suite other than default, the only one it is in
+    for name, fn, suite in REGISTRY:
         assert callable(fn)
+        assert suite != "default" and name in SUITES[suite], (suite, name)
+    assert sorted(name for suite, members in SUITES.items()
+                  if suite != "default" for name in members) == sorted(names)
+
+
+# the suites as a literal table listed them before they were derived from
+# the registry rows: the derived table must repeat it, key and member order
+# included
+SUITES_ORACLE = {
+    "default": ["parameter_roundtrip", "transform_isometries",
+                "power_similarity", "model_equivalence_1d",
+                "selfadjoint_spectrum", "sector_resolvent_scan",
+                "kernel_gaussian_fit_bessel", "kernel_gaussian_fit_model",
+                "kernel_domination", "resolvent_two_route_identity",
+                "nd_mode_vs_monolithic", "nd_manufactured_convergence",
+                "apriori_regularity_fit", "interpolation_gradient_fit",
+                "xi_derivative_order", "mikhlin_family_scan",
+                "square_function_resolvent_family",
+                "parabolic_heat_closed_form", "parabolic_contraction",
+                "maximal_regularity_ratio", "semigroup_structure",
+                "reduction_consistency", "window_negative_control"],
+    "parameter_maps": ["parameter_roundtrip", "transform_isometries",
+                       "power_similarity", "model_equivalence_1d",
+                       "reduction_consistency"],
+    "spectral_1d": ["selfadjoint_spectrum", "sector_resolvent_scan",
+                    "resolvent_two_route_identity"],
+    "kernel_bounds": ["kernel_gaussian_fit_bessel",
+                      "kernel_gaussian_fit_model", "kernel_domination"],
+    "multiplier_bounds": ["nd_mode_vs_monolithic",
+                          "nd_manufactured_convergence",
+                          "apriori_regularity_fit",
+                          "interpolation_gradient_fit",
+                          "xi_derivative_order", "mikhlin_family_scan",
+                          "square_function_resolvent_family"],
+    "parabolic": ["parabolic_heat_closed_form", "parabolic_contraction",
+                  "maximal_regularity_ratio", "semigroup_structure"],
+    "negative_controls": ["window_negative_control"],
+}
+
+
+def test_derived_suites_equal_the_literal_table():
+    assert list(SUITES) == list(SUITES_ORACLE)
+    assert SUITES == SUITES_ORACLE
 
 
 def test_run_suite_validation():
@@ -45,15 +85,45 @@ def test_run_suite_rejects_a_bool_seed():
             run_suite({"checks": ["parameter_roundtrip"], "seed": seed})
 
 
-def test_out_dir_that_is_a_file_raises_before_any_check(monkeypatch,
-                                                        tmp_path):
+def _register_record_check(monkeypatch):
+    """A check that records the seed of each run; returns the record."""
     ran = []
 
-    def record(ctx):
-        ran.append(ctx.seed)
+    def record(seed):
+        ran.append(seed)
         return EstimateResult("synthetic_record", True)
 
     monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_record", record)
+    return ran
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"suite": ["default"]}, "suite"),
+    ({"suite": "everything", "checks": ["synthetic_record"]}, "suite"),
+    ({"checks": "synthetic_record"}, "checks"),
+    ({"checks": ["synthetic_record", 3]}, "checks"),
+    ({"checks": ["synthetic_record"], "out_dir": 5}, "out_dir"),
+])
+def test_run_suite_validates_suite_checks_and_out_dir_types(monkeypatch,
+                                                            config, key):
+    # a ValueError naming the key before any check, not a TypeError or a run
+    ran = _register_record_check(monkeypatch)
+    with pytest.raises(ValueError, match=key):
+        run_suite(config)
+    assert ran == []
+
+
+def test_run_suite_takes_a_tuple_of_checks_and_a_path_out_dir(monkeypatch,
+                                                              tmp_path):
+    ran = _register_record_check(monkeypatch)
+    assert run_suite({"checks": ("synthetic_record",), "seed": 4,
+                      "out_dir": tmp_path / "out"})[0].passed
+    assert ran == [4] and (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_out_dir_that_is_a_file_raises_before_any_check(monkeypatch,
+                                                        tmp_path):
+    ran = _register_record_check(monkeypatch)
     path = tmp_path / "file"
     path.write_text("kept")
     with pytest.raises(FileExistsError):
@@ -63,7 +133,7 @@ def test_out_dir_that_is_a_file_raises_before_any_check(monkeypatch,
 
 
 def test_check_exception_is_recorded_not_raised(monkeypatch):
-    def boom(ctx):
+    def boom(seed):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_boom", boom)
@@ -124,11 +194,10 @@ def test_two_route_identity_passes_on_every_seed(seed):
 
 
 def test_two_route_rows_hold_each_case_own_max():
-    ctx = harness.SuiteContext(seed=0)
-    res = harness._check_two_route(ctx)
+    res = harness._check_two_route(0)
     grid = make_grid(256, 1.0, 2.0)
     profs = panels.vertical_panel(
-        1.0, count=3, rng=ctx.rng("resolvent_two_route_identity"))
+        1.0, count=3, rng=harness._rng_for("resolvent_two_route_identity", 0))
     assert len(res.rows) == 12
     for alpha, lam, got in res.rows:
         w = node_weights(grid, 1.0 - alpha)
@@ -343,8 +412,8 @@ def _register_pid_check(monkeypatch):
     """A check that reports the pid it ran in, outside every CSV."""
     monkeypatch.setitem(
         harness._REGISTRY_MAP, "synthetic_pid",
-        lambda ctx: EstimateResult("synthetic_pid", True, constant=0.0,
-                                   drift=0.0, detail={"pid": os.getpid()}))
+        lambda seed: EstimateResult("synthetic_pid", True, constant=0.0,
+                                    drift=0.0, detail={"pid": os.getpid()}))
 
 
 def _suite_outputs(out_dir):
@@ -376,7 +445,7 @@ def test_forked_suite_equals_the_serial_suite(tmp_path, monkeypatch):
 
 
 def test_check_exception_in_a_worker_is_recorded_not_raised(monkeypatch):
-    def boom(ctx):
+    def boom(seed):
         raise RuntimeError("synthetic failure in %d" % os.getpid())
 
     monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_boom", boom)
@@ -390,7 +459,7 @@ def test_check_exception_in_a_worker_is_recorded_not_raised(monkeypatch):
 
 def test_dead_worker_raises_and_leaves_no_child(monkeypatch):
     monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_exit",
-                        lambda ctx: os._exit(3))
+                        lambda seed: os._exit(3))
     _report_cores(monkeypatch, {0, 1, 2})
     with pytest.raises(BrokenProcessPool):
         run_suite({"checks": ["xi_derivative_order", "synthetic_exit",
@@ -444,9 +513,9 @@ def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(
         pytest.skip("no OpenBLAS thread getter in this process")
     monkeypatch.setitem(
         harness._REGISTRY_MAP, "synthetic_blas",
-        lambda ctx: EstimateResult("synthetic_blas", True,
-                                   detail={"counts": _blas_thread_counts(),
-                                           "pid": os.getpid()}))
+        lambda seed: EstimateResult("synthetic_blas", True,
+                                    detail={"counts": _blas_thread_counts(),
+                                            "pid": os.getpid()}))
     _report_cores(monkeypatch, {0, 1, 2})
     results = run_suite({"checks": ["synthetic_blas"] * 3})
     for res in results:

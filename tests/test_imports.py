@@ -210,9 +210,9 @@ def test_suite_workers_import_nothing(tmp_path):
 
         run_check = harness._run_check
 
-        def recording_run_check(name, ctx):
+        def recording_run_check(name, seed):
             before = set(sys.modules)
-            res = run_check(name, ctx)
+            res = run_check(name, seed)
             res.detail["pid"] = os.getpid()
             res.detail["gained"] = sorted(set(sys.modules) - before)
             return res

@@ -9,7 +9,7 @@ program call sets is a configuration only tests exercise; it belongs in the
 body as a constant.  So does a parameter that every such call passes the
 same literal (an omitted argument counting as its default), when it has a
 default or its function is private: it has one value in use.  Each
-parameter of a `def` must be read by its body, except the `ctx` of the
+parameter of a `def` must be read by its body, except the `seed` of the
 harness REGISTRY checks (the registry's calling convention) and the
 parameters of a nested function passed as an argument (a callback whose
 signature its caller fixes).
@@ -239,7 +239,7 @@ def _registry_functions(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "REGISTRY"
                         for t in node.targets)):
-            return {pair.elts[1].id for pair in node.value.elts}
+            return {row.elts[1].id for row in node.value.elts}
     return set()
 
 
@@ -248,16 +248,16 @@ def test_scan_flags_an_unread_parameter():
         "def f(a, b, *, c, **kw):\n    return a + kw['x']\n"
         "class K:\n"
         "    def m(self, u):\n        return 1\n"
-        "def check(ctx):\n    return 0\n"
+        "def check(seed):\n    return 0\n"
         "def outer(y):\n"
         "    def end(t, at):\n        return t\n"
         "    def inner(z):\n        return 0\n"
         "    return use(y, end) + inner(y)\n"
-        "REGISTRY = ((\"check\", check),)\n")
+        "REGISTRY = ((\"check\", check, \"suite\"),)\n")
     assert unread_parameters(tree, _registry_functions(tree)) == [
         "f.b", "f.c", "inner.z", "m.u"]
     assert unread_parameters(tree) == [
-        "check.ctx", "f.b", "f.c", "inner.z", "m.u"]
+        "check.seed", "f.b", "f.c", "inner.z", "m.u"]
 
 
 def test_every_parameter_is_read():

@@ -59,6 +59,16 @@ def test_run_snapshot_bookkeeping():
             sg.evolve(u0, None, MODEL, g, "backward_euler", ts, stride=stride)
 
 
+def test_evolve_rejects_a_bool_stride():
+    # bool is an int, so True would otherwise run as stride 1
+    g = _grid()
+    u0 = Field(np.zeros(g.shape, dtype=complex), g)
+    for stride in (True, False):
+        with pytest.raises(ValueError, match="stride"):
+            sg.evolve(u0, None, MODEL, g, "backward_euler",
+                      np.linspace(0.0, 0.1, 4), stride=stride)
+
+
 @pytest.mark.parametrize("steps,stride,kept", [
     (6, 2, [0, 2, 4, 6]), (7, 3, [0, 3, 6, 7]), (5, 9, [0, 5]),
     (4, 4, [0, 4]),
