@@ -532,24 +532,29 @@ _THETA = np.pi * (2.0 * np.arange(CONTOUR_NODES) + 1.0
 _NODES = CONTOUR_NODES * (0.1309 - 0.1194 * _THETA ** 2 + 0.25j * _THETA)
 _COEFFS = np.exp(_NODES) * (-0.2388 * _THETA + 0.25j) / 1j
 _CONTOUR_TOL = 1e-10
-_RANGE_DIRECTIONS = 64
+# the direction counts of the nested numerical-range polygons, coarse to fine
+_RANGE_LADDER = (16, 32, 64)
 
 
-def _numerical_range_polygon(d, sub, sup):
+def _numerical_range_polygon(d, sub, sup, n, coarse):
     """Polygon containing the numerical range of the tridiagonal (d, sub, sup).
 
-    For each of _RANGE_DIRECTIONS angles a the support value h(a) =
+    For each of the n angles a = 2 pi k / n the support value h(a) =
     max Re(e^{-ia} <Tu, u>) / <u, u> is the top eigenvalue of the Hermitian
     part of e^{-ia} T, a Hermitian tridiagonal matrix whose spectrum is that
-    of the real one with the moduli of its off-diagonal.  The supporting
-    lines of adjacent angles meet at the returned vertices; `angles` and
-    `support` describe the same polygon as half-planes.
+    of the real one with the moduli of its off-diagonal.  `coarse` (or None)
+    holds the support values of the n/2 angles, bitwise the even ones here.
+    The supporting lines of adjacent angles meet at the returned vertices;
+    `angles` and `support` describe the same polygon as half-planes.
     """
     J = d.size
-    angles = 2.0 * np.pi * np.arange(_RANGE_DIRECTIONS) / _RANGE_DIRECTIONS
-    support = np.empty(_RANGE_DIRECTIONS)
-    for k, a in enumerate(angles):
-        rot = np.exp(-1j * a)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    support = np.empty(n)
+    fresh = range(n)
+    if coarse is not None:
+        support[::2], fresh = coarse, range(1, n, 2)
+    for k in fresh:
+        rot = np.exp(-1j * angles[k])
         off = 0.5 * np.abs(rot * sub + np.conj(rot * sup))
         support[k] = scipy.linalg.eigh_tridiagonal(
             (rot * d).real, off, eigvals_only=True, select="i",
@@ -565,31 +570,38 @@ def _contour_error_bound(op, z):
     """Bound on ||e^{zM} - r(zM)||_W for the contour approximant r.
 
     zM is similar to -zT with T = W^(-1/2) F W^(-1/2), so its numerical range
-    lies in -z P for the polygon P of _numerical_range_polygon.  When no pole
+    lies in -z P for each polygon P of _numerical_range_polygon.  When no pole
     s_k of r lies in that set, the Crouzeix-Palencia theorem bounds the error
     by (1 + sqrt 2) max |r(w) - e^w| over it, and by the maximum principle the
     max is taken on the boundary, sampled here geometrically from each vertex.
-    Returns inf when a pole lies inside.
+    The polygons of _RANGE_LADDER, each inside the last, are tried in turn:
+    the first bound <= _CONTOUR_TOL is returned, else the finest polygon's,
+    inf when a pole lies inside it.
     """
     z = complex(z)
-    angles, support, vertices = _numerical_range_polygon(
-        *op.symmetric_bands())
+    d, sub, sup = op.symmetric_bands()
     poles = -_NODES / z
-    inside = (np.real(np.exp(-1j * angles)[:, None] * poles[None, :])
-              <= support[:, None]).all(axis=0)
-    if inside.any():
-        return float("inf")
-    ends = np.roll(vertices, -1)
     # 8 points a decade: edges run from |w| ~ 1e-2 out to |w| ~ 1e10
     u = np.concatenate(([0.0], np.logspace(-14.0, 0.0, 113)))
-    edges = np.concatenate([vertices[:, None] + (ends - vertices)[:, None] * u,
-                            ends[:, None] + (vertices - ends)[:, None] * u])
-    w = -z * edges.ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = (_COEFFS / (_NODES - w[:, None])).sum(axis=1)
-        err = np.abs(r - np.exp(w)).max()
-    return float((1.0 + np.sqrt(2.0)) * err) if np.isfinite(err) \
-        else float("inf")
+    support = None
+    for n in _RANGE_LADDER:
+        angles, support, vertices = _numerical_range_polygon(
+            d, sub, sup, n, support)
+        bound = float("inf")
+        if (np.real(np.exp(-1j * angles)[:, None] * poles[None, :])
+                <= support[:, None]).all(axis=0).any():
+            continue
+        ends = np.roll(vertices, -1)
+        edges = np.concatenate([
+            vertices[:, None] + (ends - vertices)[:, None] * u,
+            ends[:, None] + (vertices - ends)[:, None] * u])
+        w = -z * edges.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (_COEFFS / (_NODES - w[:, None])).sum(axis=1)
+            bound = float((1.0 + np.sqrt(2.0)) * np.abs(r - np.exp(w)).max())
+        if bound <= _CONTOUR_TOL:
+            break
+    return bound if np.isfinite(bound) else float("inf")
 
 
 # Self-adjoint kernels keep the modes with Re z (lambda - lambda_0) <= this:

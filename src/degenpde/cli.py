@@ -8,6 +8,7 @@ Commands
                       flagged: lam_in_sector false and a stderr warning.
     solve_parabolic   time evolution with snapshot CSVs and a manifest.
                       Both solves work on an x-box: operator.dimension >= 1.
+                      Only they read --refine, and only verify a SUITE.
     verify SUITE      run a registered check suite; exit 1 if any check fails.
                       Reads only the config's suite key; a config that sets
                       operator is rejected (each check builds its own).
@@ -436,6 +437,12 @@ def main(argv=None):
         if args.seed < 0:
             raise ConfigError("--seed must be an integer >= 0, got %d"
                               % args.seed)
+        if args.refine and args.command in ("verify", "sweep"):
+            raise ConfigError("--refine is read only by the solve commands, "
+                              "not by %s" % args.command)
+        if args.suite is not None and args.command != "verify":
+            raise ConfigError("suite argument %r is read only by verify, not "
+                              "by %s" % (args.suite, args.command))
         cfg = load_config(args.config)
         # verify rejects a file that sets operator, so default it only here
         if args.command == "verify":

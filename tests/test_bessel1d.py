@@ -425,6 +425,72 @@ def test_oblique_kernel_at_full_width_is_the_identity_contour():
                           _identity_contour_kernel(op, 0.05))
 
 
+def _domination_forms():
+    """kernel_domination's 12 oblique forms: six cases at J = 192 and 384."""
+    return [b1.assemble_form(make_grid(J, 1.0, 2.0), "bessel_drift", c=c,
+                             beta=beta, drift_b=b, potential_coeff=0.5)
+            for J in (192, 384) for c, beta, b in _DOMINATION_CASES]
+
+
+def _ladder_polygons(d, sub, sup):
+    """(angles, support) of every rung, each refined from the last."""
+    rungs, support = [], None
+    for n in b1._RANGE_LADDER:
+        angles, support, _ = b1._numerical_range_polygon(d, sub, sup, n,
+                                                         support)
+        rungs.append((angles, support))
+    return rungs
+
+
+def test_every_rung_contains_the_numerical_range():
+    rng = np.random.default_rng(28)
+    bands = [op.symmetric_bands() for op in _domination_forms()]
+    for J in [2, 64] + list(rng.integers(3, 64, 6)):
+        bands.append(tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                           for k in (J, J - 1, J - 1)))
+    for d, sub, sup in bands:
+        J = d.size
+        T = np.diag(d) + np.diag(sub, -1) + np.diag(sup, 1)
+        u = rng.standard_normal((J, 50)) + 1j * rng.standard_normal((J, 50))
+        q = np.einsum("ij,ij->j", u.conj(), T @ u) / (np.abs(u) ** 2).sum(0)
+        slack = 1e-12 * np.abs(T).max()
+        rungs = _ladder_polygons(d, sub, sup)
+        for angles, support in rungs:
+            reach = np.real(np.exp(-1j * angles)[:, None] * q[None, :])
+            assert (reach <= support[:, None] + slack).all(), J
+        for (coarse, _), (fine, _) in zip(rungs, rungs[1:]):
+            assert np.array_equal(coarse, fine[::2])
+
+
+def test_refined_rungs_are_bitwise_fresh_polygons(monkeypatch):
+    # from 8 directions the ladder refines past a pole inside the polygon
+    # (c = 0.3, drift 1.2, arg z = 27 degrees: 8, 16 and 32 directions all
+    # enclose one) and past a bound above the tolerance (c = 1.5, drift 0.6,
+    # arg z = 23 degrees: 1.8e-10 at 8 directions); each refined bound is
+    # bitwise the bound of the polygon built at its final count alone
+    forms = _oblique_forms(make_grid(128, 1.0, 2.0))
+    cases = [(forms[1], 0.0446 + 0.0227j, 64), (forms[0], 0.046 + 0.0195j, 16)]
+    for op, z, final in cases:
+        monkeypatch.setattr(b1, "_RANGE_LADDER", (final,))
+        want = b1._contour_error_bound(op, z)
+        monkeypatch.setattr(b1, "_RANGE_LADDER", (8, 16, 32, 64))
+        assert b1._contour_error_bound(op, z) == want <= b1._CONTOUR_TOL
+        fresh = b1._numerical_range_polygon(*op.symmetric_bands(), final,
+                                            None)
+        refined = _ladder_polygons(*op.symmetric_bands())[
+            b1._RANGE_LADDER.index(final)]
+        assert np.array_equal(fresh[1], refined[1])
+
+
+def test_ladder_gates_like_the_finest_polygon(monkeypatch):
+    forms = _domination_forms()
+    ladder = [b1._contour_error_bound(op, 0.05) for op in forms]
+    monkeypatch.setattr(b1, "_RANGE_LADDER", (64,))
+    finest = [b1._contour_error_bound(op, 0.05) for op in forms]
+    assert [e <= b1._CONTOUR_TOL for e in ladder] \
+        == [e <= b1._CONTOUR_TOL for e in finest] == [True] * 12
+
+
 def test_expm_kernel_reruns_bitwise():
     g = make_grid(128, 1.0, 2.0)
     for op in [b1.assemble_form(g, "bessel", c=1.0)] + _oblique_forms(g):

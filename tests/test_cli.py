@@ -672,6 +672,25 @@ def test_negative_refine_is_config_error(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "parameter_maps", "--refine", "3"], "--refine"),
+    (["sweep", "--refine", "1"], "--refine"),
+    (["solve_elliptic", "parameter_maps"], "'parameter_maps'"),
+    (["solve_parabolic", "default"], "'default'"),
+    (["sweep", "spectral_1d"], "'spectral_1d'"),
+])
+def test_argument_the_command_never_reads_is_config_error(tmp_path, capsys,
+                                                          argv, named):
+    # these arguments used to be dropped silently, with exit code 0
+    out_dir = tmp_path / "o"
+    rc = main(argv + ["--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: " in err and named in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "solve_elliptic"])
 def test_negative_seed_is_config_error(tmp_path, capsys, command):
     out_dir = tmp_path / "o"
