@@ -567,16 +567,19 @@ def _numerical_range_polygon(d, sub, sup, n, coarse):
 
 
 def _contour_error_bound(op, z):
-    """Bound on ||e^{zM} - r(zM)||_W for the contour approximant r.
+    """Estimate of ||e^{zM} - r(zM)||_W for the contour approximant r.
 
     zM is similar to -zT with T = W^(-1/2) F W^(-1/2), so its numerical range
     lies in -z P for each polygon P of _numerical_range_polygon.  When no pole
     s_k of r lies in that set, the Crouzeix-Palencia theorem bounds the error
     by (1 + sqrt 2) max |r(w) - e^w| over it, and by the maximum principle the
     max is taken on the boundary, sampled here geometrically from each vertex.
-    The polygons of _RANGE_LADDER, each inside the last, are tried in turn:
-    the first bound <= _CONTOUR_TOL is returned, else the finest polygon's,
-    inf when a pole lies inside it.
+    The sampled max is an estimate, not a bound: on 4 of kernel_domination's
+    12 forms it reads up to 5% below the polygon's true max.  It is at most
+    1.3e-13 there, against the _CONTOUR_TOL = 1e-10 gate.  The polygons of
+    _RANGE_LADDER, each inside the last, are tried in turn: the first
+    estimate <= _CONTOUR_TOL is returned, else the finest polygon's, inf
+    when a pole lies inside it.
     """
     z = complex(z)
     d, sub, sup = op.symmetric_bands()

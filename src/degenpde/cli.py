@@ -10,8 +10,9 @@ Commands
                       Both solves work on an x-box: operator.dimension >= 1.
                       Only they read --refine, and only verify a SUITE.
     verify SUITE      run a registered check suite; exit 1 if any check fails.
-                      Reads only the config's suite key; a config that sets
-                      operator is rejected (each check builds its own).
+                      Reads only the config's suite key, and any other key
+                      is rejected (each check builds its own models and
+                      grids); the other commands reject a suite key.
     sweep             re-evaluate window margins and the sector sup while one
                       operator parameter ranges over configured values.
 
@@ -215,13 +216,16 @@ def _problem(cfg):
         raise ConfigError(str(exc))
 
 
-def _grid_for(cfg, model, refine=0):
+def _grid_for(cfg, model, refine, x_box):
+    """The grid section's grid, J = num_cells 2^refine, a null grading the
+    model's default: on its x-box for the solve commands, a y-grid alone
+    (x_box false) for sweep, which accepts dimension 0."""
     gsec = _section(cfg, "grid", GRID_KEYS)
     J = gsec["num_cells"] * 2 ** refine
     grading = gsec["grading"]
     if grading is None:
         grading = default_grading(model.alpha)
-    box = XBox(gsec["box_length"], gsec["num_x"], model.dim)
+    box = XBox(gsec["box_length"], gsec["num_x"], model.dim) if x_box else None
     return make_grid(J, gsec["y_max"], grading, box)
 
 
@@ -288,7 +292,7 @@ def _manufactured(model, grid, lam, esec):
 def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     spec, space, model, chain = _problem(cfg)
     window = validate_window(spec, space)
-    grid = _grid_for(cfg, model, refine)
+    grid = _grid_for(cfg, model, refine, True)
     esec = _section(cfg, "elliptic", ELLIPTIC_KEYS)
     lam = complex(esec["lam"][0], esec["lam"][1])
     # the resolvent bounds hold in the analytic sector; a lam outside it is
@@ -320,7 +324,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
 
 def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     model, chain = _problem(cfg)[2:]
-    grid = _grid_for(cfg, model, refine)
+    grid = _grid_for(cfg, model, refine, True)
     psec = _section(cfg, "parabolic", PARABOLIC_KEYS)
     steps = psec["steps"] * 2 ** refine
     times = np.linspace(0.0, psec["t_final"], steps + 1)
@@ -341,10 +345,17 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     return 0
 
 
+def _check_sections(command, cfg):
+    """verify reads only the suite key and no other command reads it, so a
+    key the command would drop is a config error naming it."""
+    for key in cfg:
+        if (key == "suite") != (command == "verify"):
+            raise ConfigError("%s does not read config key %r; verify reads "
+                              "only 'suite', which no other command reads"
+                              % (command, key))
+
+
 def cmd_verify(cfg, suite, out_dir, seed):
-    if "operator" in cfg:
-        raise ConfigError("verify reads only the suite key; every check "
-                          "builds its own operator, so 'operator' is not used")
     suite = suite or cfg.get("suite", "default")
     # an unknown suite is run_suite's config error, with no directory made
     if suite in harness.SUITES:
@@ -383,7 +394,7 @@ def cmd_sweep(cfg, out_dir, seed):
             spec, space = config_to_problem(op_cfg)
             model, _ = reduce_to_model(spec, space)
             window = validate_window(spec, space)
-            grid = make_grid(128, 1.0, default_grading(model.alpha))
+            grid = _grid_for(cfg, model, 0, False)
             amod = float(np.linalg.norm(model.mixing)) if model.dim else 0.0
             op = assemble_form(grid, "model_mode", c=model.c_bessel,
                                alpha=model.alpha, mixing_freq=amod,
@@ -444,7 +455,8 @@ def main(argv=None):
             raise ConfigError("suite argument %r is read only by verify, not "
                               "by %s" % (args.suite, args.command))
         cfg = load_config(args.config)
-        # verify rejects a file that sets operator, so default it only here
+        _check_sections(args.command, cfg)
+        # verify rejects an operator key, so default it only here
         if args.command == "verify":
             return cmd_verify(cfg, args.suite, args.out, args.seed)
         cfg.setdefault("operator", dict(DEFAULT_OPERATOR))

@@ -1,14 +1,14 @@
-"""Time evolution e^{tL} for the model operator, by A-stable one-step schemes.
+"""Time evolution e^{tL} for the model operator, by the theta-scheme.
 
-Backward Euler advances (I - dt L) u_{k+1} = u_k + dt f_{k+1}; with
-lam = 1/dt one step is one mode-space sweep of the frequency-decoupled
-resolvent, (I - dt L)^(-1) u_0, which resolvent_step_identity compares with
-the monolithic sparse solve.  Crank-Nicolson solves
-(2/dt - L) u_{k+1} = (2/dt + L) u_k + 2 f_{k+1/2}.  Both schemes are
-A-stable; backward Euler is additionally contractive in the weighted l2
-product whenever the spatial form is accretive, and for a = 0 the lumped P1
-system is an M-matrix, so it preserves positivity and the L-infinity bound
-exactly at the discrete level.
+One step of size dt solves (1/(theta dt) - L) u_{k+1} = (1/(theta dt) +
+(1/theta - 1) L) u_k + f(t_k + theta dt) / theta: backward Euler is theta =
+1, (I - dt L) u_{k+1} = u_k + dt f_{k+1}, so with lam = 1/dt one step is one
+mode-space sweep of the frequency-decoupled resolvent, (I - dt L)^(-1) u_0,
+which resolvent_step_identity compares with the monolithic sparse solve;
+Crank-Nicolson is theta = 1/2.  Both schemes are A-stable; backward Euler is
+additionally contractive in the weighted l2 product whenever the spatial form
+is accretive, and for a = 0 the lumped P1 system is an M-matrix, so it
+preserves positivity and the L-infinity bound exactly at the discrete level.
 
 The maximal-regularity check measures the discrete L^q([0,T]; L^p_m) norms
 of the one-sided difference quotient D_t u and of L u = D_t u - f (the
@@ -32,7 +32,7 @@ from .multiplier import (FrequencySolvePlan, mode_step,
 from .params import ModelParams
 from . import panels
 
-SCHEMES = ("backward_euler", "crank_nicolson")
+SCHEMES = {"backward_euler": 1.0, "crank_nicolson": 0.5}  # theta
 
 
 class EvolutionRun:
@@ -87,11 +87,6 @@ class EvolutionRun:
         return manifest
 
 
-def _forcing_at(forcing, t):
-    """The forcing's values at time t: None, or forcing(t) as an array."""
-    return None if forcing is None else np.asarray(forcing(t), dtype=complex)
-
-
 # A batch whose factors slice by columns (the Thomas path) is marched in
 # one range of mode columns per usable core only when its work, modes x J
 # x steps complex entries, reaches this.  A step costs about 50 ns
@@ -111,15 +106,15 @@ _SPLIT_WORK = 2_000_000
 def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     """March (d/dt - L) u = f from u0 over time_grid; returns EvolutionRun.
 
-    scheme: "backward_euler" or "crank_nicolson".  forcing is None or a
-    callable t -> array of grid values.  u0 is transformed to
-    (J, modes) x-Fourier coefficients once and marched there: a backward
-    Euler step is one multiplier.mode_step, the batched solve of a
-    FrequencySolvePlan with its residual, a Crank-Nicolson step one
-    mode_step plus its explicit half L u_k = -F u_k / W, where F u_k is the
-    band product the previous step already formed.  Plans are built in
-    this process, one per distinct step size, before the march starts, so
-    a uniform time grid reuses one factorisation for all its steps.
+    scheme names its theta in SCHEMES (backward_euler 1, crank_nicolson
+    1/2); forcing is None or a callable t -> array of grid values.
+    time_grid must increase strictly in steps equal up to rounding, a
+    spread of at most 8 ulps of max |t| (linspace and t0 + h arange grids
+    spread over at most 4), else ValueError names it before anything is
+    built.  One FrequencySolvePlan, lam = 1/(theta h) for the mean step h,
+    serves every step.  u0 is transformed to (J, modes) x-Fourier
+    coefficients once and marched there, one multiplier.mode_step per step
+    (see _march_range).
 
     Every mode column evolves on its own, so a batch whose factors slice by
     columns (the Thomas path) and whose work reaches _SPLIT_WORK (timings
@@ -131,9 +126,8 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     allocates once, so no step on the Thomas path allocates (forcing aside,
     which is transformed once per step, whole, in each range).  It writes
     its kept states, each step's residual row sums and the first step with
-    non-finite values into arrays that, for more than one range, live in
-    MAP_SHARED anonymous mappings made before the fork.  This process
-    reduces the row sums to the worst weighted residual
+    non-finite values into arrays that, for more than one range, are
+    MAP_SHARED mappings made before the fork.  This process reduces the row sums to the worst weighted residual
     (multiplier.weighted_residual, as solve_modes does), transforms back
     only the kept states (every `stride`-th time index and the last),
     dropping each once transformed, and raises RuntimeError for the first
@@ -144,8 +138,13 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("time_grid must be a 1-d array of times")
-    if times.size > 1 and np.any(np.diff(times) <= 0):
-        raise ValueError("time_grid must increase strictly")
+    steps, last = np.diff(times), times.size - 1
+    if not (np.isfinite(times).all() and np.all(steps > 0)):
+        raise ValueError("time_grid must be finite and increase strictly")
+    spread = np.ptp(steps) / np.spacing(np.abs(times).max()) if last else 0
+    if spread > 8:
+        raise ValueError("time_grid steps must be equal up to rounding; "
+                         "they spread over %.3g ulps of max |t|" % spread)
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r" % (scheme,))
     if not (isinstance(stride, (int, np.integer))
@@ -156,19 +155,11 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
         raise ValueError("initial datum shape %r does not match grid %r"
                          % (u.shape, grid.shape))
     snapshots = [Field(u.copy(), grid)]
-    last = times.size - 1
     if last == 0:
         return EvolutionRun(times, scheme, snapshots, stride=stride)
-    plans = {}
-    keys = []
-    for k in range(last):
-        dt = times[k + 1] - times[k]
-        key = round(float(dt), 15)
-        if key not in plans:
-            lam = 1.0 / dt if scheme == "backward_euler" else 2.0 / dt
-            plans[key] = FrequencySolvePlan(lam, model, grid)
-        keys.append(key)
-    plan = plans[keys[0]]
+    theta = SCHEMES[scheme]
+    h = (times[-1] - times[0]) / last
+    plan = FrequencySolvePlan(1.0 / (theta * h), model, grid)
     uh0 = plan._to_modes(u)
     J, modes = uh0.shape
     kept = list(range(stride, last, stride)) + [last]
@@ -176,16 +167,20 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     if hasattr(plan.lu, "columns") and modes * J * last >= _SPLIT_WORK:
         ranges = min(usable_cores(), modes)
     cuts = [modes * r // ranges for r in range(ranges + 1)]
-    states, rows, bad = _march_arrays(ranges, len(kept), J, modes, last)
+    # the kept states, each range's per-step residual row sums and its
+    # first step with non-finite values (0 for none); one range takes
+    # np.zeros, as a mapping each took the parabolic checks' small marches
+    # from 0.13 to 0.18 s (2 cores, one BLAS thread)
+    new = np.zeros if ranges == 1 else _shared
+    states = [new((J, modes), np.complex128) for _ in kept]
+    rows, bad = new((ranges, last, 2, J), float), new(ranges, int)
 
     def march(r):
         cols = slice(cuts[r], cuts[r + 1])
-        parts = {key: (p.lam, p.form, p.lu) if ranges == 1
-                 else (p.lam, p.form.columns(cols), p.lu.columns(cols))
-                 for key, p in plans.items()}
-        bad[r] = _march_range(scheme, times, forcing, plan,
-                              [parts[key] for key in keys], uh0, cols,
-                              dict(zip(kept, states)), rows[r])
+        form, lu = ((plan.form, plan.lu) if ranges == 1
+                    else (plan.form.columns(cols), plan.lu.columns(cols)))
+        bad[r] = _march_range(theta, times, forcing, plan, form, lu, uh0,
+                              cols, dict(zip(kept, states)), rows[r])
 
     statuses = fork_ranges(ranges, march)
     if any(statuses):
@@ -204,59 +199,48 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
                         residual=worst)
 
 
-def _march_arrays(ranges, kept, J, modes, steps):
-    """(states, rows, bad) of a march: a list of the `kept` (J, modes)
-    states, each range's per-step residual row sums and each range's first
-    step with non-finite values (0 for none).  For more than one range
-    each array lives in a MAP_SHARED anonymous mapping made here, before
-    the fork, so the children's writes reach this process; a mapping is
-    unmapped once its array is dropped."""
-    def shared(shape, dtype):
-        size = int(np.prod(shape))
-        buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
-        return np.frombuffer(buf, dtype, size).reshape(shape)
-
-    new = np.zeros if ranges == 1 else shared
-    return ([new((J, modes), np.complex128) for _ in range(kept)],
-            new((ranges, steps, 2, J), np.float64), new((ranges,), np.int64))
+def _shared(shape, dtype):
+    """A zeroed array in a MAP_SHARED anonymous mapping: made before a fork,
+    it gets the children's writes; unmapped once the array is dropped."""
+    size = int(np.prod(shape))
+    buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype, size).reshape(shape)
 
 
-def _march_range(scheme, times, forcing, plan, steps, uh0, cols, kept,
+def _march_range(theta, times, forcing, plan, form, lu, uh0, cols, kept,
                  rows):
-    """March the mode columns `cols` of uh0 over every step; returns the
-    first step with non-finite values, or 0.
+    """March the mode columns `cols` of uh0 over every step of the
+    theta-scheme; returns the first step with non-finite values, or 0.
 
-    steps holds each step's (lam, form, factors) of these columns; `plan`
-    gives the weights W and transforms the forcing.  Each step forms its
-    right-hand side and runs multiplier.mode_step in the four (J, columns)
-    buffers allocated here, after any fork; a step writes only into them
-    and into rows[k] and, at a kept step, into its state in `kept`.  The
-    divisions by dt and by W are products with the reciprocal on the float
-    views (numpy's complex division multiplies by the reciprocal too).
+    form and lu are the plan's form and factors of these columns, and the
+    plan gives lam = 1/(theta h), the weights W and the forcing's
+    transform.  Step k solves (lam - L) u_{k+1} = (lam + (1/theta - 1) L)
+    u_k + f((1 - theta) t_k + theta t_{k+1}) / theta: the theta-scheme of
+    step h, so L u = 0 keeps u to rounding however far the grid is from
+    t = 0.  The explicit L u_k = -F u_k / W is formed only for theta < 1,
+    from the band product F u_k that the previous mode_step left in its
+    buffer.  Each step runs mode_step in the four (J, columns) buffers
+    allocated here, after any fork, and writes only into them and into
+    rows[k] and, at a kept step, into its state in `kept`.  The division by
+    W is a product with the reciprocal on the float views.
     """
     uh = np.array(uh0[:, cols])
     fu, rhs, wr = (np.empty_like(uh) for _ in range(3))
     uh_f, fu_f, rhs_f, wr_f = (a.view(float) for a in (uh, fu, rhs, wr))
-    weight = plan.ops.weight
-    inv_weight = 1.0 / weight[:, None]
-    if scheme == "crank_nicolson":
-        steps[0][1].apply(uh, out=fu, scratch=wr)
-    for k, (lam, form, lu) in enumerate(steps):
-        dt = times[k + 1] - times[k]
-        if scheme == "backward_euler":
-            np.multiply(uh_f, 1.0 / dt, out=rhs_f)
-            fv = _forcing_at(forcing, times[k + 1])
-            if fv is not None:
-                rhs += plan._to_modes(fv)[:, cols]
-        else:
-            # (2/dt + L) u_k with L u_k = -F u_k / W
-            np.multiply(uh_f, 2.0 / dt, out=rhs_f)
-            np.multiply(fu_f, inv_weight, out=wr_f)
+    lam, weight = plan.lam.real, plan.ops.weight
+    explicit = (1.0 / theta - 1.0) / weight[:, None]
+    if theta < 1:
+        form.apply(uh, out=fu, scratch=wr)
+    for k in range(times.size - 1):
+        np.multiply(uh_f, lam, out=rhs_f)
+        if theta < 1:
+            np.multiply(fu_f, explicit, out=wr_f)
             rhs -= wr
-            fv = _forcing_at(forcing, 0.5 * (times[k] + times[k + 1]))
-            if fv is not None:
-                rhs += 2.0 * plan._to_modes(fv)[:, cols]
-        mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows[k])
+        if forcing is not None:
+            t = (1.0 - theta) * times[k] + theta * times[k + 1]
+            fv = np.asarray(forcing(t), dtype=complex)
+            rhs += (1.0 / theta) * plan._to_modes(fv)[:, cols]
+        mode_step(plan.lam, form, lu, weight, rhs, uh, fu, wr, rows[k])
         # a non-finite entry of uh makes its row of W r non-finite, so the
         # full test runs only when a row sum is not finite
         if not np.isfinite(rows[k, 0]).all() and not np.isfinite(uh).all():

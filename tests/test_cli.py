@@ -6,7 +6,10 @@ import os
 
 import pytest
 
+from degenpde.bessel1d import assemble_form, sector_resolvent_scan
 from degenpde.cli import DEFAULT_OPERATOR, main
+from degenpde.grid import default_grading, make_grid
+from degenpde.params import config_to_problem, reduce_to_model
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -345,10 +348,47 @@ def test_verify_reads_only_suite(tmp_path, capsys):
     assert rc == 2
     assert "config error" in err and "'operator'" in err
     assert not os.path.exists(str(tmp_path / "v"))
+    # sections the checks never read are rejected too, naming the first
+    cfg = _write_config(tmp_path, {"elliptic": {"mode": 1},
+                                   "grid": {"num_cells": 64},
+                                   "suite": "parameter_maps"}, "more.json")
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "'elliptic'" in err
+    assert not os.path.exists(str(tmp_path / "v"))
     cfg = _write_config(tmp_path, {"suite": "spectral_1d"}, "suite.json")
     rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
     assert rc == 0
     assert "verify spectral_1d: 3/3" in capsys.readouterr().out
+
+
+_SWEEP_M = {"parameter": "m", "values": [0.2]}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("solve_elliptic", {"suite": "parameter_maps"}, "suite"),
+    ("solve_parabolic", {"suite": "parabolic"}, "suite"),
+    ("sweep", {"sweep": _SWEEP_M, "suite": "parameter_maps"}, "suite"),
+    ("verify", {"suite": "parameter_maps", "grid": {"num_cells": 64}},
+     "grid"),
+    ("verify", {"suite": "parameter_maps", "elliptic": {"mode": 1}},
+     "elliptic"),
+    ("verify", {"suite": "parameter_maps", "parabolic": {"steps": 4}},
+     "parabolic"),
+    ("verify", {"suite": "parameter_maps", "sweep": _SWEEP_M}, "sweep"),
+])
+def test_config_key_the_command_never_reads_is_config_error(tmp_path, capsys,
+                                                            command, cfg,
+                                                            key):
+    # these keys used to be dropped silently, with exit code 0
+    path = _write_config(tmp_path, cfg)
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", path, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: " in err and "%r" % key in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("suite", [["default"], {"name": "default"}])
@@ -551,6 +591,27 @@ def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):
     assert len(rows) == 3
     flags = [r.split(",")[4] for r in rows[1:]]
     assert flags[0] == "yes" and flags[1] == "no"
+
+
+def test_sweep_scans_on_the_configured_grid(tmp_path, capsys):
+    sups = {}
+    for cells in (64, 128):
+        model = reduce_to_model(*config_to_problem(SMALL_OPERATOR))[0]
+        amod = float(abs(model.mixing[0]))
+        op = assemble_form(make_grid(cells, 1.0,
+                                     default_grading(model.alpha)),
+                           "model_mode", c=model.c_bessel, alpha=model.alpha,
+                           mixing_freq=amod, freq_norm2=1.0)
+        sups[cells] = sector_resolvent_scan(op, amod)["sup"]
+    assert sups[64] != sups[128]
+    grids = {64: {"grid": {"num_cells": 64}}, 128: {}}
+    for cells, grid in grids.items():
+        cfg = _write_config(tmp_path, dict(grid, operator=SMALL_OPERATOR,
+                                           sweep=_SWEEP_M), "%d.json" % cells)
+        d = tmp_path / str(cells)
+        assert main(["sweep", "--config", cfg, "--out", str(d)]) == 0
+        row = (d / "sweep.csv").read_text().strip().split("\n")[1]
+        assert float(row.split(",")[-1]) == sups[cells]
 
 
 @pytest.mark.filterwarnings("error")

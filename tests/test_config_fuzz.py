@@ -2,10 +2,12 @@
 
 Hypothesis draws JSON-able configs, mostly valid sections with a few keys
 replaced by arbitrary values (wrong types, NaN, infinities, nested lists,
-integers beyond the float range).  load_config and the operator parse must
-return or raise ConfigError, which main maps to exit 2; nothing is solved.
-A parse that returns must have seen numbers only: a string or a boolean
-operator value is rejected.
+integers beyond the float range), and a command.  load_config, the
+command's section rule and the operator parse must return or raise
+ConfigError, which main maps to exit 2; nothing is solved.  A config the
+rule accepts for verify holds only suite, and one it accepts for another
+command no suite.  A parse that returns must have seen numbers only: a
+string or a boolean operator value is rejected.
 """
 
 import json
@@ -46,14 +48,20 @@ CONFIGS = st.fixed_dictionaries({}, optional={
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(CONFIGS)
-def test_config_boundary_accepts_or_raises_config_error(cfg):
+@given(CONFIGS, st.sampled_from(["solve_elliptic", "solve_parabolic",
+                                 "verify", "sweep"]))
+def test_config_boundary_accepts_or_raises_config_error(cfg, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         try:
             loaded = cli.load_config(path)
+            cli._check_sections(command, loaded)
+            if command == "verify":
+                assert set(loaded) <= {"suite"}
+                return
+            assert "suite" not in loaded
             loaded.setdefault("operator", dict(cli.DEFAULT_OPERATOR))
             cli._problem(loaded)
         except cli.ConfigError:

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenpde import multiplier as mp
 from degenpde import panels
@@ -28,11 +29,98 @@ def test_evolve_validation():
     with pytest.raises(ValueError, match="increase strictly"):
         sg.evolve(u0, None, MODEL, g, "backward_euler",
                   np.array([0.0, 0.2, 0.1]))
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="time_grid must be finite"):
+            sg.evolve(u0, None, MODEL, g, "backward_euler",
+                      np.array([0.0, t]))
     with pytest.raises(ValueError, match="unknown scheme"):
         sg.evolve(u0, None, MODEL, g, "leapfrog", np.array([0.0, 0.1]))
     bad = np.zeros((3, g.num_y), dtype=complex)  # wrong x count
     with pytest.raises(ValueError, match="does not match grid"):
         sg.evolve(bad, None, MODEL, g, "backward_euler", np.array([0.0, 0.1]))
+
+
+def test_unequal_time_steps_raise_before_any_plan(monkeypatch):
+    # steps 1e-9 and 1.0000001e-9: their absolute rounding round(dt, 15)
+    # was equal, so one factorisation served both
+    def built(*args):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(sg, "FrequencySolvePlan", built)
+    g = _grid()
+    ts = 1e-9 * np.array([0.0, 1.0, 2.0000001, 3.0000002])
+    for scheme in sg.SCHEMES:
+        with pytest.raises(ValueError, match="time_grid"):
+            sg.evolve(np.ones(g.shape), None, MODEL, g, scheme, ts)
+
+
+@pytest.mark.parametrize("ts", [
+    np.linspace(1000.0, 1000.001, 101), 0.1 * np.arange(11),
+    np.arange(0.0, 1.0001, 0.1),
+], ids=["linspace_at_1000", "scaled_arange", "arange"])
+def test_time_grids_equal_up_to_rounding_are_accepted(ts):
+    assert np.ptp(np.diff(ts)) > 0  # the steps differ in their last bits
+    g = _grid(J=16, nx=4)
+    run = sg.evolve(np.ones(g.shape), None, MODEL, g, "crank_nicolson", ts)
+    assert np.array_equal(run.times, ts)
+    assert np.isfinite(run.final.values).all()
+    assert 0.0 < run.residual <= 1e-12
+
+
+@pytest.mark.parametrize("ts", [
+    np.linspace(1000.0, 1000.001, 101), np.linspace(1e6, 1e6 + 1e-6, 41),
+], ids=["at_1000", "at_1e6"])
+@pytest.mark.parametrize("scheme", sg.SCHEMES)
+def test_far_from_zero_steps_keep_a_steady_state(ts, scheme):
+    # L 1 = 0 for the heat operator: every step solves (lam - L) u+ =
+    # (lam + ...) u with one lam, so u stays 1 up to rounding although the
+    # steps t_{k+1} - t_k spread over 1.1e-8 (at 1000) and 4.7e-3 (at 1e6)
+    # of a step; a right-hand side scaled by each step's own 1/(theta dt)
+    # drifts by 2.5e-7 and 4.8e-2
+    heat = ModelParams([0.0], 0.0, 0.0, 0.0, 2.0)
+    g = _grid(J=16, nx=4)
+    run = sg.evolve(np.ones(g.shape), None, heat, g, scheme, ts)
+    assert np.abs(run.final.values - 1.0).max() <= 1e-12
+
+
+_TINY = make_grid(4, 1.0, 1.0, XBox(2.0 * np.pi, 2, 1))
+_KINDS = st.sampled_from(["linspace", "arange"])
+# (t0, span, steps, kind): steps from 2.5e-8 at |t| = 1e6 up to 1e6
+UNIFORM = st.tuples(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6),
+                    st.integers(1, 40), _KINDS)
+# steps of at least 1/800 of max |t|, so that a move by 1e-9 of a step
+# spreads them over far more than 8 ulps of max |t|
+MOVABLE = st.tuples(st.floats(-10.0, 10.0), st.floats(1.0, 10.0),
+                    st.integers(2, 40), _KINDS)
+
+
+def _time_grid(t0, span, steps, kind):
+    if kind == "linspace":
+        return np.linspace(t0, t0 + span, steps + 1)
+    return t0 + (span / steps) * np.arange(steps + 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(UNIFORM)
+def test_equal_step_time_grids_are_accepted(drawn):
+    ts = _time_grid(*drawn)
+    run = sg.evolve(np.ones(_TINY.shape), None, MODEL, _TINY,
+                    "backward_euler", ts, stride=ts.size)
+    assert np.array_equal(run.times, ts) and len(run.snapshots) == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(MOVABLE, st.data())
+def test_time_grids_with_one_moved_step_are_rejected(drawn, data):
+    ts = _time_grid(*drawn)
+    # move one time by at least 1e-9 of a step, keeping the grid increasing
+    k = data.draw(st.integers(1, ts.size - 1))
+    shift = data.draw(st.floats(1e-9, 0.4)) * data.draw(
+        st.sampled_from([-1.0, 1.0]))
+    ts[k] += shift * (ts[1] - ts[0])
+    with pytest.raises(ValueError, match="time_grid steps must be equal"):
+        sg.evolve(np.ones(_TINY.shape), None, MODEL, _TINY,
+                  "backward_euler", ts)
 
 
 def test_run_snapshot_bookkeeping():
@@ -89,7 +177,8 @@ def test_stride_keeps_every_stride_th_and_the_final(steps, stride, kept):
 
 
 def _grid_space_oracle(u0, forcing, model, g, scheme, ts):
-    """The grid-space march: apply_operator + solve per step, 4 FFTs each."""
+    """The grid-space march: a plan of its own step, apply_operator and
+    solve per step, 4 FFTs each."""
     u = u0.copy()
     out = [u.copy()]
     for k in range(ts.size - 1):
@@ -97,15 +186,13 @@ def _grid_space_oracle(u0, forcing, model, g, scheme, ts):
         if scheme == "backward_euler":
             plan = mp.FrequencySolvePlan(1.0 / dt, model, g)
             rhs = u / dt
-            fv = sg._forcing_at(forcing, ts[k + 1])
-            if fv is not None:
-                rhs = rhs + fv
+            if forcing is not None:
+                rhs = rhs + forcing(ts[k + 1])
         else:
             plan = mp.FrequencySolvePlan(2.0 / dt, model, g)
             rhs = 2.0 * u / dt + plan.apply_operator(u).values
-            fv = sg._forcing_at(forcing, 0.5 * (ts[k] + ts[k + 1]))
-            if fv is not None:
-                rhs = rhs + 2.0 * fv
+            if forcing is not None:
+                rhs = rhs + 2.0 * forcing(0.5 * (ts[k] + ts[k + 1]))
         u = plan.solve(Field(rhs, g))[0].values
         out.append(u.copy())
     return out
@@ -122,8 +209,8 @@ def test_mode_space_march_matches_grid_space_steps(dim, scheme, kind):
     g = make_grid(24, 1.0, 2.0, XBox(2.0 * np.pi, 6, dim))
     rng = np.random.default_rng(dim)
     u0 = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    # a non-uniform time grid, so two step sizes and two plans are used
-    ts = np.array([0.0, 0.01, 0.02, 0.035, 0.05, 0.065])
+    # one plan serves the march's steps, the oracle builds one per step
+    ts = np.linspace(0.0, 0.065, 6)
     shape = rng.standard_normal(g.shape)
     forcing = {"none": None,
                "callable": lambda t: (1.0 + t) * shape}[kind]
