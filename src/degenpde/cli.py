@@ -16,10 +16,10 @@ Commands
     sweep             re-evaluate window margins and the sector sup while one
                       operator parameter ranges over configured values.
 
-Config is a JSON file: {"operator": {flat keys as in the params module},
+Config is a JSON file: {"operator": {the keys of params.OPERATOR_RULES},
 "grid": {num_cells, y_max, grading, num_x, box_length}, "elliptic": {...},
-"parabolic": {...}, "sweep": {...}, "suite": name}.  Exit codes: 0 success,
-1 check failure, 2 config error (the message names the offending key).
+"parabolic": {...}, "sweep": {...}, "suite": name}, checked by RULES.  Exit
+codes: 0 success, 1 check failure, 2 config error (naming <section>.<key>).
 Outputs carry no timestamps: the same config and seed reproduce byte-identical
 CSVs.
 """
@@ -38,50 +38,79 @@ from .grid import XBox, Field, make_grid, default_grading, lp_norm, \
     write_field_csv
 from .harness import manufactured_mode_case, run_suite
 from .multiplier import resolvent_nd
-from .params import config_to_problem, reduce_to_model, validate_window
+from .params import (OPERATOR_RULES, REQUIRED, check_section,
+                     config_to_problem, finite_number, integer,
+                     reduce_to_model, validate_window)
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULT_OPERATOR = {
-    "q_matrix": [1.0],
-    "q_vector": [0.0],
-    "gamma": 1.0,
-    "drift_b": [0.0],
-    "drift_c": 0.0,
-    "alpha1": 0.0,
-    "alpha2": 0.0,
-    "p": 2.0,
-    "m": 0.0,
-    "dimension": 1,
-}
-
-GRID_KEYS = {"num_cells": 128, "y_max": 1.0, "grading": None, "num_x": 16,
-             "box_length": 2.0 * np.pi}
-ELLIPTIC_KEYS = {"lam": [2.0, 0.0], "forcing": "manufactured", "mode": 2,
-                 "center": 0.45, "width": 0.18}
-PARABOLIC_KEYS = {"t_final": 0.5, "steps": 20, "scheme": "backward_euler",
-                  "snapshot_stride": 5, "forcing_mode": 1}
-SWEEP_KEYS = {"parameter": None, "values": None}
+DEFAULT_OPERATOR = {"q_matrix": [1.0], "q_vector": [0.0], "gamma": 1.0,
+                    "drift_b": [0.0], "drift_c": 0.0, "alpha1": 0.0,
+                    "alpha2": 0.0, "p": 2.0, "m": 0.0, "dimension": 1}
 SWEEP_PARAMETERS = ("alpha1", "alpha2", "drift_c", "gamma", "m", "p")
-TOP_KEYS = ("operator", "grid", "elliptic", "parabolic", "sweep", "suite")
 
 
-def _section(cfg, name, defaults):
-    sec = dict(defaults)
-    got = cfg.get(name, {})
-    if not isinstance(got, dict):
-        raise ConfigError("config section %r must be a mapping" % name)
-    for key, val in got.items():
-        if key not in defaults:
-            raise ConfigError("unknown config key: %s.%s" % (name, key))
-        sec[key] = val
-    return sec
+# each section's params.check_section rules, key -> (default, ok, what);
+# the elliptic and parabolic modes are checked against num_x by _check_modes
+_POSITIVE = (lambda v: finite_number(v) and v > 0, "a finite number > 0")
+_COUNT = (lambda v: integer(v) and v >= 1, "an integer >= 1")
+RULES = {
+    "operator": OPERATOR_RULES,
+    "grid": {
+        "num_cells": (128, lambda v: integer(v) and v >= 4,
+                      "an integer >= 4"),
+        "y_max": (1.0, *_POSITIVE),
+        "grading": (None, lambda v: v is None or finite_number(v) and v >= 1,
+                    "null or a finite number >= 1"),
+        "num_x": (16, lambda v: integer(v) and v >= 2 and v % 2 == 0,
+                  "an even integer >= 2"),
+        "box_length": (2.0 * np.pi, *_POSITIVE),
+    },
+    "elliptic": {
+        "lam": ([2.0, 0.0], lambda v: isinstance(v, list) and len(v) == 2
+                and all(map(finite_number, v)) and v[0] > 0,
+                "two finite numbers [re, im] with re > 0"),
+        "forcing": ("manufactured", lambda v: v == "manufactured",
+                    "'manufactured'"),
+        "mode": (2, integer, "an integer"),
+        "center": (0.45, finite_number, "a finite number"),
+        "width": (0.18, *_POSITIVE),
+    },
+    "parabolic": {
+        "t_final": (0.5, *_POSITIVE),
+        "steps": (20, *_COUNT),
+        "scheme": ("backward_euler",
+                   lambda v: isinstance(v, str) and v in semigroup.SCHEMES,
+                   "one of " + ", ".join(semigroup.SCHEMES)),
+        "snapshot_stride": (5, *_COUNT),
+        "forcing_mode": (1, integer, "an integer"),
+    },
+    "sweep": {
+        "parameter": (REQUIRED, lambda v: v in SWEEP_PARAMETERS,
+                      "one of " + ", ".join(SWEEP_PARAMETERS)),
+        "values": (REQUIRED, lambda v: isinstance(v, list) and v
+                   and all(map(finite_number, v)),
+                   "a non-empty list of finite numbers"),
+    },
+}
+GRID_KEYS, ELLIPTIC_KEYS, PARABOLIC_KEYS = (
+    {key: rule[0] for key, rule in RULES[name].items()}
+    for name in ("grid", "elliptic", "parabolic"))
+TOP_KEYS = tuple(RULES) + ("suite",)
+
+
+def _section(cfg, name):
+    """The named section of a config, merged over its defaults."""
+    return check_section(name, cfg.get(name, {}), RULES[name])
 
 
 def load_config(path):
+    """The config file's dict as read, once every section in it, the
+    operator's included, passes check_section and the modes _check_modes;
+    any fault is a ConfigError naming its key."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -89,7 +118,10 @@ def load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("config file %s cannot be read: %s"
+                          % (path, exc.strerror or exc))
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("config is not valid JSON: %s" % exc)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
@@ -98,108 +130,25 @@ def load_config(path):
             raise ConfigError("unknown config key: %s" % key)
     if not isinstance(cfg.get("suite", ""), str):
         raise ConfigError("suite must be a string, got %r" % (cfg["suite"],))
-    num_x = _check_grid(_section(cfg, "grid", GRID_KEYS))
-    if "elliptic" in cfg:
-        _check_elliptic(_section(cfg, "elliptic", ELLIPTIC_KEYS), num_x)
-    if "parabolic" in cfg:
-        _check_parabolic(_section(cfg, "parabolic", PARABOLIC_KEYS), num_x)
-    if "sweep" in cfg:
-        _check_sweep(_section(cfg, "sweep", SWEEP_KEYS))
+    try:
+        for name in RULES:
+            if name in cfg:
+                _section(cfg, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    _check_modes(cfg)
     return cfg
 
 
-def _integer(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _finite_number(v):
-    # int and float compare exactly, so an int beyond the float range fails
-    # here instead of overflowing at its first float conversion; NaN and
-    # the infinities fail too
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
-def _check_positive(name, value):
-    if not (_finite_number(value) and value > 0):
-        raise ConfigError("%s must be a finite number > 0, got %r"
-                          % (name, value))
-
-
-def _check_mode(name, value, num_x):
-    """A Fourier mode k with |k| < num_x / 2, so it is neither truncated nor
-    aliased onto another mode of the x-grid."""
-    if not (_integer(value) and 2 * abs(value) < num_x):
-        raise ConfigError("%s must be an integer with |k| < num_x / 2 = %d, "
-                          "got %r" % (name, num_x // 2, value))
-
-
-def _check_grid(sec):
-    """Integer num_cells >= 4, even integer num_x >= 2, finite positive
-    y_max and box_length, grading null or finite >= 1; returns num_x."""
-    if not (_integer(sec["num_cells"]) and sec["num_cells"] >= 4):
-        raise ConfigError("grid.num_cells must be an integer >= 4, got %r"
-                          % (sec["num_cells"],))
-    num_x = sec["num_x"]
-    if not (_integer(num_x) and num_x >= 2 and num_x % 2 == 0):
-        raise ConfigError("grid.num_x must be an even integer >= 2, got %r"
-                          % (num_x,))
-    _check_positive("grid.y_max", sec["y_max"])
-    _check_positive("grid.box_length", sec["box_length"])
-    grading = sec["grading"]
-    if grading is not None and not (_finite_number(grading)
-                                    and grading >= 1):
-        raise ConfigError("grid.grading must be null or a finite number "
-                          ">= 1, got %r" % (grading,))
-    return num_x
-
-
-def _check_elliptic(sec, num_x):
-    """lam = [Re lam, Im lam] finite with Re lam > 0, manufactured forcing,
-    a resolvable mode, finite center and finite width > 0."""
-    lam = sec["lam"]
-    if not (isinstance(lam, list) and len(lam) == 2
-            and all(_finite_number(v) for v in lam)):
-        raise ConfigError("elliptic.lam must be two finite numbers "
-                          "[re, im], got %r" % (lam,))
-    if not lam[0] > 0:
-        raise ConfigError("elliptic.lam needs Re lam > 0, got %r" % (lam,))
-    if sec["forcing"] != "manufactured":
-        raise ConfigError("unknown config key: elliptic.forcing value %r"
-                          % (sec["forcing"],))
-    _check_mode("elliptic.mode", sec["mode"], num_x)
-    if not _finite_number(sec["center"]):
-        raise ConfigError("elliptic.center must be a finite number, got %r"
-                          % (sec["center"],))
-    _check_positive("elliptic.width", sec["width"])
-
-
-def _check_parabolic(sec, num_x):
-    """Integer steps and stride >= 1, finite t_final > 0, a known scheme,
-    a resolvable forcing_mode."""
-    for key in ("steps", "snapshot_stride"):
-        val = sec[key]
-        if not (_integer(val) and val >= 1):
-            raise ConfigError("parabolic.%s must be an integer >= 1, got %r"
-                              % (key, val))
-    _check_positive("parabolic.t_final", sec["t_final"])
-    if sec["scheme"] not in semigroup.SCHEMES:
-        raise ConfigError("parabolic.scheme must be one of %s, got %r"
-                          % (", ".join(semigroup.SCHEMES), sec["scheme"]))
-    _check_mode("parabolic.forcing_mode", sec["forcing_mode"], num_x)
-
-
-def _check_sweep(sec):
-    """A sweepable operator parameter and a non-empty list of finite
-    numbers (no booleans, strings or nested lists)."""
-    if sec["parameter"] not in SWEEP_PARAMETERS:
-        raise ConfigError("unknown config key: sweep.parameter %r"
-                          % (sec["parameter"],))
-    values = sec["values"]
-    if not (isinstance(values, list) and values
-            and all(_finite_number(v) for v in values)):
-        raise ConfigError("sweep.values must be a non-empty list of finite "
-                          "numbers, got %r" % (values,))
+def _check_modes(cfg):
+    """The mode k of an elliptic or parabolic section needs |k| < num_x / 2,
+    so it is neither truncated nor aliased onto another mode of the x-grid."""
+    num_x = _section(cfg, "grid")["num_x"]
+    for name, key in (("elliptic", "mode"), ("parabolic", "forcing_mode")):
+        k = _section(cfg, name)[key]
+        if name in cfg and not 2 * abs(k) < num_x:
+            raise ConfigError("%s.%s must be an integer with |k| < num_x / 2 "
+                              "= %d, got %r" % (name, key, num_x // 2, k))
 
 
 def _problem(cfg):
@@ -220,7 +169,7 @@ def _grid_for(cfg, model, refine, x_box):
     """The grid section's grid, J = num_cells 2^refine, a null grading the
     model's default: on its x-box for the solve commands, a y-grid alone
     (x_box false) for sweep, which accepts dimension 0."""
-    gsec = _section(cfg, "grid", GRID_KEYS)
+    gsec = _section(cfg, "grid")
     J = gsec["num_cells"] * 2 ** refine
     grading = gsec["grading"]
     if grading is None:
@@ -232,7 +181,7 @@ def _grid_for(cfg, model, refine, x_box):
 def _write_manifest(out_dir, payload):
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     return path
 
 
@@ -245,6 +194,15 @@ def _make_out_dir(out_dir):
     except OSError as exc:
         raise ConfigError("--out %s is not a usable output directory: %s"
                           % (out_dir, exc.strerror or exc))
+
+
+def _check_residual(residual, key, value):
+    """A residual not computed (NaN) is a config error naming the key that
+    set the data's scale, raised before any output is written."""
+    if math.isnan(residual):
+        raise ConfigError("%s = %r is out of range: the weighted residual's "
+                          "sums of squares leave the float range, so no "
+                          "residual is computed" % (key, value))
 
 
 def _manifest_base(command, cfg, seed, chain):
@@ -293,7 +251,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     spec, space, model, chain = _problem(cfg)
     window = validate_window(spec, space)
     grid = _grid_for(cfg, model, refine, True)
-    esec = _section(cfg, "elliptic", ELLIPTIC_KEYS)
+    esec = _section(cfg, "elliptic")
     lam = complex(esec["lam"][0], esec["lam"][1])
     # the resolvent bounds hold in the analytic sector; a lam outside it is
     # solved, but flagged in the manifest and on stderr
@@ -305,6 +263,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     u_exact, f = _manufactured(model, grid, lam, esec)
     _make_out_dir(out_dir)
     u, info = resolvent_nd(lam, f, model, grid, return_info=True)
+    _check_residual(info["residual"], "elliptic.lam", esec["lam"])
     err = (lp_norm(u.values - u_exact.values, model.p, model.m, grid)
            / lp_norm(u_exact.values, model.p, model.m, grid))
     sol_path = os.path.join(out_dir, "solution.csv")
@@ -325,7 +284,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
 def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     model, chain = _problem(cfg)[2:]
     grid = _grid_for(cfg, model, refine, True)
-    psec = _section(cfg, "parabolic", PARABOLIC_KEYS)
+    psec = _section(cfg, "parabolic")
     steps = psec["steps"] * 2 ** refine
     times = np.linspace(0.0, psec["t_final"], steps + 1)
     prof = panels.bump_profile(0.4 * grid.y_max, 0.15 * grid.y_max)
@@ -334,6 +293,7 @@ def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     _make_out_dir(out_dir)
     run = semigroup.evolve(u0, None, model, grid, psec["scheme"], times,
                            stride=psec["snapshot_stride"])
+    _check_residual(run.residual, "parabolic.t_final", psec["t_final"])
     manifest = _manifest_base("solve_parabolic", cfg, seed, chain)
     sub = run.export_csvs(out_dir, model=model, chain=chain)
     manifest["evolution"] = sub

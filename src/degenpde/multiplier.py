@@ -72,10 +72,18 @@ def mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows):
     np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[1])
 
 
+# Below this |rhs|^2_W, the |r|^2_W of a residual eps |rhs|_W underflows
+_MIN_SUM = np.finfo(float).tiny / np.finfo(float).eps ** 2
+
+
 def weighted_residual(rows, weight):
-    """|r|_W / |rhs|_W from mode_step's row sums, |r|^2_W = sum |W r|^2 / W."""
+    """|r|_W / |rhs|_W from mode_step's row sums, |r|^2_W = sum |W r|^2 / W;
+    NaN, for not computed, when a sum leaves the float range or |rhs|^2_W
+    is below _MIN_SUM (zero data included)."""
     num, den = rows[0] @ (1.0 / weight), rows[1] @ weight
-    return float(np.sqrt(num / max(den, 1e-300)))
+    if not (num < np.inf and _MIN_SUM <= den < np.inf):
+        return float("nan")
+    return float(np.sqrt(num / den))
 
 
 def xi_lattice(box):

@@ -33,12 +33,6 @@ import sys
 import numpy as np
 
 
-_CONFIG_KEYS = (
-    "q_matrix", "q_vector", "gamma", "drift_b", "drift_c",
-    "alpha1", "alpha2", "p", "m", "dimension",
-)
-
-
 class OperatorSpec:
     """Coefficients of the full operator on R^N x (0, oo).
 
@@ -370,9 +364,6 @@ def reduce_to_model(spec, space):
     return model, chain
 
 
-_SCALAR_KEYS = ("gamma", "drift_c", "alpha1", "alpha2", "p", "m")
-
-
 def _leaves(value):
     """The scalars of a value nested in lists or tuples."""
     if isinstance(value, (list, tuple)):
@@ -382,21 +373,65 @@ def _leaves(value):
         yield value
 
 
-def _check_finite(key, value):
-    """Reject a non-numeric or non-finite operator number, or a list where
-    one number belongs, naming its key.  Strings and booleans are not
-    numbers, even where numpy would convert them."""
-    if any(isinstance(v, (str, bool, np.bool_)) for v in _leaves(value)):
-        raise ValueError("operator.%s must be numeric, got %r" % (key, value))
+def integer(v):
+    """An integer that is not a boolean."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def finite_number(v):
+    """A finite int or float, not a boolean; an int beyond the float range
+    fails here instead of overflowing at its first float conversion."""
+    return (isinstance(v, (int, float, np.integer))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def finite_numbers(v):
+    """A lone finite number, or finite numbers in lists nested to the same
+    depth throughout; strings and booleans are not numbers, even where
+    numpy would convert them."""
+    if not all(finite_number(x) for x in _leaves(v)):
+        return False
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("operator.%s must be numeric, got %r" % (key, value))
-    if key in _SCALAR_KEYS and arr.ndim:
-        raise ValueError("operator.%s must be a single number, got %r"
-                         % (key, value))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("operator.%s must be finite, got %r" % (key, value))
+        np.asarray(v, dtype=float)
+    except ValueError:   # lists nested to unequal depths
+        return False
+    return True
+
+
+REQUIRED = object()   # a rule default that makes its key mandatory
+
+
+def check_section(name, got, rules):
+    """The config section `got` merged over the defaults of `rules`, which
+    maps each key to (default, ok, what).  A key not in rules, a REQUIRED
+    key that `got` omits, or a value that fails ok(value) raises ValueError
+    naming <name>.<key>, the last as "<name>.<key> must be <what>, got ..."
+    """
+    if not isinstance(got, dict):
+        raise ValueError("config section %r must be a mapping" % name)
+    for key in got:
+        if key not in rules:
+            raise ValueError("unknown config key: %s.%s" % (name, key))
+    sec = {}
+    for key, (default, ok, what) in rules.items():
+        if key not in got and default is REQUIRED:
+            raise ValueError("missing config key: %s.%s" % (name, key))
+        sec[key] = got.get(key, default)
+        if not ok(sec[key]):
+            raise ValueError("%s.%s must be %s, got %r"
+                             % (name, key, what, sec[key]))
+    return sec
+
+
+_NUMBER = (REQUIRED, finite_number, "a finite number")
+_NUMBERS = (REQUIRED, finite_numbers, "a list of finite numbers")
+OPERATOR_RULES = {
+    "q_matrix": _NUMBERS, "q_vector": _NUMBERS, "gamma": _NUMBER,
+    "drift_b": _NUMBERS, "drift_c": _NUMBER, "alpha1": _NUMBER,
+    "alpha2": _NUMBER, "p": _NUMBER, "m": _NUMBER,
+    "dimension": (REQUIRED, lambda n: integer(n) and n >= 0,
+                  "an integer >= 0"),
+}
 
 
 # The model's Bessel exponent c enters the solver as node weights y^c and
@@ -459,37 +494,22 @@ def _check_scale(spec):
 
 
 def config_to_problem(cfg):
-    """Parse the flat config dict; unknown or missing keys raise ValueError.
-
-    q_matrix is a flat row-major list of length dimension^2.  An alpha1 -
-    alpha2 whose reduction scale is not finite (_check_scale), and a
-    drift_c whose model exponent no grid resolves or whose shear no float
-    block holds (_check_drift_c), are rejected here.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a mapping")
-    for key in cfg:
-        if key not in _CONFIG_KEYS:
-            raise ValueError("unknown config key: %r" % (key,))
-    for key in _CONFIG_KEYS:
-        if key not in cfg:
-            raise ValueError("missing config key: %r" % (key,))
-    for key in _CONFIG_KEYS:
-        if key != "dimension":
-            _check_finite(key, cfg[key])
+    """(OperatorSpec, SpaceSpec) of the flat operator section, checked by
+    check_section with OPERATOR_RULES: q_matrix holds dimension^2 numbers,
+    row-major, flat or nested, and q_vector and drift_b dimension each.  An
+    alpha1 - alpha2 whose reduction scale is not finite (_check_scale), and
+    a drift_c whose model exponent no grid resolves or whose shear no float
+    block holds (_check_drift_c), are rejected here."""
+    cfg = check_section("operator", cfg, OPERATOR_RULES)
     n = cfg["dimension"]
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
-                                   and n >= 0):
-        raise ValueError("operator.dimension must be an integer >= 0, got %r"
-                         % (n,))
-    qm = np.asarray(cfg["q_matrix"], dtype=float).reshape(-1)
-    if qm.size != n * n:
-        raise ValueError("q_matrix must have dimension^2 = %d entries, got %d"
-                         % (n * n, qm.size))
-    spec = OperatorSpec(qm.reshape(n, n) if n else np.zeros((0, 0)),
-                        cfg["q_vector"], cfg["gamma"], cfg["drift_b"],
+    for key, size in (("q_matrix", n * n), ("q_vector", n), ("drift_b", n)):
+        if np.size(cfg[key]) != size:
+            raise ValueError("operator.%s must have %d entries for "
+                             "operator.dimension = %d, got %d"
+                             % (key, size, n, np.size(cfg[key])))
+    qm = np.asarray(cfg["q_matrix"], dtype=float).reshape(n, n)
+    spec = OperatorSpec(qm, cfg["q_vector"], cfg["gamma"], cfg["drift_b"],
                         cfg["drift_c"], cfg["alpha1"], cfg["alpha2"])
     _check_scale(spec)
     _check_drift_c(spec)
-    space = SpaceSpec(cfg["p"], cfg["m"])
-    return spec, space
+    return spec, SpaceSpec(cfg["p"], cfg["m"])

@@ -41,16 +41,15 @@ class EvolutionRun:
     `snapshots` holds one Field per kept time index, `kept` =
     0, stride, 2 stride, ... and the last index, also when it is off the
     stride; `final` = snapshots[-1] is the state at the last time.
-    `residual` is the worst weighted residual over the steps' mode solves;
-    solve_parabolic's manifest records it.
+    `residual` is the worst weighted residual over the steps' mode solves,
+    NaN if one was not computed; solve_parabolic's manifest records it.
     """
 
     def __init__(self, times, scheme, snapshots, stride=1, residual=0.0):
         self.times = np.asarray(times, dtype=float)
         self.scheme = scheme
         self.snapshots = snapshots
-        last = self.times.size - 1
-        self.kept = list(range(0, last, int(stride))) + [last]
+        self.kept = _kept(self.times.size - 1, stride)
         self.residual = float(residual)
         if len(snapshots) != len(self.kept):
             raise ValueError("one snapshot per kept time point required")
@@ -162,7 +161,7 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     plan = FrequencySolvePlan(1.0 / (theta * h), model, grid)
     uh0 = plan._to_modes(u)
     J, modes = uh0.shape
-    kept = list(range(stride, last, stride)) + [last]
+    kept = _kept(last, stride)[1:]
     ranges = 1
     if hasattr(plan.lu, "columns") and modes * J * last >= _SPLIT_WORK:
         ranges = min(usable_cores(), modes)
@@ -189,14 +188,20 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     if bad.any():
         raise RuntimeError("step %d produced non-finite values"
                            % (bad[bad > 0].min(),))
-    worst = max(weighted_residual(step, plan.ops.weight)
-                for step in rows.sum(axis=0))
+    # np.max, so a step whose residual is NaN (not computed) makes it NaN
+    worst = np.max([weighted_residual(step, plan.ops.weight)
+                    for step in rows.sum(axis=0)])
     while states:
         # a state is dropped once transformed, so states and snapshots
         # together hold about what the snapshots alone will
         snapshots.append(Field(plan._from_modes(states.pop(0)), grid))
     return EvolutionRun(times, scheme, snapshots, stride=stride,
                         residual=worst)
+
+
+def _kept(last, stride):
+    """The kept time indices: 0, stride, 2 stride, ... and the last."""
+    return list(range(0, last, int(stride))) + [last]
 
 
 def _shared(shape, dtype):

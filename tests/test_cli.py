@@ -7,7 +7,7 @@ import os
 import pytest
 
 from degenpde.bessel1d import assemble_form, sector_resolvent_scan
-from degenpde.cli import DEFAULT_OPERATOR, main
+from degenpde.cli import DEFAULT_OPERATOR, ConfigError, load_config, main
 from degenpde.grid import default_grading, make_grid
 from degenpde.params import config_to_problem, reduce_to_model
 
@@ -431,6 +431,65 @@ def test_missing_operator_key_named(tmp_path, capsys):
     assert "missing config key" in err and "gamma" in err
 
 
+@pytest.mark.parametrize("command", ["solve_elliptic", "solve_parabolic",
+                                     "sweep"])
+@pytest.mark.parametrize("operator, named", [
+    (dict(SMALL_OPERATOR, viscosity=1.0, gamma="abc"),
+     "unknown config key: operator.viscosity"),
+    (dict(SMALL_OPERATOR, gamma="abc"), "operator.gamma must be"),
+    ({"gamma": 1.0}, "missing config key: operator.q_matrix"),
+])
+def test_malformed_operator_section_is_config_error(tmp_path, capsys,
+                                                    command, operator,
+                                                    named):
+    # sweep used to write a sweep.csv of invalid rows and exit 0
+    cfg = {"operator": operator}
+    if command == "sweep":
+        cfg["sweep"] = _SWEEP_M
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", _write_config(tmp_path, cfg), "--out",
+               str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: " + named in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, section, named", [
+    ("solve_elliptic", {"elliptic": {"lam": [1e160, 0]}},
+     "elliptic.lam = [1e+160, 0]"),
+    ("solve_elliptic", {"elliptic": {"lam": [1e300, 0]}},
+     "elliptic.lam = [1e+300, 0]"),
+    ("solve_parabolic", {"parabolic": {"t_final": 1e-300, "steps": 4}},
+     "parabolic.t_final = 1e-300"),
+    ("solve_parabolic", {"parabolic": {"t_final": 1e300, "steps": 4}},
+     "parabolic.t_final = 1e+300"),
+])
+def test_residual_the_floats_cannot_hold_is_config_error(tmp_path, capsys,
+                                                         command, section,
+                                                         named):
+    # the residual's sums of squares overflowed or underflowed, and the
+    # manifest recorded a residual of 0.0, or NaN (not valid JSON)
+    cfg = _write_config(tmp_path, dict(section, grid={"num_cells": 64}))
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: %s is out of range: the weighted residual" % named \
+        in err
+    assert "Traceback" not in err
+    assert os.listdir(str(out_dir)) == []
+
+
+def test_manifest_refuses_a_non_finite_number(tmp_path):
+    from degenpde.cli import _write_manifest
+
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _write_manifest(str(tmp_path), {"residual": float("nan")})
+
+
 def test_unknown_grid_key_named(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"operator": SMALL_OPERATOR,
                                    "grid": {"cells": 64}})
@@ -452,6 +511,14 @@ def test_config_file_missing_or_malformed(tmp_path, capsys):
                str(tmp_path / "o")])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+    # a directory, and arrays nested beyond json's recursion limit, used to
+    # leave load_config as IsADirectoryError and RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for path, named in ((tmp_path, "cannot be read"),
+                        (deep, "not valid JSON")):
+        with pytest.raises(ConfigError, match=named):
+            load_config(str(path))
 
 
 @pytest.mark.parametrize("lam", ["abc", [0, 0], [-5, 0], [float("nan"), 0]])
@@ -472,7 +539,8 @@ def test_bad_elliptic_lam_is_config_error(tmp_path, capsys, lam):
     ("steps", True), ("snapshot_stride", 0), ("snapshot_stride", 1.5),
     ("t_final", 0), ("t_final", -0.5), ("t_final", float("nan")),
     ("t_final", float("inf")), ("t_final", "0.5"),
-    ("scheme", "forward_euler"),
+    ("scheme", "forward_euler"), ("scheme", ["crank_nicolson"]),
+    ("scheme", {"name": "crank_nicolson"}),
     # compared exactly, an int beyond the float range is below inf; it must
     # fail the check rather than overflow at its first float conversion
     pytest.param("t_final", 10 ** 400, id="t_final-huge_int"),

@@ -1,5 +1,6 @@
 """Frequency decoupling: per-mode solves, derived multipliers, scans."""
 
+import math
 import re
 
 import numpy as np
@@ -40,6 +41,25 @@ def test_mode_operators_validation_and_residual():
     rel = (np.sqrt(np.sum(np.abs(res) ** 2 * ops.weight))
            / np.sqrt(np.sum(np.abs(f) ** 2 * ops.weight)))
     assert rel < 1e-11
+
+
+@pytest.mark.parametrize("scale, computed", [
+    (1.0, True), (1e100, True), (1e-100, True), (1e160, False),
+    (1e300, False), (1e-140, False), (0.0, False),
+])
+def test_weighted_residual_is_nan_when_its_sums_leave_the_floats(scale,
+                                                                 computed):
+    # the sums of squares of data near 1e160 overflow, and of data near
+    # 1e-140 (or zero) lose the residual to underflow: NaN, not 0.0
+    weight = np.array([0.25, 0.5, 0.25])
+    rhs = scale * np.array([1.0, -2.0, 3.0])
+    with np.errstate(over="ignore"):
+        rows = np.array([(1e-14 * rhs) ** 2 * weight ** 2, rhs ** 2])
+    res = mp.weighted_residual(rows, weight)
+    if computed:
+        assert res == pytest.approx(1e-14, rel=1e-12)
+    else:
+        assert math.isnan(res)
 
 
 def test_potential_family_bounded_uniformly_in_xi():

@@ -9,7 +9,9 @@ import pytest
 from degenpde.params import (OperatorSpec, SpaceSpec, ModelParams,
                              WindowReport, diffusion_block, validate_window,
                              beta_map, invert_beta, compose_beta, shear_map,
-                             reduce_to_model, config_to_problem)
+                             reduce_to_model, config_to_problem,
+                             REQUIRED, check_section, finite_number,
+                             finite_numbers, integer)
 
 
 def test_beta_map_identity_at_zero():
@@ -250,3 +252,45 @@ def test_config_roundtrip_and_bad_keys():
     short.pop("gamma")
     with pytest.raises(ValueError, match="missing config key"):
         config_to_problem(short)
+
+
+def test_check_section_merges_defaults_and_names_each_fault():
+    rules = {"n": (3, integer, "an integer"),
+             "x": (REQUIRED, finite_number, "a finite number")}
+    assert check_section("s", {"x": 0.5}, rules) == {"n": 3, "x": 0.5}
+    assert check_section("s", {"x": 1, "n": -2}, rules) == {"n": -2, "x": 1}
+    for got, message in [
+            ({"x": 1.0, "y": 2}, "unknown config key: s.y"),
+            ({"n": 1}, "missing config key: s.x"),
+            ({"x": "1.0"}, "s.x must be a finite number, got '1.0'"),
+            ({"x": 1.0, "n": True}, "s.n must be an integer, got True"),
+            ([("x", 1.0)], "config section 's' must be a mapping")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_section("s", got, rules)
+
+
+@pytest.mark.parametrize("value, number, numbers", [
+    (1.5, True, True), (-3, True, True), (10 ** 308, True, True),
+    (10 ** 400, False, False), (math.inf, False, False),
+    (math.nan, False, False), (True, False, False), ("1.5", False, False),
+    (None, False, False), ([], False, True), ([[1, 2.0], [3, 4]], False, True),
+    ([[1.0], [1.0, 2.0]], False, False), ([1.0, [2.0]], False, False),
+    ([1.0, False], False, False), ([1.0, 10 ** 400], False, False),
+    ({"a": 1.0}, False, False), (np.int64(2), True, True),
+])
+def test_number_rules(value, number, numbers):
+    assert finite_number(value) == number
+    assert finite_numbers(value) == numbers
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"q_matrix": [1.0, 0.0, 0.0, 1.0]}, "operator.q_matrix must have 1"),
+    ({"q_vector": [0.0, 0.0]}, "operator.q_vector must have 1"),
+    ({"drift_b": []}, "operator.drift_b must have 1"),
+])
+def test_operator_list_of_the_wrong_length_names_its_key(cfg, named):
+    op = {"q_matrix": [[1.0]], "q_vector": [0.0], "gamma": 1.0,
+          "drift_b": [0.0], "drift_c": 0.0, "alpha1": 0.0, "alpha2": 0.0,
+          "p": 2.0, "m": 0.0, "dimension": 1}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        config_to_problem(dict(op, **cfg))

@@ -54,6 +54,21 @@ def test_unequal_time_steps_raise_before_any_plan(monkeypatch):
             sg.evolve(np.ones(g.shape), None, MODEL, g, scheme, ts)
 
 
+def test_one_step_whose_residual_underflows_makes_the_run_residual_nan():
+    # lam = 4e-100: the first step's data solve with a computed residual,
+    # and the later ones, decayed by about lam per step, underflow its sums;
+    # max() over the steps returned the first step's residual
+    g = _grid(J=16, nx=4)
+    u0 = Field(panels.tensor_values(g, panels.plane_wave(g.x_box, [1]),
+                                    panels.bump_profile(0.4, 0.15)), g)
+    first = sg.evolve(u0, None, MODEL, g, "backward_euler",
+                      np.linspace(0.0, 2.5e99, 2))
+    assert 0.0 < first.residual <= 1e-12
+    run = sg.evolve(u0, None, MODEL, g, "backward_euler",
+                    np.linspace(0.0, 1e100, 5))
+    assert np.isnan(run.residual)
+
+
 @pytest.mark.parametrize("ts", [
     np.linspace(1000.0, 1000.001, 101), 0.1 * np.arange(11),
     np.arange(0.0, 1.0001, 0.1),
