@@ -26,8 +26,9 @@ condition y^c Dy u -> 0 is built into the form; no boundary rows are needed.
 
 Every operator is a TridiagForm: the tridiagonal form bands F and the
 diagonal weights W, with M = -W^(-1) F.  ModeOperators builds every
-frozen-frequency model form, of one mode or of a batch of Fourier modes, from
-one assembly of K_c and P_c; the Bessel and potential-route forms are its
+frozen-frequency model form, of one mode or of a batch of Fourier modes (a
+BatchForm, which stores only sup and builds the other bands per row block),
+from one assembly of K_c and P_c; the Bessel and potential-route forms are its
 alpha = 0, xi = 0 mode and its shifted form.  One operator, or a batch of at
 most _STACK_MODES Fourier modes stacked as one block-diagonal system, is
 solved by LAPACK's pivoted tridiagonal LU (gttrf / gttrs); a wider batch by
@@ -124,17 +125,12 @@ def _rows(v, ndim):
     return v.reshape(v.shape + (1,) * (ndim - v.ndim))
 
 
-def _band_apply(sub, diag, sup, u, out=None, scratch=None):
-    """Tridiagonal (sub, diag, sup) product along axis 0 of u.
-
-    Written into `out` when given, and the off-diagonal products into
-    `scratch` (an array of the product's shape); with both given nothing is
-    allocated.
-    """
+def _band_apply(sub, diag, sup, u, out=None):
+    """Tridiagonal (sub, diag, sup) product along axis 0 of u, written into
+    `out` when given."""
     sub, diag, sup = (_rows(b, u.ndim) for b in (sub, diag, sup))
     out = np.multiply(diag, u, out=out)
-    if scratch is None:
-        scratch = np.empty_like(out)
+    scratch = np.empty_like(out)
     np.multiply(sup, u[1:], out=scratch[:-1])
     out[:-1] += scratch[:-1]
     np.multiply(sub, u[:-1], out=scratch[1:])
@@ -171,14 +167,9 @@ class TridiagForm:
     def size(self):
         return self.diag.shape[0]
 
-    def apply(self, u, out=None, scratch=None):
+    def apply(self, u, out=None):
         """F u along axis 0 of u, into `out` when given (see _band_apply)."""
-        return _band_apply(self.sub, self.diag, self.sup, u, out, scratch)
-
-    def columns(self, cols):
-        """The form of the modes in slice `cols` of a batch: band views."""
-        return TridiagForm(self.sub[:, cols], self.diag[:, cols],
-                           self.sup[:, cols], self.weight, self.grid)
+        return _band_apply(self.sub, self.diag, self.sup, u, out)
 
     def apply_adjoint(self, u):
         """F^H u along axis 0 of u: the conjugate-transposed bands."""
@@ -224,7 +215,7 @@ class TridiagForm:
             diag = self._shifted_diag(lam)
         if diag.ndim == 1 or diag.shape[1] <= _STACK_MODES:
             return _PivotedLU(self.sub, diag, self.sup)
-        return _ThomasLU.factor(self.sub, diag, self.sup)
+        return _ThomasLU.factor(self.sub.copy(), diag, self.sup)
 
     def backward_error(self, lam, u, b):
         """Componentwise backward error of u for (lam W + F) u = b.
@@ -247,6 +238,12 @@ class TridiagForm:
 # against 1.27 ms; at 64 modes the stacked factor already loses (1.58 against
 # 1.29 ms), and factor plus one solve loses from 96 modes at J = 128.
 _STACK_MODES = 32
+
+# Entries per row block of a BatchForm product and its residual (256 KiB a
+# complex buffer).  Medians of 7 at (J, modes) = (257, 1024), one core, numpy
+# 2.4.6, for 4096, 16384, 65536 and 262144 entries: resolvent_nd 47.7, 41.5,
+# 48.3 and 47.9 ms, a 40-step Crank-Nicolson evolve 667, 625, 682, 846 ms.
+_BLOCK = 16384
 
 
 def _mode_major(band, J):
@@ -309,16 +306,16 @@ class _ThomasLU:
 
     @classmethod
     def factor(cls, sub, piv, sup):
-        """Factor the batch with bands (sub, piv, sup); piv is overwritten."""
-        mult = np.empty_like(sub)
+        """Factor the batch (sub, piv, sup); sub and piv become its mult
+        and inv_piv."""
         with np.errstate(all="ignore"):
             for i in range(1, piv.shape[0]):
-                np.divide(sub[i - 1], piv[i - 1], out=mult[i - 1])
-                piv[i] -= mult[i - 1] * sup[i - 1]
+                sub[i - 1] /= piv[i - 1]
+                piv[i] -= sub[i - 1] * sup[i - 1]
         bad = np.flatnonzero(~np.all(np.isfinite(piv) & (piv != 0), axis=0))
         if bad.size:
             raise SingularFormError(bad[0])
-        return cls(sup, mult, np.reciprocal(piv, out=piv))
+        return cls(sup, sub, np.reciprocal(piv, out=piv))
 
     def columns(self, cols):
         """The factors of the modes in slice `cols`: views, no copy."""
@@ -344,6 +341,18 @@ class _ThomasLU:
             np.multiply(sup[i], rows[i + 1], out=tmp)
             np.subtract(rows[i], tmp, out=rows[i])
             np.multiply(rows[i], inv_piv[i], out=rows[i])
+        return u
+
+    def solve_adjoint(self, b):
+        """A^(-H) b for (J, modes) b, A^H = U^H L^H: a forward sweep with
+        conj(sup) and conj(inv_piv), then a backward one with conj(mult)."""
+        u = np.array(b, dtype=complex)
+        sup, mult, ip = map(np.conj, (self.sup, self.mult, self.inv_piv))
+        u[0] *= ip[0]
+        for i in range(1, u.shape[0]):
+            u[i] = (u[i] - sup[i - 1] * u[i - 1]) * ip[i]
+        for i in range(u.shape[0] - 2, -1, -1):
+            u[i] -= mult[i] * u[i + 1]
         return u
 
 
@@ -375,23 +384,30 @@ class ModeOperators:
     def size(self):
         return self.weight.size
 
-    def form_bands(self, s, k2):
-        """(sub, diag, sup) of F(xi) = K - 2 i s P + k2 W_c.
+    def band(self, name, rows, s, k2, out=None):
+        """Rows `rows` of the band `name` ("sub", "diag" or "sup") of F(xi) =
+        K - 2 i s P + k2 W_c, into `out` when given: one mode's for scalars
+        s, k2, or (rows, modes) for arrays of modes."""
+        n = np.ndim(s) + 1
+        K, P = (_rows(getattr(f, name)[rows], n) for f in (self.stiff,
+                                                           self.trans))
+        out = np.subtract(K, np.multiply(2j * s, P, out=out), out=out)
+        if name == "diag":
+            out += k2 * _rows(self.w_pot[rows], n)
+        return out
 
-        Scalars s, k2 give one mode's bands; 1-d arrays of modes give every
-        band as a (rows, modes) array, built in one vectorised pass.
-        """
-        s = np.asarray(s, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
-        n = s.ndim + 1
-        K, P = self.stiff, self.trans
-        return (_rows(K.sub, n) - 2j * s * _rows(P.sub, n),
-                _rows(K.diag, n) - 2j * s * _rows(P.diag, n)
-                + k2 * _rows(self.w_pot, n),
-                _rows(K.sup, n) - 2j * s * _rows(P.sup, n))
+    def form_bands(self, s, k2):
+        """(sub, diag, sup) of F(xi); see band."""
+        s, k2 = np.asarray(s, dtype=float), np.asarray(k2, dtype=float)
+        return tuple(self.band(b, slice(None), s, k2)
+                     for b in ("sub", "diag", "sup"))
 
     def form(self, s, k2):
-        """TridiagForm of F(xi) with weight W_(c-alpha), one mode or many."""
+        """TridiagForm of F(xi), weight W_(c-alpha); a BatchForm for arrays
+        of modes s, k2."""
+        if np.ndim(s):
+            return BatchForm(self, np.asarray(s, dtype=float),
+                             np.asarray(k2, dtype=float))
         return TridiagForm(*self.form_bands(s, k2), self.weight, self.grid)
 
     def solve(self, s, k2, lam, fhat):
@@ -413,6 +429,92 @@ class ModeOperators:
         """y^alpha B u in the weak realization -W^(-1) K u (one or a batch)."""
         u = np.asarray(u, dtype=complex)
         return -self.stiff.apply(u) / _rows(self.weight, u.ndim)
+
+
+def _field(J, n):
+    """An empty (J, n) complex array; a batch's (J - 1, n) band lives in its
+    first rows, so every field-sized array has one size and glibc reuses
+    any freed one (with two sizes, elliptic_2d rounds peaked 7 MB higher)."""
+    return np.empty((J, n), complex)
+
+
+class BatchForm:
+    """The form F(xi) of a batch of modes, one column each, that stores only
+    sup (a Thomas LU keeps it too): its sub and diag rows are built by
+    ModeOperators.band per row block, bit for bit the stored bands."""
+
+    def __init__(self, ops, s, k2, sup=None):
+        self.ops, self.s, self.k2, self.kept = ops, s, k2, {}
+        self.sup = sup if sup is not None else ops.band(
+            "sup", slice(None), s, k2, _field(ops.size, s.size)[:-1])
+
+    def _whole(self):
+        """sub and diag built whole in _field arrays, diag by row blocks so
+        the float temporary of its k2 W_c term stays block-sized."""
+        J, n = self.ops.size, self.s.size
+        sub = self.ops.band("sub", slice(None), self.s, self.k2,
+                            _field(J, n)[:-1])
+        diag, step = _field(J, n), max(1, _BLOCK // n)
+        for a in range(0, J, step):
+            self.ops.band("diag", slice(a, a + step), self.s, self.k2,
+                          diag[a:a + step])
+        return sub, diag
+
+    def keep_bands(self, cols):
+        """The form of the modes in slice `cols`, sup a view, with its sub
+        and diag built once and kept.  A march applies F at every step, and
+        building the rows per block cost 0.8 ms of a 5.7 ms step at (257,
+        512)."""
+        form = BatchForm(self.ops, self.s[cols], self.k2[cols],
+                         self.sup[:, cols])
+        form.kept = dict(zip(("sub", "diag"), form._whole()))
+        return form
+
+    def factor(self, lam):
+        """TridiagForm.factor's LU of lam W + F, its sub and shifted diag
+        built in the arrays a Thomas LU overwrites with its factors."""
+        sub, diag = self._whole()
+        with np.errstate(all="ignore"):
+            diag += lam * self.ops.weight[:, None]
+        if self.s.size <= _STACK_MODES:
+            return _PivotedLU(sub, diag, self.sup)
+        return _ThomasLU.factor(sub, diag, self.sup)
+
+    def _band_rows(self, name, rows, out):
+        """Rows of the band `name`: the kept band's, or built into out."""
+        if name in self.kept:
+            return self.kept[name][rows]
+        return self.ops.band(name, rows, self.s, self.k2, out)
+
+    def row_blocks(self, u, out=None):
+        """Yield (rows, F u rows, spare) for blocks of about _BLOCK entries
+        of rows of a (J, modes) u, bit for bit TridiagForm.apply's sums:
+        into out[rows] if `out` is given, else into a buffer the next block
+        reuses; spare is a block buffer free until the next block."""
+        J, n = u.shape
+        step = max(1, _BLOCK // n)
+        x = np.empty((step, n), complex)
+        own = np.empty((step, n), complex) if out is None else None
+        for a in range(0, J, step):
+            b, lo = min(a + step, J), max(a, 1)
+            o = own[:b - a] if out is None else out[a:b]
+            np.multiply(self._band_rows("diag", slice(a, b), x[:b - a]),
+                        u[a:b], out=o)
+            m = min(b, J - 1) - a
+            np.multiply(self.sup[a:a + m], u[a + 1:a + m + 1], out=x[:m])
+            o[:m] += x[:m]
+            xs = x[lo - a:b - a]
+            np.multiply(self._band_rows("sub", slice(lo - 1, b - 1), xs),
+                        u[lo - 1:b - 1], out=xs)
+            o[lo - a:] += xs
+            yield slice(a, b), o, x[:b - a]
+
+    def apply(self, u, out=None):
+        """F u along axis 0 of a (J, modes) u, into `out` when given."""
+        out = np.empty(u.shape, complex) if out is None else out
+        for _ in self.row_blocks(u, out):
+            pass
+        return out
 
 
 def assemble_form(grid, kind, **params):

@@ -178,6 +178,32 @@ def _grid_for(cfg, model, refine, x_box):
     return make_grid(J, gsec["y_max"], grading, box)
 
 
+# Field-sized complex arrays a solve holds at its peak (see the README); a
+# march also keeps one per kept snapshot and a residual row per step.
+_FIELDS = {"solve_elliptic": 7, "solve_parabolic": 10}
+_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+           if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else None)
+
+
+def _check_size(command, cfg, dim, refine):
+    """Refuse a grid (J = num_cells 2^refine) or step count whose arrays
+    cannot fit in physical memory, before a grid, array or --out is made."""
+    gsec, psec = _section(cfg, "grid"), _section(cfg, "parabolic")
+    nodes, xs = gsec["num_cells"] * 2 ** refine + 1, gsec["num_x"] ** dim
+    key = ("grid", "num_cells" if nodes >= xs else "num_x")
+    need, memory = 16 * _FIELDS[command] * nodes * xs, _MEMORY or math.inf
+    if need <= memory and command == "solve_parabolic":
+        steps, key = psec["steps"] * 2 ** refine, ("parabolic", "steps")
+        need += 16 * nodes * (steps + xs * (steps // psec["snapshot_stride"]
+                                            + 1))
+    if need > memory:
+        value = _section(cfg, key[0])[key[1]]
+        raise ConfigError("%s.%s = %r at --refine %d is too large: the arrays"
+                          " of %s would take more than the %d bytes of "
+                          "physical memory"
+                          % (*key, value, refine, command, memory))
+
+
 def _write_manifest(out_dir, payload):
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -250,6 +276,7 @@ def _manufactured(model, grid, lam, esec):
 def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     spec, space, model, chain = _problem(cfg)
     window = validate_window(spec, space)
+    _check_size("solve_elliptic", cfg, model.dim, refine)
     grid = _grid_for(cfg, model, refine, True)
     esec = _section(cfg, "elliptic")
     lam = complex(esec["lam"][0], esec["lam"][1])
@@ -283,6 +310,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
 
 def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     model, chain = _problem(cfg)[2:]
+    _check_size("solve_parabolic", cfg, model.dim, refine)
     grid = _grid_for(cfg, model, refine, True)
     psec = _section(cfg, "parabolic")
     steps = psec["steps"] * 2 ** refine

@@ -9,11 +9,11 @@ the one-dimensional frozen-mode operator
 so (lam - L)^(-1) = IFFT o (lam - M(xi))^(-1) o FFT (the xi = 0 mode is the
 plain Bessel solve).  bessel1d.ModeOperators builds the forms F(xi), of one
 mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
-once (TridiagForm.factor) and solves all modes in one batched tridiagonal
-solve, in place.  Every mode is solved on its own, so a contiguous range
-of mode columns is solved by the column views of the form and of factors
-that have them: semigroup.evolve marches a large batch as one such range
-per usable core, in forked processes.
+once, keeping 48 bytes per grid point, and solves all modes in one batched
+tridiagonal solve, in place.  Every mode is solved on its own, so a
+contiguous range of mode columns is solved by the column views of the form
+and of factors that have them: semigroup.evolve marches a large batch as one
+such range per usable core, in forked processes.
 The derived multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),
@@ -50,26 +50,27 @@ def _values(f):
     return np.asarray(f.values if isinstance(f, Field) else f, dtype=complex)
 
 
-def mode_step(lam, form, lu, weight, rhs, uh, fu, wr, rows):
-    """Solve (lam W + F) uh = W rhs in place and set fu = F uh.
+def mode_step(lam, form, lu, weight, rhs, uh, fu, rows):
+    """Solve (lam W + F) uh = W rhs in place and set fu = F uh unless fu
+    is None.
 
-    rhs, uh, fu and wr are C-ordered (J, modes) buffers, `form` and `lu` a
-    batch's form and factors or their column views, weight the (J,) W.  wr
-    gets W r = F uh + (lam uh - rhs) W, rows[0] and rows[1] the row sums of
+    rhs, uh and fu are C-ordered (J, modes) buffers, `form` and `lu` a
+    BatchForm and its factors or their column views, weight the (J,) W.  Per
+    row block of form.row_blocks, W r = F uh + (lam uh - rhs) W is formed in
+    the block's spare buffer, and rows[0] and rows[1] get the row sums of
     |W r|^2 and |rhs|^2.  Float-view products and einsums: no BLAS call, so
-    forked march ranges run it, and only a stacked gttrs allocates.
+    forked march ranges run it.
     """
-    uh_f, rhs_f, wr_f = (a.view(float) for a in (uh, rhs, wr))
-    weight = weight[:, None]
-    np.multiply(rhs_f, weight, out=uh_f)
+    np.multiply(rhs.view(float), weight[:, None], out=uh.view(float))
     lu.solve(uh, overwrite_b=True)
-    form.apply(uh, out=fu, scratch=wr)
-    np.multiply(lam, uh, out=wr)
-    wr -= rhs
-    wr_f *= weight
-    wr += fu
-    np.einsum("ij,ij->i", wr_f, wr_f, out=rows[0])
-    np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[1])
+    for block, fb, wr in form.row_blocks(uh, fu):
+        np.multiply(lam, uh[block], out=wr)
+        wr -= rhs[block]
+        wr_f, rhs_f = wr.view(float), rhs[block].view(float)
+        wr_f *= weight[block, None]
+        wr += fb
+        np.einsum("ij,ij->i", wr_f, wr_f, out=rows[0][block])
+        np.einsum("ij,ij->i", rhs_f, rhs_f, out=rows[1][block])
 
 
 # Below this |rhs|^2_W, the |r|^2_W of a residual eps |rhs|_W underflows
@@ -96,11 +97,13 @@ def xi_lattice(box):
 class FrequencySolvePlan:
     """Factor-once solve plan for one (model, grid, lam) triple.
 
-    The form of F(xi) for every retained mode is one batched TridiagForm
-    with (J, modes) bands, and lam W + F(xi) is factored once by
-    TridiagForm.factor, whose solve writes into its right-hand side.  A
-    non-finite or zero pivot raises RuntimeError naming its xi, and every
-    solve reports its weighted residual.
+    The form of F(xi) for every retained mode is one bessel1d.BatchForm,
+    and lam W + F(xi) is factored once, its solve writing into its
+    right-hand side.  A wide plan (the Thomas LU) holds three (J, modes)
+    complex arrays, 48 bytes per grid point: sup, shared by form and
+    factors, and the LU's multipliers and inverse pivots.  A non-finite or
+    zero pivot raises RuntimeError naming its xi, and every solve reports
+    its weighted residual.
 
     The mode-space entries work on (J, modes) x-Fourier coefficients:
     `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is one
@@ -129,45 +132,48 @@ class FrequencySolvePlan:
         except SingularFormError as exc:
             raise RuntimeError("mode factorisation failed at xi=%r: non-finite"
                                " or zero pivot" % (self.xi_flat[exc.column],))
-        self._axes = tuple(range(model.dim))
 
     def _to_modes(self, values):
-        """(J, modes) x-Fourier coefficients of grid values."""
-        fh = np.fft.fftn(values, axes=self._axes)
-        return np.ascontiguousarray(fh.reshape(-1, self.grid.num_y).T)
+        """(J, modes) x-Fourier coefficients of grid values: fftn's
+        transforms, last axis first, in place on one (J, x...) copy."""
+        fh = np.ascontiguousarray(np.moveaxis(values, -1, 0), dtype=complex)
+        for axis in range(fh.ndim - 1, 0, -1):
+            np.fft.fft(fh, axis=axis, out=fh)
+        return fh.reshape(self.grid.num_y, -1)
 
-    def _from_modes(self, modes):
-        """Grid values of (J, modes) coefficients, C-ordered for any layout
-        of `modes` (numpy.fft's `out`, numpy >= 2.0), so the sums of a norm
-        of them do not depend on it."""
-        vals = modes.T.reshape(self.grid.shape)
-        out = np.empty(vals.shape, dtype=complex)
-        return np.fft.ifftn(vals, axes=self._axes, out=out)
+    def _from_modes(self, modes, overwrite=False):
+        """Grid values of (J, modes) coefficients: ifftn's transforms in
+        place, in `modes` itself if overwrite, else in a copy, then one
+        C-ordered copy, so a norm's sums do not depend on their layout."""
+        v = np.array(modes, order="C", copy=None if overwrite else True)
+        v = v.reshape((self.grid.num_y,) + self.grid.shape[:-1])
+        for axis in range(v.ndim - 1, 0, -1):
+            np.fft.ifft(v, axis=axis, out=v)
+        return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
     def solve_modes(self, fh):
         """(lam - M(xi))^(-1) fh for (J, modes) coefficients fh.
 
-        Returns (uh, fu, residual) of one mode_step in fresh buffers: fu =
-        F(xi) uh (so L uh = -fu / W) and the weighted residual
-        |(lam - M) uh - fh|_W / |fh|_W.
-        """
+        Returns (uh, residual) of one mode_step: uh in a fresh buffer, and
+        the weighted residual |(lam - M) uh - fh|_W / |fh|_W."""
         fh = np.ascontiguousarray(fh, dtype=complex)
-        uh, fu, wr = (np.empty_like(fh) for _ in range(3))
+        uh = np.empty_like(fh)
         rows = np.empty((2, fh.shape[0]))
         w = self.ops.weight
-        mode_step(self.lam, self.form, self.lu, w, fh, uh, fu, wr, rows)
-        return uh, fu, weighted_residual(rows, w)
+        mode_step(self.lam, self.form, self.lu, w, fh, uh, None, rows)
+        return uh, weighted_residual(rows, w)
 
     def apply_operator(self, u):
         """L u through the same per-mode form realization as the solves."""
         out = self.form.apply(self._to_modes(_values(u)))
         out /= -self.ops.weight[:, None]
-        return Field(self._from_modes(out), self.grid)
+        return Field(self._from_modes(out, True), self.grid)
 
     def solve(self, f):
         """u with (lam - L) u = f, plus the weighted residual of the modes."""
-        uh, _, residual = self.solve_modes(self._to_modes(_values(f)))
-        return Field(self._from_modes(uh), self.grid), {"residual": residual}
+        uh, residual = self.solve_modes(self._to_modes(_values(f)))
+        return Field(self._from_modes(uh, True), self.grid), {
+            "residual": residual}
 
     def derived(self, f):
         """(y^alpha Dxx u, [y^alpha Dx_j Dy u], y^alpha B u) and u itself."""

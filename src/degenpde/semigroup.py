@@ -121,10 +121,10 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     usable core, through grid.fork_ranges: this process marches the first
     range, forked children the others.  Any other batch, one core, or a
     platform without os.fork or os.sched_getaffinity marches one range
-    here.  A range runs every step in four (J, columns) buffers it
-    allocates once, so no step on the Thomas path allocates (forcing aside,
-    which is transformed once per step, whole, in each range).  It writes
-    its kept states, each step's residual row sums and the first step with
+    here.  A range runs every step in three (J, columns) buffers and its
+    form's sub and diag, all made once, so a step on the Thomas path
+    allocates only row-block buffers (and the forcing, transformed once per
+    step, whole, in each range).  It writes its kept states, each step's residual row sums and the first step with
     non-finite values into arrays that, for more than one range, are
     MAP_SHARED mappings made before the fork.  This process reduces the row sums to the worst weighted residual
     (multiplier.weighted_residual, as solve_modes does), transforms back
@@ -176,10 +176,9 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
 
     def march(r):
         cols = slice(cuts[r], cuts[r + 1])
-        form, lu = ((plan.form, plan.lu) if ranges == 1
-                    else (plan.form.columns(cols), plan.lu.columns(cols)))
-        bad[r] = _march_range(theta, times, forcing, plan, form, lu, uh0,
-                              cols, dict(zip(kept, states)), rows[r])
+        lu = plan.lu if ranges == 1 else plan.lu.columns(cols)
+        bad[r] = _march_range(theta, times, forcing, plan, lu, uh0, cols,
+                              dict(zip(kept, states)), rows[r])
 
     statuses = fork_ranges(ranges, march)
     if any(statuses):
@@ -194,7 +193,7 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     while states:
         # a state is dropped once transformed, so states and snapshots
         # together hold about what the snapshots alone will
-        snapshots.append(Field(plan._from_modes(states.pop(0)), grid))
+        snapshots.append(Field(plan._from_modes(states.pop(0), True), grid))
     return EvolutionRun(times, scheme, snapshots, stride=stride,
                         residual=worst)
 
@@ -212,40 +211,40 @@ def _shared(shape, dtype):
     return np.frombuffer(buf, dtype, size).reshape(shape)
 
 
-def _march_range(theta, times, forcing, plan, form, lu, uh0, cols, kept,
-                 rows):
+def _march_range(theta, times, forcing, plan, lu, uh0, cols, kept, rows):
     """March the mode columns `cols` of uh0 over every step of the
     theta-scheme; returns the first step with non-finite values, or 0.
 
-    form and lu are the plan's form and factors of these columns, and the
-    plan gives lam = 1/(theta h), the weights W and the forcing's
-    transform.  Step k solves (lam - L) u_{k+1} = (lam + (1/theta - 1) L)
-    u_k + f((1 - theta) t_k + theta t_{k+1}) / theta: the theta-scheme of
-    step h, so L u = 0 keeps u to rounding however far the grid is from
-    t = 0.  The explicit L u_k = -F u_k / W is formed only for theta < 1,
-    from the band product F u_k that the previous mode_step left in its
-    buffer.  Each step runs mode_step in the four (J, columns) buffers
-    allocated here, after any fork, and writes only into them and into
-    rows[k] and, at a kept step, into its state in `kept`.  The division by
-    W is a product with the reciprocal on the float views.
+    lu is the plan's factors of these columns, whose form keep_bands
+    builds here once, after any fork; the plan gives lam = 1/(theta h), the
+    weights W and the forcing's transform.  Step k solves (lam - L) u_{k+1}
+    = (lam + (1/theta - 1) L) u_k + f((1 - theta) t_k + theta t_{k+1}) /
+    theta: the theta-scheme of step h, so L u = 0 keeps u to rounding
+    however far the grid is from t = 0.  The explicit L u_k = -F u_k / W is
+    formed only for theta < 1, from the band product F u_k that the
+    previous mode_step left in its buffer, then scaled in place.  Each step
+    runs mode_step in uh, rhs and (theta < 1) fu, (J, columns) buffers
+    allocated here after any fork (uh is uh0 itself when the range is every
+    column), and writes only into them and into rows[k] and, at a kept
+    step, into its state in `kept`.  The division by W is a product with
+    the reciprocal on the float views.
     """
-    uh = np.array(uh0[:, cols])
-    fu, rhs, wr = (np.empty_like(uh) for _ in range(3))
-    uh_f, fu_f, rhs_f, wr_f = (a.view(float) for a in (uh, fu, rhs, wr))
+    form, uh = plan.form.keep_bands(cols), np.ascontiguousarray(uh0[:, cols])
+    rhs, fu = np.empty_like(uh), np.empty_like(uh) if theta < 1 else None
     lam, weight = plan.lam.real, plan.ops.weight
     explicit = (1.0 / theta - 1.0) / weight[:, None]
     if theta < 1:
-        form.apply(uh, out=fu, scratch=wr)
+        form.apply(uh, out=fu)
     for k in range(times.size - 1):
-        np.multiply(uh_f, lam, out=rhs_f)
+        np.multiply(uh.view(float), lam, out=rhs.view(float))
         if theta < 1:
-            np.multiply(fu_f, explicit, out=wr_f)
-            rhs -= wr
+            np.multiply(fu.view(float), explicit, out=fu.view(float))
+            rhs -= fu
         if forcing is not None:
             t = (1.0 - theta) * times[k] + theta * times[k + 1]
             fv = np.asarray(forcing(t), dtype=complex)
             rhs += (1.0 / theta) * plan._to_modes(fv)[:, cols]
-        mode_step(plan.lam, form, lu, weight, rhs, uh, fu, wr, rows[k])
+        mode_step(plan.lam, form, lu, weight, rhs, uh, fu, rows[k])
         # a non-finite entry of uh makes its row of W r non-finite, so the
         # full test runs only when a row sum is not finite
         if not np.isfinite(rows[k, 0]).all() and not np.isfinite(uh).all():

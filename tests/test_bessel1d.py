@@ -543,6 +543,27 @@ def test_stacked_batch_is_bitwise_the_per_mode_solve(J, modes):
         assert np.array_equal(xa[:, k], one.solve_adjoint(b[:, k]))
 
 
+def test_thomas_adjoint_solve_matches_the_pivoted_one():
+    # A^H = U^H L^H from the Thomas factors, on a (64, 40) batch that takes
+    # the Thomas sweep, against A^H x = b and the per-mode gttrs adjoint
+    rng = np.random.default_rng(9)
+    J, modes, lam = 64, 40, 0.7 - 0.2j
+    batch = _random_batch(rng, J, modes)
+    batch.diag += 8.0
+    b = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
+    lu = batch.factor(lam)
+    assert isinstance(lu, b1._ThomasLU)
+    x = lu.solve_adjoint(b)
+    for k in range(modes):
+        one = b1.TridiagForm(batch.sub[:, k], batch.diag[:, k],
+                             batch.sup[:, k], batch.weight)
+        A = one.dense() + lam * np.diag(batch.weight)
+        assert np.abs(A.conj().T @ x[:, k] - b[:, k]).max() <= 1e-14 * (
+            np.abs(b[:, k]).max())
+        xp = one.factor(lam).solve_adjoint(b[:, k])
+        assert np.abs(x[:, k] - xp).max() <= 1e-13 * np.abs(xp).max()
+
+
 def test_factor_stacks_narrow_batches_and_sweeps_wide_ones():
     rng = np.random.default_rng(3)
     for modes, kind in ((b1._STACK_MODES, b1._PivotedLU),

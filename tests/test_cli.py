@@ -7,6 +7,7 @@ import os
 import pytest
 
 from degenpde.bessel1d import assemble_form, sector_resolvent_scan
+from degenpde import cli
 from degenpde.cli import DEFAULT_OPERATOR, ConfigError, load_config, main
 from degenpde.grid import default_grading, make_grid
 from degenpde.params import config_to_problem, reduce_to_model
@@ -644,6 +645,73 @@ def test_bad_grid_value_is_config_error(tmp_path, capsys, command, key,
     assert "config error: grid.%s" % key in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+# the README's config example: a 2-d operator on 129 x 16^2 grid points
+README_CONFIG = {
+    "operator": {"q_matrix": [[2.0, 0.3], [0.3, 1.5]], "q_vector": [0.4, -0.2],
+                 "gamma": 1.2, "drift_b": [0.5, -0.3], "drift_c": 1.4,
+                 "alpha1": 0.5, "alpha2": -0.3, "p": 2.5, "m": 0.6,
+                 "dimension": 2},
+    "grid": {"num_cells": 128, "y_max": 1.0, "num_x": 16},
+}
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("solve_elliptic", "grid", "num_cells"),
+    ("solve_elliptic", "grid", "num_x"),
+    ("solve_parabolic", "grid", "num_cells"),
+    ("solve_parabolic", "grid", "num_x"),
+    ("solve_parabolic", "parabolic", "steps"),
+])
+def test_size_beyond_physical_memory_is_config_error(tmp_path, capsys,
+                                                     command, section, key):
+    # numpy refused these with "Maximum allowed size exceeded", naming no
+    # key; now nothing is allocated and no --out is made
+    cfg = _write_config(tmp_path, {section: {key: 10 ** 23}})
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: %s.%s = %d at --refine 0 is too large" % (
+        section, key, 10 ** 23) in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,parabolic,memory,named", [
+    ("solve_elliptic", None, 2 << 20, "grid.num_x = 16"),
+    ("solve_parabolic", None, 2 << 20, "grid.num_x = 16"),
+    # the grid's 10 fields fit in 6 MiB, but not with one kept snapshot
+    # per step
+    ("solve_parabolic", {"steps": 20, "snapshot_stride": 1}, 6 << 20,
+     "parabolic.steps = 20"),
+])
+def test_size_is_measured_against_physical_memory(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  parabolic, memory, named):
+    monkeypatch.setattr(cli, "_MEMORY", memory)
+    payload = dict(README_CONFIG)
+    if parabolic:
+        payload["parabolic"] = parabolic
+    cfg = _write_config(tmp_path, payload)
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: %s at --refine 0 is too large" % named in err
+    assert "%d bytes of physical memory" % memory in err
+    assert not out_dir.exists()
+
+
+def test_snapshot_stride_is_not_bounded(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "operator": SMALL_OPERATOR, "grid": {"num_cells": 16, "num_x": 4},
+        "parabolic": {"steps": 3, "snapshot_stride": 10 ** 23}})
+    out_dir = tmp_path / "o"
+    assert main(["solve_parabolic", "--config", cfg, "--out",
+                 str(out_dir)]) == 0
+    assert sorted(os.listdir(str(out_dir))) == [
+        "manifest.json", "snapshot_0000.csv", "snapshot_0003.csv"]
 
 
 def test_sweep_writes_table_and_flags_inadmissible(tmp_path, capsys):

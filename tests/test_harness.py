@@ -182,6 +182,16 @@ def test_kernel_domination_reports_signed_margin():
     assert res.drift == (fine - coarse).max()
 
 
+def test_semigroup_structure_fails_on_any_positive_undershoot(monkeypatch):
+    # backward Euler keeps positivity exactly on the a = 0 model, so an
+    # undershoot of 1e-3 at both levels fails the check
+    monkeypatch.setattr(harness.semigroup, "positivity_check",
+                        lambda model, grid: 1e-3)
+    result = harness._REGISTRY_MAP["semigroup_structure"](0)
+    assert result.detail["positivity"] == [1e-3, 1e-3]
+    assert not result.passed
+
+
 # seeds whose draw tripped the weighted-residual guard that resolve used
 # before it gated on the componentwise backward error
 @pytest.mark.parametrize("seed", [28, 32, 35, 63, 69, 71, 133, 136, 141, 183,

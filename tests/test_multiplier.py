@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,42 @@ def test_plan_factors_solve_in_place(nx, lu_type, order):
     assert np.array_equal(b, expected)
 
 
+def _wide_solve(lam, f, model, grid):
+    return mp.resolvent_nd(lam, f, model, grid)
+
+
+def _wide_march(lam, f, model, grid):
+    # 256 x 257 x 4 entries of work: below _SPLIT_WORK, one range here
+    return evolve(f, None, model, grid, "crank_nicolson",
+                  np.linspace(0.0, 0.1, 5), stride=4)
+
+
+@pytest.mark.parametrize("run,fields", [
+    # the plan's sup, multipliers and inverse pivots, the coefficients and
+    # the solution (9.2 fields before the plan dropped sub and diag)
+    (_wide_solve, 6.5),
+    # the plan's three, the march's sub and diag, the coefficients (its uh),
+    # rhs and F u, the kept state and the initial snapshot (12.2 before)
+    (_wide_march, 11.25),
+])
+def test_wide_solves_hold_the_planned_fields(run, fields):
+    # 256 modes on the Thomas path at J = 256: 1 MiB per field, and block
+    # scratch of 16 384 entries is a quarter field a buffer; tracemalloc
+    # traces numpy's data
+    model = ModelParams([0.3, -0.2], 0.5, 1.0, 0.5, 2.0)
+    grid = make_grid(256, 1.0, 2.0, XBox(2.0 * np.pi, 16, 2))
+    rng = np.random.default_rng(2)
+    f = Field(rng.standard_normal(grid.shape)
+              + 1j * rng.standard_normal(grid.shape), grid)
+    tracemalloc.start()
+    try:
+        run(3.0 + 1.0j, f, model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fields * f.values.nbytes
+
+
 def test_from_modes_is_c_ordered_for_any_layout():
     # a field's norm sums by its layout, so both layouts give the same bytes
     model, grid, f, lams = _readme_case(nx=4)
@@ -244,9 +281,11 @@ def test_plan_names_the_xi_of_a_failing_mode(monkeypatch, nx):
     bad = 11
 
     def nan_mode(self, s, k2):
-        f = form(self, s, k2)
-        f.diag[3, bad] = np.nan
-        return f
+        # a NaN |xi|^2 makes the diag of mode `bad` NaN; the wide form
+        # stores no diag band, so the NaN goes in through its k2
+        k2 = np.array(k2)
+        k2[bad] = np.nan
+        return form(self, s, k2)
 
     xi = mp.xi_lattice(grid.x_box).reshape(-1, model.dim)[bad]
     monkeypatch.setattr(mp.ModeOperators, "form", nan_mode)
