@@ -24,25 +24,24 @@ same linear system: their agreement then tests only the independent code
 paths, not the discretization error.  The natural (Neumann-type) flux
 condition y^c Dy u -> 0 is built into the form; no boundary rows are needed.
 
-Every operator is a TridiagForm: the tridiagonal form bands F and the
-diagonal weights W, with M = -W^(-1) F.  ModeOperators builds every
-frozen-frequency model form, of one mode or of a batch of Fourier modes (a
-BatchForm, which stores only sup and builds the other bands per row block),
-from one assembly of K_c and P_c; the Bessel and potential-route forms are its
-alpha = 0, xi = 0 mode and its shifted form.  One operator, or a batch of at
-most _STACK_MODES Fourier modes stacked as one block-diagonal system, is
-solved by LAPACK's pivoted tridiagonal LU (gttrf / gttrs); a wider batch by
-a vectorised Thomas LU.  resolvent_pair is the one W-weighted resolvent
-(lam W + F)^(-1) W, and resolve gates every solve on its componentwise
-backward error.  Semigroup kernels never form a dense matrix exponential,
-so J is not capped, and each is built at its numerical rank.  Self-adjoint
-forms are diagonalised through their symmetrised tridiagonal pencil, keeping
-the eigenpairs with Re z (lambda - lambda_0) <= 40: the dropped modes weigh at
-most e^{-40} ~ 4.2e-18 of ||e^{zM}||_W.  Oblique forms use a parabolic-contour
-quadrature of the resolvent applied to a thin randomized sketch; a
-Halko-Martinsson-Tropp a-posteriori estimate of the sketch's relative error
-must be <= 1e-10, the tolerance of the contour itself, or the sketch grows,
-up to the identity.
+Every operator is a TridiagForm: the tridiagonal form bands F and the diagonal
+weights W of one operator, with M = -W^(-1) F, solved by LAPACK's pivoted
+tridiagonal LU (gttrf / gttrs).  ModeOperators builds every frozen-frequency
+model form from one assembly of K_c and P_c, a batch of Fourier modes as a
+BatchForm (sup stored, sub and diag built per row block or kept); the Bessel
+and potential-route forms are its alpha = 0, xi = 0 mode and its shifted form.
+_band_block is every band product; _factor_batch alone picks a batch's LU: one
+stacked gttrf for at most _STACK_MODES modes, else a Thomas LU.
+resolvent_pair is the one W-weighted resolvent (lam W + F)^(-1) W, and resolve
+gates every solve on its componentwise backward error.  Semigroup kernels
+never form a dense matrix exponential, so J is not capped, and each is built
+at its numerical rank.  Self-adjoint forms are diagonalised through their
+symmetrised tridiagonal pencil, keeping the eigenpairs with Re z (lambda -
+lambda_0) <= 40: the dropped modes weigh at most e^{-40} ~ 4.2e-18 of
+||e^{zM}||_W.  Oblique forms use a parabolic-contour quadrature of the
+resolvent applied to a thin randomized sketch; a Halko-Martinsson-Tropp
+a-posteriori estimate of the sketch's relative error must be <= 1e-10, the
+tolerance of the contour itself, or the sketch grows, up to the identity.
 """
 
 import numpy as np
@@ -122,20 +121,33 @@ def node_weights(grid, w_exponent):
 
 def _rows(v, ndim):
     """v with trailing unit axes: it broadcasts along axis 0 of ndim arrays."""
-    return v.reshape(v.shape + (1,) * (ndim - v.ndim))
+    return v if v.ndim == ndim else v.reshape(v.shape + (1,) * (ndim - v.ndim))
 
 
-def _band_apply(sub, diag, sup, u, out=None):
-    """Tridiagonal (sub, diag, sup) product along axis 0 of u, written into
-    `out` when given."""
-    sub, diag, sup = (_rows(b, u.ndim) for b in (sub, diag, sup))
-    out = np.multiply(diag, u, out=out)
-    scratch = np.empty_like(out)
-    np.multiply(sup, u[1:], out=scratch[:-1])
-    out[:-1] += scratch[:-1]
-    np.multiply(sub, u[:-1], out=scratch[1:])
-    out[1:] += scratch[1:]
-    return out
+def _band_block(band, u, a, b, o, x):
+    """Rows a:b of F u along axis 0 of u, each diag u + sup u_(+1) + sub
+    u_(-1) summed in that order, into o (a new array if o is None).
+    band(name, rows, out) returns rows `rows` of the band `name` ("sub",
+    "diag" or "sup"), broadcasting along u's rows; it may build them into
+    out, a view of the scratch x, which has o's shape."""
+    lo, m = max(a, 1), min(b, u.shape[0] - 1) - a
+    o = np.multiply(band("diag", slice(a, b), x), u[a:b], out=o)
+    head, xm = o[:m], x[:m]
+    np.multiply(band("sup", slice(a, a + m), xm), u[a + 1:a + m + 1], out=xm)
+    head += xm
+    tail, xs = o[lo - a:], x[lo - a:]
+    np.multiply(band("sub", slice(lo - 1, b - 1), xs), u[lo - 1:b - 1],
+                out=xs)
+    tail += xs
+    return o
+
+
+def _band_apply(sub, diag, sup, u):
+    """(sub, diag, sup) u along axis 0 of u for explicit bands of one
+    operator, all of u one _band_block; the scratch takes diag's dtype."""
+    bands = {"sub": sub, "diag": diag, "sup": sup}
+    return _band_block(lambda name, rows, x: _rows(bands[name][rows], x.ndim),
+                       u, 0, u.shape[0], None, np.empty_like(u, diag.dtype))
 
 
 class SingularFormError(np.linalg.LinAlgError):
@@ -148,12 +160,11 @@ class SingularFormError(np.linalg.LinAlgError):
 
 
 class TridiagForm:
-    """Tridiagonal form F and diagonal weight W of a 1-d operator M.
+    """Tridiagonal form F and diagonal weight W of one 1-d operator M.
 
     <-M u, v>_W = v^H F u, so M = -W^(-1) F, with W the node weights of the
-    measure y^w dy.  Bands of shape (J,) (sub and sup (J - 1,)) describe one
-    operator; bands of shape (J, modes) a batch of Fourier modes sharing W,
-    one column per mode.  Every product and solve acts along axis 0.
+    measure y^w dy.  diag and weight have shape (J,), sub and sup (J - 1,);
+    every product and solve acts along axis 0 of a (J,) or (J, k) array.
     """
 
     def __init__(self, sub, diag, sup, weight, grid=None):
@@ -167,9 +178,14 @@ class TridiagForm:
     def size(self):
         return self.diag.shape[0]
 
+    def _band(self, name, rows, out):
+        """Rows of the band `name`, broadcasting along the rows of out."""
+        return _rows(getattr(self, name)[rows], out.ndim)
+
     def apply(self, u, out=None):
-        """F u along axis 0 of u, into `out` when given (see _band_apply)."""
-        return _band_apply(self.sub, self.diag, self.sup, u, out)
+        """F u along axis 0 of u, one _band_block, into `out` when given."""
+        return _band_block(self._band, u, 0, u.shape[0], out,
+                           np.empty_like(u, complex))
 
     def apply_adjoint(self, u):
         """F^H u along axis 0 of u: the conjugate-transposed bands."""
@@ -177,7 +193,7 @@ class TridiagForm:
                            np.conj(self.sub), u)
 
     def dense(self):
-        """F of one operator as a dense matrix."""
+        """F as a dense matrix."""
         return (np.diag(self.diag) + np.diag(self.sub, -1)
                 + np.diag(self.sup, 1))
 
@@ -195,27 +211,13 @@ class TridiagForm:
         r = np.sqrt(w[:-1] * w[1:])
         return self.diag / w, self.sub / r, self.sup / r
 
-    def _shifted_diag(self, lam):
-        return self.diag + lam * _rows(self.weight, self.diag.ndim)
-
     def factor(self, lam):
-        """LU factors of lam W + F.
-
-        One operator, or a batch of at most _STACK_MODES modes: LAPACK gttrf
-        (partial pivoting), whose factors also solve the adjoint system.  A
-        wider batch: a Thomas LU without pivoting, one forward and one
-        backward sweep over the J rows, each row a vector over all modes; for
-        Re lam > 0 the Hermitian part of lam W + F is positive definite (the
-        form is accretive), so no pivoting is needed (Golub & Van Loan,
-        section 4.2).  A zero or non-finite pivot raises SingularFormError.
-        For a (J, modes) batch, every factor's solve(b, overwrite_b=True)
-        writes the solution into b and returns b.
-        """
+        """LAPACK gttrf factors (partial pivoting) of lam W + F, which also
+        solve the adjoint system; a zero or non-finite pivot raises
+        SingularFormError."""
         with np.errstate(all="ignore"):
-            diag = self._shifted_diag(lam)
-        if diag.ndim == 1 or diag.shape[1] <= _STACK_MODES:
-            return _PivotedLU(self.sub, diag, self.sup)
-        return _ThomasLU.factor(self.sub.copy(), diag, self.sup)
+            diag = self.diag + lam * self.weight
+        return _PivotedLU(self.sub, diag, self.sup)
 
     def backward_error(self, lam, u, b):
         """Componentwise backward error of u for (lam W + F) u = b.
@@ -225,7 +227,7 @@ class TridiagForm:
         of the entries of A and b that u solves exactly.  Unlike a weighted
         residual it does not grow with the spread of the weights.
         """
-        diag = self._shifted_diag(lam)
+        diag = self.diag + lam * self.weight
         r = np.abs(b - _band_apply(self.sub, diag, self.sup, u))
         scale = _band_apply(np.abs(self.sub), np.abs(diag), np.abs(self.sup),
                             np.abs(u)) + np.abs(b)
@@ -236,7 +238,9 @@ class TridiagForm:
 # a wider one by the Thomas sweep.  Medians at (J, modes) = (256, 32), 2 cores,
 # scipy 1.17.1: factor 0.30 ms stacked against 1.11 ms by Thomas, solve 0.20
 # against 1.27 ms; at 64 modes the stacked factor already loses (1.58 against
-# 1.29 ms), and factor plus one solve loses from 96 modes at J = 128.
+# 1.29 ms), and factor plus one solve loses from 96 modes at J = 128.  The
+# Thomas LU for every batch (_STACK_MODES = 0) slowed run_suite at seed 0
+# from 0.93 to 1.16 s and maximal_regularity_ratio from 0.083 to 0.21 s.
 _STACK_MODES = 32
 
 # Entries per row block of a BatchForm product and its residual (256 KiB a
@@ -246,13 +250,25 @@ _STACK_MODES = 32
 _BLOCK = 16384
 
 
-def _mode_major(band, J):
-    """A (rows, modes) band of a batch as the band of its block-diagonal
-    matrix of size modes J: mode after mode, zero between the blocks."""
-    rows, modes = band.shape
-    out = np.zeros((modes, J), dtype=complex)
-    out[:, :rows] = band.T
-    return out.ravel()[:modes * J - J + rows]
+def _factor_batch(sub, diag, sup):
+    """LU factors of the (J, modes) bands (sub, diag, sup) of lam W + F,
+    one matrix per column: one stacked gttrf (_PivotedLU) for at most
+    _STACK_MODES modes, else a Thomas LU (_ThomasLU) that overwrites sub and
+    diag with its factors.  It need not pivot: for Re lam > 0 the Hermitian
+    part of lam W + F is positive definite, the form being accretive (Golub
+    & Van Loan, section 4.2).  A zero or non-finite pivot raises
+    SingularFormError naming its column.  Either factor's solve(b,
+    overwrite_b=True) writes into b and returns b."""
+    if diag.shape[1] <= _STACK_MODES:
+        return _PivotedLU(sub, diag, sup)
+    with np.errstate(all="ignore"):
+        for i in range(1, diag.shape[0]):
+            sub[i - 1] /= diag[i - 1]
+            diag[i] -= sub[i - 1] * sup[i - 1]
+    bad = np.flatnonzero(~np.all(np.isfinite(diag) & (diag != 0), axis=0))
+    if bad.size:
+        raise SingularFormError(bad[0])
+    return _ThomasLU(sup, sub, np.reciprocal(diag, out=diag))
 
 
 class _PivotedLU:
@@ -268,7 +284,10 @@ class _PivotedLU:
         self._batch = diag.ndim == 2
         J = diag.shape[0]
         if self._batch:
-            sub, diag, sup = (_mode_major(b, J) for b in (sub, diag, sup))
+            bands = np.zeros((3, diag.shape[1], J), complex)
+            bands[0, :, :-1], bands[1], bands[2, :, :-1] = sub.T, diag.T, sup.T
+            sub, sup = bands[0].ravel()[:-1], bands[2].ravel()[:-1]
+            diag = bands[1].ravel()
         *self._lu, info = scipy.linalg.lapack.zgttrf(sub, diag, sup,
                                                      overwrite_d=True)
         piv = self._lu[1]
@@ -296,26 +315,13 @@ class _PivotedLU:
 
 
 class _ThomasLU:
-    """Thomas LU of a batch wider than _STACK_MODES: multipliers and inverse
-    pivots, one column per mode."""
+    """Thomas LU of a wide batch, made by _factor_batch: multipliers and
+    inverse pivots, one column per mode."""
 
     def __init__(self, sup, mult, inv_piv):
         self.sup = sup
         self.mult = mult
         self.inv_piv = inv_piv
-
-    @classmethod
-    def factor(cls, sub, piv, sup):
-        """Factor the batch (sub, piv, sup); sub and piv become its mult
-        and inv_piv."""
-        with np.errstate(all="ignore"):
-            for i in range(1, piv.shape[0]):
-                sub[i - 1] /= piv[i - 1]
-                piv[i] -= sub[i - 1] * sup[i - 1]
-        bad = np.flatnonzero(~np.all(np.isfinite(piv) & (piv != 0), axis=0))
-        if bad.size:
-            raise SingularFormError(bad[0])
-        return cls(sup, sub, np.reciprocal(piv, out=piv))
 
     def columns(self, cols):
         """The factors of the modes in slice `cols`: views, no copy."""
@@ -361,10 +367,10 @@ class ModeOperators:
 
     form(s, k2) is the TridiagForm of F(xi) = K_c - 2i s P_c + k2 W_c with
     s = a . xi, k2 = |xi|^2 and weight W = W_(c-alpha), so
-    M(xi) = -W^(-1) F(xi); s, k2 may be arrays of modes.  Every model-mode
-    form of the package, of one frequency or many, is built here, and the
-    apply, solve and derivative helpers reuse the same arrays, so every
-    consumer sees the identical discretization.
+    M(xi) = -W^(-1) F(xi); for arrays of modes s, k2 it is their BatchForm.
+    Every model-mode form of the package, of one frequency or many, is
+    built here, and the apply, solve and derivative helpers reuse the same
+    arrays, so every consumer sees the identical discretization.
     """
 
     def __init__(self, grid, c, alpha):
@@ -397,8 +403,7 @@ class ModeOperators:
         return out
 
     def form_bands(self, s, k2):
-        """(sub, diag, sup) of F(xi); see band."""
-        s, k2 = np.asarray(s, dtype=float), np.asarray(k2, dtype=float)
+        """(sub, diag, sup) of F(xi) for one mode; see band."""
         return tuple(self.band(b, slice(None), s, k2)
                      for b in ("sub", "diag", "sup"))
 
@@ -440,11 +445,13 @@ def _field(J, n):
 
 class BatchForm:
     """The form F(xi) of a batch of modes, one column each, that stores only
-    sup (a Thomas LU keeps it too): its sub and diag rows are built by
-    ModeOperators.band per row block, bit for bit the stored bands."""
+    sup (a Thomas LU keeps it too): sub and diag are None, and their rows
+    are built by ModeOperators.band per row block, bit for bit the rows
+    keep_bands stores."""
 
     def __init__(self, ops, s, k2, sup=None):
-        self.ops, self.s, self.k2, self.kept = ops, s, k2, {}
+        self.ops, self.s, self.k2 = ops, s, k2
+        self.sub = self.diag = None
         self.sup = sup if sup is not None else ops.band(
             "sup", slice(None), s, k2, _field(ops.size, s.size)[:-1])
 
@@ -467,47 +474,38 @@ class BatchForm:
         512)."""
         form = BatchForm(self.ops, self.s[cols], self.k2[cols],
                          self.sup[:, cols])
-        form.kept = dict(zip(("sub", "diag"), form._whole()))
+        form.sub, form.diag = form._whole()
         return form
 
     def factor(self, lam):
-        """TridiagForm.factor's LU of lam W + F, its sub and shifted diag
-        built in the arrays a Thomas LU overwrites with its factors."""
+        """_factor_batch's LU of lam W + F, its sub and shifted diag built
+        in the arrays a Thomas LU overwrites with its factors."""
         sub, diag = self._whole()
         with np.errstate(all="ignore"):
             diag += lam * self.ops.weight[:, None]
-        if self.s.size <= _STACK_MODES:
-            return _PivotedLU(sub, diag, self.sup)
-        return _ThomasLU.factor(sub, diag, self.sup)
+        return _factor_batch(sub, diag, self.sup)
 
-    def _band_rows(self, name, rows, out):
-        """Rows of the band `name`: the kept band's, or built into out."""
-        if name in self.kept:
-            return self.kept[name][rows]
-        return self.ops.band(name, rows, self.s, self.k2, out)
+    def _band(self, name, rows, out):
+        """Rows of the band `name`: the stored band's, or built into out."""
+        band = getattr(self, name)
+        if band is None:
+            return self.ops.band(name, rows, self.s, self.k2, out)
+        return band[rows]
 
     def row_blocks(self, u, out=None):
         """Yield (rows, F u rows, spare) for blocks of about _BLOCK entries
-        of rows of a (J, modes) u, bit for bit TridiagForm.apply's sums:
-        into out[rows] if `out` is given, else into a buffer the next block
-        reuses; spare is a block buffer free until the next block."""
+        of rows of a (J, modes) u, each a _band_block: into out[rows] if
+        `out` is given, else into a buffer the next block reuses; spare is
+        a block buffer free until the next block."""
         J, n = u.shape
         step = max(1, _BLOCK // n)
         x = np.empty((step, n), complex)
         own = np.empty((step, n), complex) if out is None else None
         for a in range(0, J, step):
-            b, lo = min(a + step, J), max(a, 1)
+            b = min(a + step, J)
             o = own[:b - a] if out is None else out[a:b]
-            np.multiply(self._band_rows("diag", slice(a, b), x[:b - a]),
-                        u[a:b], out=o)
-            m = min(b, J - 1) - a
-            np.multiply(self.sup[a:a + m], u[a + 1:a + m + 1], out=x[:m])
-            o[:m] += x[:m]
-            xs = x[lo - a:b - a]
-            np.multiply(self._band_rows("sub", slice(lo - 1, b - 1), xs),
-                        u[lo - 1:b - 1], out=xs)
-            o[lo - a:] += xs
-            yield slice(a, b), o, x[:b - a]
+            yield slice(a, b), _band_block(self._band, u, a, b, o,
+                                           x[:b - a]), x[:b - a]
 
     def apply(self, u, out=None):
         """F u along axis 0 of a (J, modes) u, into `out` when given."""

@@ -179,8 +179,9 @@ def _grid_for(cfg, model, refine, x_box):
 
 
 # Field-sized complex arrays a solve holds at its peak (see the README); a
-# march also keeps one per kept snapshot and a residual row per step.
-_FIELDS = {"solve_elliptic": 7, "solve_parabolic": 10}
+# march also keeps one per kept snapshot and a residual row per step; a
+# sweep (one y-grid) about 115, mostly operator_norm's Lanczos bases.
+_FIELDS = {"solve_elliptic": 7, "solve_parabolic": 10, "sweep": 115}
 _MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
            if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else None)
 
@@ -371,6 +372,7 @@ def cmd_sweep(cfg, out_dir, seed):
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a config with a sweep section")
     param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
+    _check_size("sweep", cfg, 0, 0)
     _make_out_dir(out_dir)
     rows = []
     for v in map(float, values):

@@ -9,6 +9,7 @@ from scipy.special import ive
 from degenpde import bessel1d as b1
 from degenpde.grid import Grid, default_grading, lp_norm, make_grid
 from degenpde.harness import decay_order, refinement_study
+from degenpde.multiplier import mode_step
 
 
 def _uniform_nodes():
@@ -194,18 +195,24 @@ def test_backward_error_flags_one_perturbed_entry():
             assert op.backward_error(lam, bad, b) > b1.BACKWARD_ERROR_TOL
 
 
+def _batch_lu(sub, diag, sup, weight, lam):
+    """_factor_batch of lam W + F for stacked (J, modes) bands, the entry
+    BatchForm.factor uses; sub is copied, since a Thomas LU overwrites it."""
+    return b1._factor_batch(sub.copy(), diag + lam * weight[:, None], sup)
+
+
 def test_tridiag_form_matches_dense_and_batches():
     g = make_grid(48, 1.0, 2.0)
     rng = np.random.default_rng(2)
+    freqs = ((0.0, 0.0), (0.4, 1.0), (-1.3, 9.0))
     ops = [b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
                             mixing_freq=s, freq_norm2=k2)
-           for s, k2 in ((0.0, 0.0), (0.4, 1.0), (-1.3, 9.0))]
+           for s, k2 in freqs]
     lam = 2.0 + 1.0j
     u = rng.standard_normal((g.num_y, 3)) + 1j * rng.standard_normal(
         (g.num_y, 3))
-    batch = b1.TridiagForm(*(np.stack([getattr(op, k) for op in ops], axis=1)
-                             for k in ("sub", "diag", "sup")),
-                           ops[0].weight)
+    modes = b1.ModeOperators(g, 1.0, 0.5)
+    batch = modes.form(*np.array(freqs).T)
     Fu = batch.apply(u)
     x = batch.factor(lam).solve(u)
     for k, op in enumerate(ops):
@@ -220,26 +227,73 @@ def test_tridiag_form_matches_dense_and_batches():
         xa = op.factor(lam).solve_adjoint(u[:, k])
         assert np.abs(A.conj().T @ xa - u[:, k]).max() <= 1e-12 * np.abs(
             u).max()
+    sub, diag, sup = (np.stack([getattr(op, k) for op in ops], axis=1)
+                      for k in ("sub", "diag", "sup"))
     with pytest.raises(b1.SingularFormError, match="column 1"):
-        b1.TridiagForm(batch.sub, batch.diag * [1.0, np.nan, 1.0], batch.sup,
-                       batch.weight).factor(lam)
+        _batch_lu(sub, diag * [1.0, np.nan, 1.0], sup, ops[0].weight, lam)
     # a batch one mode wider than _STACK_MODES takes the Thomas sweep
     freqs = [(s, k2) for s in (0.0, 0.4, -1.3) for k2 in range(11)]
     freqs = freqs[:b1._STACK_MODES + 1]
-    wide = b1.TridiagForm(*(np.stack(
-        [getattr(b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
-                                  mixing_freq=s, freq_norm2=k2 + s * s), k)
-         for s, k2 in freqs], axis=1) for k in ("sub", "diag", "sup")),
-        ops[0].weight)
-    lu = wide.factor(lam)
+    s, k2 = np.array(freqs, dtype=float).T
+    lu = modes.form(s, k2 + s * s).factor(lam)
     assert isinstance(lu, b1._ThomasLU)
     u = rng.standard_normal((g.num_y, len(freqs))) + 0j
     x = lu.solve(u)
-    for k in range(len(freqs)):
-        A = b1.TridiagForm(wide.sub[:, k], wide.diag[:, k], wide.sup[:, k],
-                           wide.weight).dense() + lam * np.diag(wide.weight)
+    for k, (sk, k2k) in enumerate(freqs):
+        A = b1.assemble_form(g, "model_mode", c=1.0, alpha=0.5,
+                             mixing_freq=sk, freq_norm2=k2k + sk * sk)
+        A = A.dense() + lam * np.diag(A.weight)
         xd = np.linalg.solve(A, u[:, k])
         assert np.abs(x[:, k] - xd).max() <= 1e-12 * np.abs(xd).max()
+
+
+@pytest.mark.parametrize("J,modes", [
+    (5, b1._BLOCK + 3),     # one row per block
+    (50, 1000),             # 16 rows a block, J = 50 not a multiple
+])
+def test_one_band_product_is_bitwise_equal_across_block_edges(J, modes):
+    rng = np.random.default_rng(J + modes)
+    ops = b1.ModeOperators(make_grid(J, 1.0, 2.0), 0.6, -0.3)
+    s, k2 = rng.uniform(-2.0, 2.0, modes), rng.uniform(0.0, 9.0, modes)
+    form = ops.form(s, k2 + s * s)
+    u = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
+    step = max(1, b1._BLOCK // modes)
+    assert J // step >= 3 and (step == 1 or J % step)
+    Fu = form.apply(u)
+    assert np.array_equal(form.keep_bands(slice(None)).apply(u), Fu)
+    cols = slice(modes // 3, modes)
+    assert np.array_equal(form.keep_bands(cols).apply(
+        np.ascontiguousarray(u[:, cols])), Fu[:, cols])
+    # mode_step's F u of its own solution, on the lean form
+    lam, uh, fu = 3.0 + 1.0j, np.empty_like(u), np.empty_like(u)
+    mode_step(lam, form, form.factor(lam), ops.weight, u, uh, fu,
+              np.empty((2, J)))
+    assert np.array_equal(fu, form.apply(uh))
+    for k in range(modes):
+        one = ops.form(form.s[k], form.k2[k])
+        assert np.array_equal(one.apply(u[:, k]), Fu[:, k])
+        assert np.array_equal(one.apply(uh[:, k]), fu[:, k])
+
+
+def test_one_operator_product_of_vectors_and_columns():
+    rng = np.random.default_rng(3)
+    ops = b1.ModeOperators(make_grid(40, 1.0, 2.0), 0.6, -0.3)
+    one = ops.form(0.7, 2.5)
+    F = one.dense()
+    U = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    FU, FhU = one.apply(U), one.apply_adjoint(U)
+    # F^H is the product of the conjugate-transposed bands
+    Fh = b1.TridiagForm(np.conj(one.sup), np.conj(one.diag),
+                        np.conj(one.sub), one.weight)
+    assert np.array_equal(FhU, Fh.apply(U))
+    for k in range(U.shape[1]):
+        assert np.array_equal(FU[:, k], one.apply(U[:, k]))
+        assert np.array_equal(FhU[:, k], one.apply_adjoint(U[:, k]))
+        scale = np.abs(F).max() * np.abs(U[:, k]).max()
+        assert np.abs(FU[:, k] - F @ U[:, k]).max() <= 1e-14 * scale
+        assert np.abs(FhU[:, k] - F.conj().T @ U[:, k]).max() <= 1e-14 * scale
+    out = np.empty_like(U)
+    assert one.apply(U, out=out) is out and np.array_equal(out, FU)
 
 
 def test_resolve_batched_rhs_shape():
@@ -506,7 +560,7 @@ def test_thomas_sweep_is_bitwise_the_reference_sweep():
                 + 1j * rng.standard_normal((J - 1, modes)) for _ in range(2))
     diag = 4.0 + rng.standard_normal((J, modes)) + 0j
     b = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
-    lu = b1.TridiagForm(sub, diag, sup, np.ones(J)).factor(1.0)
+    lu = _batch_lu(sub, diag, sup, np.ones(J), 1.0)
     u = b.copy()
     for i in range(1, J):
         u[i] -= lu.mult[i - 1] * u[i - 1]
@@ -518,26 +572,26 @@ def test_thomas_sweep_is_bitwise_the_reference_sweep():
 
 
 def _random_batch(rng, J, modes):
-    """Complex bands of a (J, modes) batch; the diagonal is not dominant,
-    so gttrf pivots."""
+    """Complex bands (sub, diag, sup) of a (J, modes) batch and its weight;
+    the diagonal is not dominant, so gttrf pivots."""
     sub, diag, sup = (rng.standard_normal((n, modes))
                       + 1j * rng.standard_normal((n, modes))
                       for n in (J - 1, J, J - 1))
-    return b1.TridiagForm(sub, diag, sup, 0.5 + rng.random(J))
+    return sub, diag, sup, 0.5 + rng.random(J)
 
 
 @pytest.mark.parametrize("J", [65, 128])
 @pytest.mark.parametrize("modes", [9, b1._STACK_MODES])
 def test_stacked_batch_is_bitwise_the_per_mode_solve(J, modes):
     rng = np.random.default_rng(J + modes)
-    batch = _random_batch(rng, J, modes)
+    sub, diag, sup, weight = _random_batch(rng, J, modes)
     b = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
     lam = 0.7 - 0.2j
-    lu = batch.factor(lam)
+    lu = _batch_lu(sub, diag, sup, weight, lam)
     x, xa = lu.solve(b), lu.solve_adjoint(b)
     for k in range(modes):
-        one = b1.TridiagForm(batch.sub[:, k], batch.diag[:, k],
-                             batch.sup[:, k], batch.weight).factor(lam)
+        one = b1.TridiagForm(sub[:, k], diag[:, k], sup[:, k],
+                             weight).factor(lam)
         assert isinstance(one, b1._PivotedLU)
         assert np.array_equal(x[:, k], one.solve(b[:, k]))
         assert np.array_equal(xa[:, k], one.solve_adjoint(b[:, k]))
@@ -548,16 +602,15 @@ def test_thomas_adjoint_solve_matches_the_pivoted_one():
     # the Thomas sweep, against A^H x = b and the per-mode gttrs adjoint
     rng = np.random.default_rng(9)
     J, modes, lam = 64, 40, 0.7 - 0.2j
-    batch = _random_batch(rng, J, modes)
-    batch.diag += 8.0
+    sub, diag, sup, weight = _random_batch(rng, J, modes)
+    diag += 8.0
     b = rng.standard_normal((J, modes)) + 1j * rng.standard_normal((J, modes))
-    lu = batch.factor(lam)
+    lu = _batch_lu(sub, diag, sup, weight, lam)
     assert isinstance(lu, b1._ThomasLU)
     x = lu.solve_adjoint(b)
     for k in range(modes):
-        one = b1.TridiagForm(batch.sub[:, k], batch.diag[:, k],
-                             batch.sup[:, k], batch.weight)
-        A = one.dense() + lam * np.diag(batch.weight)
+        one = b1.TridiagForm(sub[:, k], diag[:, k], sup[:, k], weight)
+        A = one.dense() + lam * np.diag(weight)
         assert np.abs(A.conj().T @ x[:, k] - b[:, k]).max() <= 1e-14 * (
             np.abs(b[:, k]).max())
         xp = one.factor(lam).solve_adjoint(b[:, k])
@@ -568,9 +621,8 @@ def test_factor_stacks_narrow_batches_and_sweeps_wide_ones():
     rng = np.random.default_rng(3)
     for modes, kind in ((b1._STACK_MODES, b1._PivotedLU),
                         (b1._STACK_MODES + 1, b1._ThomasLU)):
-        batch = _random_batch(rng, 16, modes)
-        batch.diag += 8.0
-        assert type(batch.factor(1.0)) is kind
+        sub, diag, sup, weight = _random_batch(rng, 16, modes)
+        assert type(_batch_lu(sub, diag + 8.0, sup, weight, 1.0)) is kind
 
 
 @pytest.mark.parametrize("modes", [9, b1._STACK_MODES + 1])
@@ -581,19 +633,17 @@ def test_singular_form_error_names_the_column_on_both_paths(modes, last):
     rng = np.random.default_rng(5)
     J, lam = 24, 1.0
     col = modes - 1 if last else 6
-    batch = _random_batch(rng, J, modes)
-    batch.diag += 8.0
-    nan_diag = batch.diag.copy()
+    sub, diag, sup, weight = _random_batch(rng, J, modes)
+    diag += 8.0
+    nan_diag = diag.copy()
     nan_diag[J // 2, col] = np.nan
     # column col of lam W + F is exactly zero: a zero pivot in its first row
-    zero_sub, zero_diag, zero_sup = (batch.sub.copy(), batch.diag.copy(),
-                                     batch.sup.copy())
+    zero_sub, zero_diag, zero_sup = sub.copy(), diag.copy(), sup.copy()
     zero_sub[:, col] = zero_sup[:, col] = 0.0
-    zero_diag[:, col] = -lam * batch.weight
-    for bands in ((batch.sub, nan_diag, batch.sup),
-                  (zero_sub, zero_diag, zero_sup)):
+    zero_diag[:, col] = -lam * weight
+    for bands in ((sub, nan_diag, sup), (zero_sub, zero_diag, zero_sup)):
         with pytest.raises(b1.SingularFormError) as err:
-            b1.TridiagForm(*bands, batch.weight).factor(lam)
+            _batch_lu(*bands, weight, lam)
         assert err.value.column == col
 
 

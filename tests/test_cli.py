@@ -703,6 +703,25 @@ def test_size_is_measured_against_physical_memory(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("cells,memory", [(10 ** 23, None), (64, 100000)])
+def test_sweep_refuses_a_grid_beyond_physical_memory_once(
+        tmp_path, capsys, monkeypatch, cells, memory):
+    # the grid is the same for every swept value: one config error before
+    # --out is made, not an `invalid` row per value and exit 0
+    if memory is not None:
+        monkeypatch.setattr(cli, "_MEMORY", memory)
+    cfg = _write_config(tmp_path, {
+        "grid": {"num_cells": cells},
+        "sweep": {"parameter": "m", "values": [0.2, 0.3]}})
+    out_dir = tmp_path / "o"
+    rc = main(["sweep", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert ("config error: grid.num_cells = %d at --refine 0 is too large"
+            % cells) in err
+    assert not out_dir.exists()
+
+
 def test_snapshot_stride_is_not_bounded(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "operator": SMALL_OPERATOR, "grid": {"num_cells": 16, "num_x": 4},
