@@ -144,10 +144,12 @@ def _band_block(band, u, a, b, o, x):
 
 def _band_apply(sub, diag, sup, u):
     """(sub, diag, sup) u along axis 0 of u for explicit bands of one
-    operator, all of u one _band_block; the scratch takes diag's dtype."""
+    operator, all of u one _band_block; the scratch takes the dtype of
+    diag u."""
     bands = {"sub": sub, "diag": diag, "sup": sup}
     return _band_block(lambda name, rows, x: _rows(bands[name][rows], x.ndim),
-                       u, 0, u.shape[0], None, np.empty_like(u, diag.dtype))
+                       u, 0, u.shape[0], None,
+                       np.empty_like(u, np.result_type(diag, u)))
 
 
 class SingularFormError(np.linalg.LinAlgError):
@@ -178,14 +180,9 @@ class TridiagForm:
     def size(self):
         return self.diag.shape[0]
 
-    def _band(self, name, rows, out):
-        """Rows of the band `name`, broadcasting along the rows of out."""
-        return _rows(getattr(self, name)[rows], out.ndim)
-
-    def apply(self, u, out=None):
-        """F u along axis 0 of u, one _band_block, into `out` when given."""
-        return _band_block(self._band, u, 0, u.shape[0], out,
-                           np.empty_like(u, complex))
+    def apply(self, u):
+        """F u along axis 0 of u."""
+        return _band_apply(self.sub, self.diag, self.sup, u)
 
     def apply_adjoint(self, u):
         """F^H u along axis 0 of u: the conjugate-transposed bands."""

@@ -140,13 +140,16 @@ def load_config(path):
     return cfg
 
 
-def _check_modes(cfg):
+def _check_modes(cfg, command=None):
     """The mode k of an elliptic or parabolic section needs |k| < num_x / 2,
-    so it is neither truncated nor aliased onto another mode of the x-grid."""
+    so it is neither truncated nor aliased onto another mode of the x-grid.
+    A section is checked when present, and the one a solve command reads
+    also when absent, at its default mode."""
     num_x = _section(cfg, "grid")["num_x"]
     for name, key in (("elliptic", "mode"), ("parabolic", "forcing_mode")):
         k = _section(cfg, name)[key]
-        if name in cfg and not 2 * abs(k) < num_x:
+        if ((name in cfg or command == "solve_" + name)
+                and not 2 * abs(k) < num_x):
             raise ConfigError("%s.%s must be an integer with |k| < num_x / 2 "
                               "= %d, got %r" % (name, key, num_x // 2, k))
 
@@ -276,6 +279,7 @@ def _manufactured(model, grid, lam, esec):
 
 def cmd_solve_elliptic(cfg, out_dir, seed, refine):
     spec, space, model, chain = _problem(cfg)
+    _check_modes(cfg, "solve_elliptic")
     window = validate_window(spec, space)
     _check_size("solve_elliptic", cfg, model.dim, refine)
     grid = _grid_for(cfg, model, refine, True)
@@ -311,6 +315,7 @@ def cmd_solve_elliptic(cfg, out_dir, seed, refine):
 
 def cmd_solve_parabolic(cfg, out_dir, seed, refine):
     model, chain = _problem(cfg)[2:]
+    _check_modes(cfg, "solve_parabolic")
     _check_size("solve_parabolic", cfg, model.dim, refine)
     grid = _grid_for(cfg, model, refine, True)
     psec = _section(cfg, "parabolic")

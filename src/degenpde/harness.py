@@ -10,8 +10,12 @@ refinement logic.  Exactly representable identities (parameter calculus,
 two solve routes of the same tridiagonal system, a backward Euler step vs
 the resolvent) are held to solver round-off instead.
 
-A check is check(seed) on one REGISTRY row (estimate id, check, suite)
-that names the one suite running it; SUITES is derived from the rows.
+A REGISTRY row (estimate id, check, suite, levels) names the one suite
+running the check and the ladder it refines over, () for a check at fixed
+sizes; SUITES is derived from the rows.  A check is check(seed, levels)
+and returns its EstimateResult (verdict, constant, drift, CSV rows and
+header, detail); _run_check adds the row's id and levels and the check's
+time, also to the failed result of a check that raises.
 Every draw is seeded: parameter_roundtrip, resolvent_two_route_identity,
 nd_mode_vs_monolithic and apriori_regularity_fit draw from _rng_for(their
 id, seed), the other drawing checks from the suite seed alone.  No check
@@ -59,20 +63,21 @@ KERNEL_T = 0.02     # semigroup time of the Gaussian kernel fits
 
 
 class EstimateResult:
-    """Outcome of one registered check."""
+    """Outcome of one registered check; _run_check sets its estimate_id and
+    levels from the check's REGISTRY row.  `passed` must be a bool."""
 
-    def __init__(self, estimate_id, passed, constant=float("nan"),
-                 drift=float("nan"), parameters=None, levels=None,
-                 detail=None, rows=None, header=None, error=""):
-        self.estimate_id = estimate_id
+    def __init__(self, passed, constant=float("nan"), drift=float("nan"),
+                 rows=None, header=None, detail=None, error=""):
+        if not isinstance(passed, (bool, np.bool_)):
+            raise TypeError("passed must be a bool, got %r" % (passed,))
+        self.estimate_id = ""
+        self.levels = []
         self.passed = bool(passed)
         self.constant = float(constant)
         self.drift = float(drift)
-        self.parameters = parameters or {}
-        self.levels = list(levels or [])
-        self.detail = detail or {}
         self.rows = rows or []
         self.header = header or ()
+        self.detail = detail or {}
         self.error = error
         self.csv_path = ""
         self.seconds = float("nan")   # wall time where the check ran
@@ -233,7 +238,7 @@ def resolvent_family(ops, mixing_norm):
 # individual checks
 
 
-def _check_parameter_roundtrip(seed):
+def _check_parameter_roundtrip(seed, levels):
     rng = _rng_for("parameter_roundtrip", seed)
     worst = 0.0
     for _ in range(1000):
@@ -287,15 +292,11 @@ def _check_parameter_roundtrip(seed):
         in1 = max(0.0, -t1) < v1 < tc + 1.0 - t2
         if in0 != in1:
             worst = max(worst, 1.0)
-    passed = worst < 1e-12
-    return EstimateResult("parameter_roundtrip", passed, constant=worst,
-                          drift=0.0,
-                          parameters={"trials": 1000, "shear_trials": 100},
-                          rows=[("max_rel_error", worst)],
-                          header=("quantity", "value"))
+    return EstimateResult(worst < 1e-12, worst, 0.0,
+                          [("max_rel_error", worst)], ("quantity", "value"))
 
 
-def _check_transform_isometries(seed):
+def _check_transform_isometries(seed, levels):
     grid = make_grid(256, 1.0, 2.0)
     profs = panels.vertical_panel(1.0, count=10, kind="mixed")
     p, m = 2.7, 0.4
@@ -328,20 +329,14 @@ def _check_transform_isometries(seed):
         n1 = lp_norm(img.values, 2.0, m, g2)
         worst_sh = max(worst_sh, abs(n1 - n0) / n0)
     passed = worst_pow <= 1e-3 and worst_ph <= 1e-13 and worst_sh <= 1e-12
-    return EstimateResult(
-        "transform_isometries", passed, constant=worst_pow, drift=0.0,
-        parameters={"J": 256, "p": p, "m": m},
-        detail={"power": worst_pow, "phase": worst_ph, "shear": worst_sh},
-        rows=[("power", worst_pow), ("phase", worst_ph), ("shear", worst_sh)],
-        header=("map", "norm_mismatch"))
+    rows = [("power", worst_pow), ("phase", worst_ph), ("shear", worst_sh)]
+    return EstimateResult(passed, worst_pow, 0.0, rows,
+                          ("map", "norm_mismatch"), dict(rows))
 
 
-def _check_power_similarity(seed):
+def _check_power_similarity(seed, levels):
     cases = [(0.0, 1.0, 1.0, 0.0), (-0.5, 0.5, 1.2, 0.3), (0.5, 1.2, 0.9, 0.0)]
-    levels = (128, 256, 512)
-    rows = []
-    orders = []
-    coeffs = []
+    rows, orders, coeffs = [], [], []
     for (a1, a2, c, qm) in cases:
         values, _ = refinement_study(levels, lambda J: (
             transforms.similarity_check_power(a1, a2, c, J, q_mixed=qm)))
@@ -352,29 +347,23 @@ def _check_power_similarity(seed):
     # coefficient identification is itself a discretized fit, so the
     # agreement is convergent rather than exact
     passed = all(o >= 0.9 for o in orders) and all(cc < 0.02 for cc in coeffs)
-    return EstimateResult(
-        "power_similarity", passed, constant=max(coeffs),
-        drift=min(orders), parameters={"cases": cases},
-        levels=list(levels),
-        detail={"orders": orders, "coeff_rel_err": coeffs}, rows=rows,
-        header=("alpha1", "alpha2", "c", "J", "error"))
+    return EstimateResult(passed, max(coeffs), min(orders), rows,
+                          ("alpha1", "alpha2", "c", "J", "error"),
+                          {"orders": orders, "cases": cases})
 
 
-def _check_model_equivalence_1d(seed):
+def _check_model_equivalence_1d(seed, levels):
     cases = [(0.5, 1.0, 0.4, 1.0), (-0.5, 0.8, 0.7, 2.0), (1.0, 1.5, 0.3, 1.0)]
-    levels = (128, 256, 512)
     rows, studies = case_study(cases, levels,
                                bessel1d.equivalence_transform_check)
     orders = [decay_order(levels, errors) for errors, _ in studies]
-    passed = all(o >= 0.9 for o in orders)
     return EstimateResult(
-        "model_equivalence_1d", passed, constant=max(r[-1] for r in rows),
-        drift=min(orders), parameters={"cases": cases},
-        levels=list(levels), detail={"orders": orders}, rows=rows,
-        header=("alpha", "c", "mixing_freq", "freq_norm2", "J", "error"))
+        all(o >= 0.9 for o in orders), max(r[-1] for r in rows), min(orders),
+        rows, ("alpha", "c", "mixing_freq", "freq_norm2", "J", "error"),
+        {"orders": orders})
 
 
-def _check_selfadjoint_spectrum(seed):
+def _check_selfadjoint_spectrum(seed, levels):
     def measure(c, alpha, J):
         op = assemble_form(make_grid(J, 1.0, 2.0), "model_mode", c=c,
                            alpha=alpha, mixing_freq=0.0, freq_norm2=1.0)
@@ -383,19 +372,17 @@ def _check_selfadjoint_spectrum(seed):
                                             eigvals_only=True)
         return op.hermitian_defect(), evs.min()
 
-    rows, _ = case_study([(0.0, 0.0), (1.0, 0.5), (2.0, -0.5)], (128, 256),
+    rows, _ = case_study([(0.0, 0.0), (1.0, 0.5), (2.0, -0.5)], levels,
                          measure)
     worst_h = max(r[3] for r in rows)
     worst_neg = max([0.0] + [-r[4] for r in rows])
-    passed = worst_h <= 1e-10 and worst_neg <= 1e-8
     return EstimateResult(
-        "selfadjoint_spectrum", passed, constant=worst_h, drift=0.0,
-        parameters={"freq_norm2": 1.0}, levels=[128, 256],
-        detail={"hermitian_defect": worst_h, "spectrum_min": -worst_neg},
-        rows=rows, header=("c", "alpha", "J", "hermitian_defect", "min_eig"))
+        worst_h <= 1e-10 and worst_neg <= 1e-8, worst_h, 0.0, rows,
+        ("c", "alpha", "J", "hermitian_defect", "min_eig"),
+        {"hermitian_defect": worst_h, "spectrum_min": -worst_neg})
 
 
-def _check_sector_resolvent(seed):
+def _check_sector_resolvent(seed, levels):
     def measure(amod, J):
         op = assemble_form(make_grid(J, 1.0, 2.0), "model_mode", c=1.0,
                            alpha=0.5, mixing_freq=amod, freq_norm2=1.0)
@@ -403,40 +390,33 @@ def _check_sector_resolvent(seed):
         return scan["sup"], scan["angle"]
 
     # the half-angle depends on the mixing alone, so it adds no drift
-    rows, studies = case_study([(0.0,), (0.3,), (0.7,)], (128, 256), measure)
+    rows, studies = case_study([(0.0,), (0.3,), (0.7,)], levels, measure)
     worst = max(sup for _, _, sup, _ in rows)
     drift = max(d for _, d in studies)
-    return EstimateResult(
-        "sector_resolvent_scan", worst <= 4.0 and drift < DRIFT_TOL,
-        constant=worst, drift=drift,
-        parameters={"mixing": [0.0, 0.3, 0.7], "c": 1.0, "alpha": 0.5},
-        levels=[128, 256], rows=rows,
-        header=("mixing", "J", "sup", "half_angle"))
+    return EstimateResult(worst <= 4.0 and drift < DRIFT_TOL, worst, drift,
+                          rows, ("mixing", "J", "sup", "half_angle"))
 
 
-def _kernel_fit_result(estimate_id, cases, fit, header):
-    """Gaussian kernel fits (C, kappa) = fit(*case, J) at J = 256, 512."""
-    rows, studies = case_study(cases, (256, 512), fit)
+def _kernel_fit_result(cases, fit, header, levels):
+    """Gaussian kernel fits (C, kappa) = fit(*case, J) at each level J."""
+    rows, studies = case_study(cases, levels, fit)
     drift = max(d for _, d in studies)
-    return EstimateResult(
-        estimate_id, drift < DRIFT_TOL,
-        constant=max(values[-1][0] for values, _ in studies), drift=drift,
-        parameters={"t": KERNEL_T, "cases": cases}, levels=[256, 512],
-        rows=rows, header=header)
+    return EstimateResult(drift < DRIFT_TOL,
+                          max(values[-1][0] for values, _ in studies), drift,
+                          rows, header)
 
 
-def _check_kernel_bessel(seed):
+def _check_kernel_bessel(seed, levels):
     def fit(c, J):
         op = assemble_form(make_grid(J, 1.0, 2.0), "bessel", c=c)
         rep = bessel_kernel_fit(expm_kernel(op, KERNEL_T), c, KERNEL_T)
         return rep["C"], rep["kappa"]
 
     cases = [(0.0,), (0.5,), (1.0,), (2.0,), (-0.5,), (1.5,)]
-    return _kernel_fit_result("kernel_gaussian_fit_bessel", cases, fit,
-                              ("c", "J", "C", "kappa"))
+    return _kernel_fit_result(cases, fit, ("c", "J", "C", "kappa"), levels)
 
 
-def _check_kernel_model(seed):
+def _check_kernel_model(seed, levels):
     def fit(c, alpha, J):
         grid = make_grid(J, 1.0, default_grading(alpha))
         op = assemble_form(grid, "model_mode", c=c, alpha=alpha,
@@ -445,12 +425,11 @@ def _check_kernel_model(seed):
                                KERNEL_T)
         return rep["C"], rep["kappa"]
 
-    return _kernel_fit_result("kernel_gaussian_fit_model",
-                              [(1.0, 0.5), (0.5, -0.5)], fit,
-                              ("c", "alpha", "J", "C", "kappa"))
+    return _kernel_fit_result([(1.0, 0.5), (0.5, -0.5)], fit,
+                              ("c", "alpha", "J", "C", "kappa"), levels)
 
 
-def _check_kernel_domination(seed):
+def _check_kernel_domination(seed, levels):
     cases = [(1.0, 0.0, 0.5), (0.5, 0.3, 0.4), (2.0, -0.2, 0.8),
              (1.0, 0.5, 1.0), (0.3, 0.0, 1.2), (1.5, 0.8, 0.6)]
 
@@ -459,8 +438,8 @@ def _check_kernel_domination(seed):
                                          0.5, 0.05)
         return rep["field_excess"], rep["kernel_excess"]
 
-    rows, studies = case_study(cases, (192, 384), measure)
-    # (excess at J = 192, excess at J = 384) of each case and component
+    rows, studies = case_study(cases, levels, measure)
+    # (coarse excess, fine excess) of each case and component
     pairs = [pair for (start, final), _ in studies
              for pair in zip(start, final)]
     # only the positive part violates domination; negative excess means the
@@ -468,14 +447,13 @@ def _check_kernel_domination(seed):
     passed = all(max(hi, 0.0) <= 0.05 and max(hi, 0.0) <= max(lo, 0.0) + 1e-9
                  for lo, hi in pairs)
     return EstimateResult(
-        "kernel_domination", passed,
-        constant=max(hi for _, hi in pairs),       # < 0: margin at J = 384
-        drift=max(hi - lo for lo, hi in pairs),
-        parameters={"t": 0.05, "cases": cases}, levels=[192, 384], rows=rows,
-        header=("c", "beta", "b", "J", "field_excess", "kernel_excess"))
+        passed, max(hi for _, hi in pairs),    # < 0: margin at the finest J
+        max(hi - lo for lo, hi in pairs), rows,
+        ("c", "beta", "b", "J", "field_excess", "kernel_excess"),
+        {"cases": cases})
 
 
-def _check_two_route(seed):
+def _check_two_route(seed, levels):
     grid = make_grid(256, 1.0, 2.0)
     rng = _rng_for("resolvent_two_route_identity", seed)
     profs = panels.vertical_panel(1.0, count=3, rng=rng)
@@ -492,14 +470,11 @@ def _check_two_route(seed):
                 case = max(case, float(num / max(den, 1e-300)))
             rows.append((alpha, lam, case))
     worst = max(r[-1] for r in rows)
-    passed = worst <= 1e-12
-    return EstimateResult(
-        "resolvent_two_route_identity", passed, constant=worst, drift=0.0,
-        parameters={"c": 1.0, "mixing_freq": 0.3, "J": 256},
-        levels=[256], rows=rows, header=("alpha", "lam", "max_rel_diff"))
+    return EstimateResult(worst <= 1e-12, worst, 0.0, rows,
+                          ("alpha", "lam", "max_rel_diff"))
 
 
-def _check_mode_vs_monolithic(seed):
+def _check_mode_vs_monolithic(seed, levels):
     rng = _rng_for("nd_mode_vs_monolithic", seed)
     model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 32, 1)
@@ -515,11 +490,9 @@ def _check_mode_vs_monolithic(seed):
     num = lp_norm(u1.values - u2.values, 2.0, model.m, grid)
     den = lp_norm(u2.values, 2.0, model.m, grid)
     diff = float(num / den)
-    passed = diff <= 1e-8
-    return EstimateResult(
-        "nd_mode_vs_monolithic", passed, constant=diff, drift=0.0,
-        parameters={"Nx": 32, "J": 128, "lam": [lam.real, lam.imag]},
-        levels=[128], rows=[("rel_diff", diff)], header=("quantity", "value"))
+    return EstimateResult(diff <= 1e-8, diff, 0.0, [("rel_diff", diff)],
+                          ("quantity", "value"),
+                          {"Nx": box.num_points, "J": grid.num_y})
 
 
 def manufactured_mode_case(model, grid, lam, k_mode, center=0.45, width=0.18):
@@ -548,11 +521,10 @@ def manufactured_mode_case(model, grid, lam, k_mode, center=0.45, width=0.18):
     return Field(u, grid), Field(f, grid)
 
 
-def _check_manufactured(seed):
+def _check_manufactured(seed, levels):
     model = ModelParams(np.array([0.4]), 0.5, 1.2, 0.3, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     lam = 2.0
-    levels = (64, 128, 256)
 
     def measure(J):
         grid = make_grid(J, 1.0, 2.0, box)
@@ -562,9 +534,8 @@ def _check_manufactured(seed):
                 / lp_norm(u_ex.values, 2.0, model.m, grid))
 
     errs, _ = refinement_study(levels, measure)
-    rows = list(zip(levels, errs))
     order = float(np.log(errs[0] / errs[-1]) / np.log(levels[-1] / levels[0]))
-    gmid = make_grid(128, 1.0, 2.0, box)
+    gmid = make_grid(levels[1], 1.0, 2.0, box)
     _, fmid = manufactured_mode_case(model, gmid, lam, 2)
     ident = sum_identity_residual(lam, fmid, model, gmid)
     # x-side Parseval: quadrature norm vs frequency-side norm
@@ -575,11 +546,9 @@ def _check_manufactured(seed):
     par_grid = lp_norm(vals, 2.0, 0.0, gmid)
     parseval = abs(par_freq - par_grid) / par_grid
     passed = order >= 0.9 and ident <= 1e-8 and parseval <= 1e-12
-    return EstimateResult(
-        "nd_manufactured_convergence", passed, constant=errs[-1], drift=order,
-        parameters={"lam": lam, "Nx": 8}, levels=list(levels),
-        detail={"order": order, "sum_identity": ident, "parseval": parseval},
-        rows=rows, header=("J", "error"))
+    return EstimateResult(passed, errs[-1], order, list(zip(levels, errs)),
+                          ("J", "error"),
+                          {"order": order, "sum_identity": ident})
 
 
 def _apriori_constant(model, grid, rng):
@@ -601,40 +570,31 @@ def _apriori_constant(model, grid, rng):
     return worst
 
 
-def _check_apriori_fit(seed):
+def _check_apriori_fit(seed, levels):
     rng = _rng_for("apriori_regularity_fit", seed)
     model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
-    levels = (96, 192)
     consts, drift = refinement_study(levels, lambda J: _apriori_constant(
         model, make_grid(J, 1.0, 2.0, box), rng))
     # the exact sup of || |xi|^2 y^a R(lam) || and its xi-derivative term
     # over xi = 2^k, k = -3..6, on the check's own model
     scan = mikhlin_bound_scan(
         (0.1, 1.0, 10.0), [(2.0 ** k,) for k in range(-3, 7)], model,
-        make_grid(192, 1.0, default_grading(0.5)), families=("potential",))
-    freq_max = scan["suprema"]["potential"]
-    passed = drift < DRIFT_TOL and np.isfinite(freq_max)
-    return EstimateResult(
-        "apriori_regularity_fit", passed, constant=consts[-1], drift=drift,
-        parameters={"lam": 1.0, "model_m": 0.2}, levels=list(levels),
-        detail={"constants": dict(zip(levels, consts)),
-                "freq_scan_max": freq_max},
-        rows=list(zip(levels, consts)), header=("J", "constant"))
+        make_grid(levels[-1], 1.0, default_grading(0.5)),
+        families=("potential",))
+    passed = drift < DRIFT_TOL and np.isfinite(scan["suprema"]["potential"])
+    return EstimateResult(passed, consts[-1], drift,
+                          list(zip(levels, consts)), ("J", "constant"))
 
 
-def _check_interpolation_fit(seed):
-    levels = (128, 256)
+def _check_interpolation_fit(seed, levels):
     consts, drift = refinement_study(levels, lambda J: interpolation_constant(
         0.5, 1.0, 2.4, 0.3, J))
-    return EstimateResult(
-        "interpolation_gradient_fit", drift < DRIFT_TOL, constant=consts[-1],
-        drift=drift, parameters={"alpha": 0.5, "c": 1.0, "p": 2.4, "m": 0.3},
-        levels=list(levels), rows=list(zip(levels, consts)),
-        header=("J", "constant"))
+    return EstimateResult(drift < DRIFT_TOL, consts[-1], drift,
+                          list(zip(levels, consts)), ("J", "constant"))
 
 
-def _check_xi_derivative(seed):
+def _check_xi_derivative(seed, levels):
     grid = make_grid(192, 1.0, 2.0)
     m1 = ModelParams(np.array([0.4]), 0.5, 1.0, 0.2, 2.0)
     r1 = xi_derivative_check(1.2 + 0.3j, m1, grid, order=1, base_xi=[1.1])
@@ -644,16 +604,12 @@ def _check_xi_derivative(seed):
     passed = r1["order"] >= 1.9 and r2["order"] >= 1.9
     rows = [(1, r1["errors"][0], r1["errors"][-1], r1["order"]),
             (2, r2["errors"][0], r2["errors"][-1], r2["order"])]
-    return EstimateResult(
-        "xi_derivative_order", passed, constant=max(r1["errors"][-1],
-                                                    r2["errors"][-1]),
-        drift=min(r1["order"], r2["order"]),
-        parameters={"steps": [0.02, 0.01], "J": 192},
-        detail={"order1": r1, "order2": {k: v for k, v in r2.items()}},
-        rows=rows, header=("n", "err_h", "err_h2", "order"))
+    return EstimateResult(passed, max(r1["errors"][-1], r2["errors"][-1]),
+                          min(r1["order"], r2["order"]), rows,
+                          ("n", "err_h", "err_h2", "order"))
 
 
-def _check_mikhlin_scan(seed):
+def _check_mikhlin_scan(seed, levels):
     m1 = ModelParams(np.array([0.4]), 0.5, 1.0, 0.2, 2.0)
     lam_set = (0.5, 2.0)
     xi_set = ((0.7,), (3.0,), (-1.5,))
@@ -671,28 +627,24 @@ def _check_mikhlin_scan(seed):
                          J, est))
         return list(rep["suprema"].values())
 
-    _, drift = refinement_study((128, 256), measure)
+    _, drift = refinement_study(levels, measure)
     m2 = ModelParams(np.array([0.3, -0.2]), 0.5, 1.0, 0.2, 2.0)
     grid2 = make_grid(96, 1.0, 2.0)
     rep2 = mikhlin_bound_scan((1.0,), ((1.0, 1.0), (2.0, -3.0)), m2, grid2)
     passed = drift < DRIFT_TOL and all(np.isfinite(v)
                                        for v in rep2["suprema"].values())
     return EstimateResult(
-        "mikhlin_family_scan", passed,
-        constant=max(sups[256].values()), drift=drift,
-        parameters={"lam_set": list(lam_set), "m": 0.2}, levels=[128, 256],
-        detail={"suprema": sups, "dim2_suprema": rep2["suprema"]}, rows=rows,
-        header=("family", "beta", "lambda", "xi", "J", "estimate"))
+        passed, max(sups[levels[-1]].values()), drift, rows,
+        ("family", "beta", "lambda", "xi", "J", "estimate"))
 
 
-def _check_square_function(seed):
+def _check_square_function(seed, levels):
     grid = make_grid(256, 1.0, 2.0)
     ops = ModeOperators(grid, 1.0, 0.5)
     fam = resolvent_family(ops, 0.3)
     p, m = 2.4, 0.3
     profs = [prof(grid.y_nodes).astype(complex)
              for prof in panels.vertical_panel(1.0, count=6)]
-    levels = (4, 8, 16)
     values, drift = refinement_study(levels, lambda n: square_function_ratio(
         fam, n, 80, p, m, grid, profs, seed=seed + n))
     ratios = dict(zip(levels, values))
@@ -704,29 +656,21 @@ def _check_square_function(seed):
                                    profs, seed=seed)
     passed = drift < DRIFT_TOL and abs(ident - 1.0) <= 1e-14 \
         and single <= 1.01
-    return EstimateResult(
-        "square_function_resolvent_family", passed, constant=ratios[16],
-        drift=drift, parameters={"p": p, "m": m, "trials": 80},
-        levels=list(levels),
-        detail={"ratios": ratios, "identity": ident, "single": single},
-        rows=list(ratios.items()) + [("identity", ident)],
-        header=("n", "ratio"))
+    return EstimateResult(passed, values[-1], drift,
+                          list(ratios.items()) + [("identity", ident)],
+                          ("n", "ratio"), {"ratios": ratios, "identity": ident})
 
 
-def _check_parabolic_heat(seed):
-    levels = ((64, 16), (128, 32))
+def _check_parabolic_heat(seed, levels):
+    # joint time/space refinement: J cells and J / 4 steps
     errors, _ = refinement_study(
-        levels, lambda lv: semigroup.heat_closed_form_check(*lv))
+        levels, lambda J: semigroup.heat_closed_form_check(J, J // 4))
     ratio = errors[0] / max(errors[-1], 1e-300)
-    passed = ratio >= 1.5 and errors[-1] < 0.05
-    return EstimateResult(
-        "parabolic_heat_closed_form", passed, constant=errors[-1],
-        drift=ratio, parameters={"levels": [list(lv) for lv in levels]},
-        levels=[64, 128], rows=[(J, e) for (J, _), e in zip(levels, errors)],
-        header=("J", "error"))
+    return EstimateResult(ratio >= 1.5 and errors[-1] < 0.05, errors[-1],
+                          ratio, list(zip(levels, errors)), ("J", "error"))
 
 
-def _check_parabolic_contraction(seed):
+def _check_parabolic_contraction(seed, levels):
     # baseline model: alpha = 0, a = 0, c = 0 on L^2
     model = ModelParams(np.array([0.0]), 0.0, 0.0, 0.0, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
@@ -741,42 +685,35 @@ def _check_parabolic_contraction(seed):
     # the t = 0 rows are 1 by definition, so only t > 0 ratios are reported
     worst = max([worst_v] + [v for t, d in rep.items() if t > 0
                              for v in d.values()])
-    passed = worst <= 1.05
     rows = [(t, k, v) for t, d in sorted(rep.items())
             for k, v in sorted(d.items())]
-    return EstimateResult(
-        "parabolic_contraction", passed, constant=worst, drift=1.05 - worst,
-        parameters={"t_set": [0.0, 0.01, 0.1, 1.0]},
-        detail={"report": rep, "mixing_variant_l2": worst_v}, rows=rows,
-        header=("t", "norm", "ratio"))
+    return EstimateResult(worst <= 1.05, worst, 1.05 - worst, rows,
+                          ("t", "norm", "ratio"),
+                          {"mixing_variant_l2": worst_v})
 
 
-def _check_maximal_regularity(seed):
+def _check_maximal_regularity(seed, levels):
     hil_model = ModelParams(np.array([0.0]), 0.0, 0.0, 0.0, 2.0)
     gen_model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     rows = []
-    detail = {}
-    # joint time/space refinement: 64 cells and 20 steps, then 128 and 40
+    # joint time/space refinement: J cells and 20 J / 64 steps
     for case, model, grading, q in (("hilbert", hil_model, 1.0, 2.0),
                                     ("general", gen_model, 2.0, 3.0)):
-        (ratio, refined), drift = refinement_study((1, 2), lambda k: (
+        (ratio, refined), drift = refinement_study(levels, lambda J: (
             semigroup.maximal_regularity_check(
-                model, make_grid(64 * k, 1.0, grading, box), q,
-                np.linspace(0.0, 0.5, 20 * k + 1), seed=seed)))
+                model, make_grid(J, 1.0, grading, box), q,
+                np.linspace(0.0, 0.5, 20 * J // 64 + 1), seed=seed)))
         rows.append((case, ratio, refined, drift))
-        detail[case] = {"ratio": ratio, "ratio_refined": refined,
-                        "drift": drift}
-    hil_ratio = detail["hilbert"]["ratio"]
+    hil_ratio = rows[0][1]
     worst = max(r[-1] for r in rows)
-    return EstimateResult(
-        "maximal_regularity_ratio", hil_ratio <= 10.0 and worst < DRIFT_TOL,
-        constant=hil_ratio, drift=worst, parameters={"T": 0.5, "steps": 20},
-        detail=detail, rows=rows,
-        header=("case", "ratio", "ratio_refined", "drift"))
+    return EstimateResult(hil_ratio <= 10.0 and worst < DRIFT_TOL, hil_ratio,
+                          worst, rows,
+                          ("case", "ratio", "ratio_refined", "drift"),
+                          {"hilbert": {"ratio": hil_ratio}})
 
 
-def _check_semigroup_structure(seed):
+def _check_semigroup_structure(seed, levels):
     model = ModelParams(np.array([0.3]), 0.5, 1.0, 0.2, 2.0)
     box = XBox(2.0 * np.pi, 8, 1)
     grid = make_grid(64, 1.0, 2.0, box)
@@ -802,14 +739,11 @@ def _check_semigroup_structure(seed):
             ("positivity_undershoot_fine", pos[-1]),
             ("mode_domination_coarse", dom[0]),
             ("mode_domination_fine", dom[-1])]
-    return EstimateResult(
-        "semigroup_structure", passed, constant=step_id, drift=0.0,
-        parameters={"scheme": "backward_euler"},
-        detail={"positivity": pos, "domination": dom, "property": prop},
-        rows=rows, header=("quantity", "value"))
+    return EstimateResult(passed, step_id, 0.0, rows, ("quantity", "value"),
+                          {"positivity": pos})
 
 
-def _check_reduction_consistency(seed):
+def _check_reduction_consistency(seed, levels):
     space = SpaceSpec(2.0, 0.2)
     specs = {
         "shear": OperatorSpec(q_matrix=np.array([[1.0]]),
@@ -822,17 +756,14 @@ def _check_reduction_consistency(seed):
                               alpha1=-0.5, alpha2=0.5),
     }
     rows, studies = case_study(
-        [("shear",), ("power",)], (96, 192),
+        [("shear",), ("power",)], levels,
         lambda name, J: reduction_consistency_check(
             specs[name], space, 1.5,
             make_grid(J, 1.0, 2.0, XBox(2.0 * np.pi, 8, 1))))
     passed = all(errs[-1] <= 0.05 and errs[-1] <= errs[0]
                  for errs, _ in studies)
-    return EstimateResult(
-        "reduction_consistency", passed,
-        constant=max(errs[-1] for errs, _ in studies), drift=0.0,
-        parameters={"lam": 1.5}, levels=[96, 192], rows=rows,
-        header=("case", "J", "max_rel_diff"))
+    return EstimateResult(passed, max(errs[-1] for errs, _ in studies), 0.0,
+                          rows, ("case", "J", "max_rel_diff"))
 
 
 def _family_norm_sup(model, grid, weight_m):
@@ -841,12 +772,12 @@ def _family_norm_sup(model, grid, weight_m):
     return rep["suprema"]["scaled"]
 
 
-def _check_window_negative_control(seed):
+def _check_window_negative_control(seed, levels):
     alpha, c, p = 0.5, 1.0, 2.0
     upper = c + 1.0 - alpha          # window: 0 < (m+1)/p < upper
     m_in = p * 0.5 * upper - 1.0
     model = ModelParams(np.array([0.4]), alpha, c, m_in, p)
-    g1, g2 = make_grid(96, 1.0, 2.0), make_grid(384, 1.0, 2.0)
+    g1, g2 = (make_grid(J, 1.0, 2.0) for J in levels)
     ymin_ratio = g1.y_nodes[0] / g2.y_nodes[0]
     growth_in = (_family_norm_sup(model, g2, m_in)
                  / _family_norm_sup(model, g1, m_in))
@@ -864,51 +795,66 @@ def _check_window_negative_control(seed):
         exponents[depth] = expo
         rows.append(("divergence_exponent_depth_%g" % depth, expo))
         passed = passed and abs(expo - p * depth / 2.0) <= 0.02
-    return EstimateResult(
-        "window_negative_control", passed, constant=exponents[0.5],
-        drift=growth_in - 1.0,
-        parameters={"m_in": m_in, "upper": upper, "p": p,
-                    "depths": [0.25, 0.5, 0.75]},
-        levels=[96, 384],
-        detail={"growth_in": growth_in, "exponents": exponents}, rows=rows,
-        header=("quantity", "value"))
+    return EstimateResult(passed, exponents[0.5], growth_in - 1.0, rows,
+                          ("quantity", "value"),
+                          {"growth_in": growth_in, "exponents": exponents})
 
 
-# rows (estimate id, check(seed), named suite); "default" runs every row
+# rows (estimate id, check(seed, levels), named suite, levels), the levels
+# the ladder the check refines over, () at fixed sizes; "default" runs every
+# row
 REGISTRY = (
-    ("parameter_roundtrip", _check_parameter_roundtrip, "parameter_maps"),
-    ("transform_isometries", _check_transform_isometries, "parameter_maps"),
-    ("power_similarity", _check_power_similarity, "parameter_maps"),
-    ("model_equivalence_1d", _check_model_equivalence_1d, "parameter_maps"),
-    ("selfadjoint_spectrum", _check_selfadjoint_spectrum, "spectral_1d"),
-    ("sector_resolvent_scan", _check_sector_resolvent, "spectral_1d"),
-    ("kernel_gaussian_fit_bessel", _check_kernel_bessel, "kernel_bounds"),
-    ("kernel_gaussian_fit_model", _check_kernel_model, "kernel_bounds"),
-    ("kernel_domination", _check_kernel_domination, "kernel_bounds"),
-    ("resolvent_two_route_identity", _check_two_route, "spectral_1d"),
-    ("nd_mode_vs_monolithic", _check_mode_vs_monolithic, "multiplier_bounds"),
-    ("nd_manufactured_convergence", _check_manufactured, "multiplier_bounds"),
-    ("apriori_regularity_fit", _check_apriori_fit, "multiplier_bounds"),
+    ("parameter_roundtrip", _check_parameter_roundtrip, "parameter_maps", ()),
+    ("transform_isometries", _check_transform_isometries, "parameter_maps",
+     ()),
+    ("power_similarity", _check_power_similarity, "parameter_maps",
+     (128, 256, 512)),
+    ("model_equivalence_1d", _check_model_equivalence_1d, "parameter_maps",
+     (128, 256, 512)),
+    ("selfadjoint_spectrum", _check_selfadjoint_spectrum, "spectral_1d",
+     (128, 256)),
+    ("sector_resolvent_scan", _check_sector_resolvent, "spectral_1d",
+     (128, 256)),
+    ("kernel_gaussian_fit_bessel", _check_kernel_bessel, "kernel_bounds",
+     (256, 512)),
+    ("kernel_gaussian_fit_model", _check_kernel_model, "kernel_bounds",
+     (256, 512)),
+    ("kernel_domination", _check_kernel_domination, "kernel_bounds",
+     (192, 384)),
+    ("resolvent_two_route_identity", _check_two_route, "spectral_1d", ()),
+    ("nd_mode_vs_monolithic", _check_mode_vs_monolithic, "multiplier_bounds",
+     ()),
+    ("nd_manufactured_convergence", _check_manufactured, "multiplier_bounds",
+     (64, 128, 256)),
+    ("apriori_regularity_fit", _check_apriori_fit, "multiplier_bounds",
+     (96, 192)),
     ("interpolation_gradient_fit", _check_interpolation_fit,
-     "multiplier_bounds"),
-    ("xi_derivative_order", _check_xi_derivative, "multiplier_bounds"),
-    ("mikhlin_family_scan", _check_mikhlin_scan, "multiplier_bounds"),
+     "multiplier_bounds", (128, 256)),
+    ("xi_derivative_order", _check_xi_derivative, "multiplier_bounds", ()),
+    ("mikhlin_family_scan", _check_mikhlin_scan, "multiplier_bounds",
+     (128, 256)),
     ("square_function_resolvent_family", _check_square_function,
-     "multiplier_bounds"),
-    ("parabolic_heat_closed_form", _check_parabolic_heat, "parabolic"),
-    ("parabolic_contraction", _check_parabolic_contraction, "parabolic"),
-    ("maximal_regularity_ratio", _check_maximal_regularity, "parabolic"),
-    ("semigroup_structure", _check_semigroup_structure, "parabolic"),
-    ("reduction_consistency", _check_reduction_consistency, "parameter_maps"),
+     "multiplier_bounds", (4, 8, 16)),
+    ("parabolic_heat_closed_form", _check_parabolic_heat, "parabolic",
+     (64, 128)),
+    ("parabolic_contraction", _check_parabolic_contraction, "parabolic", ()),
+    ("maximal_regularity_ratio", _check_maximal_regularity, "parabolic",
+     (64, 128)),
+    ("semigroup_structure", _check_semigroup_structure, "parabolic", ()),
+    ("reduction_consistency", _check_reduction_consistency, "parameter_maps",
+     (96, 192)),
     ("window_negative_control", _check_window_negative_control,
-     "negative_controls"),
+     "negative_controls", (96, 384)),
 )
 
-_REGISTRY_MAP = {name: check for name, check, _ in REGISTRY}
+# _run_check calls each check through _REGISTRY_MAP, where a tracer may
+# wrap it
+_REGISTRY_MAP = {name: check for name, check, _, _ in REGISTRY}
+_LEVELS = {name: levels for name, _, _, levels in REGISTRY}
 
 SUITES = {"default": list(_REGISTRY_MAP)}
-SUITES.update({suite: [name for name, _, s in REGISTRY if s == suite]
-               for _, _, suite in REGISTRY})
+SUITES.update({suite: [row[0] for row in REGISTRY if row[2] == suite]
+               for _, _, suite, _ in REGISTRY})
 
 
 def write_csv(path, header, rows):
@@ -959,14 +905,17 @@ def _one_blas_thread():
 
 
 def _run_check(name, seed):
-    """Run one registered check and time it where it runs; an exception
-    becomes a failed result."""
+    """Run one registered check on its row's levels and time it where it
+    runs; an exception becomes a failed result.  The result takes the
+    check's id and levels."""
+    levels = _LEVELS[name]
     start = time.perf_counter()
     try:
-        res = _REGISTRY_MAP[name](seed)
+        res = _REGISTRY_MAP[name](seed, levels)
     except Exception as exc:
-        res = EstimateResult(name, False, error="%s: %s"
+        res = EstimateResult(False, error="%s: %s"
                              % (type(exc).__name__, exc))
+    res.estimate_id, res.levels = name, list(levels)
     res.seconds = time.perf_counter() - start
     return res
 

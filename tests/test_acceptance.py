@@ -59,7 +59,7 @@ def test_criterion_03_similarity_identities():
     ps = res["power_similarity"]
     me = res["model_equivalence_1d"]
     orders = ps.detail["orders"] + me.detail["orders"]
-    cases = ps.parameters["cases"]
+    cases = ps.detail["cases"]
     ok = (min(orders) >= 1.0 and len(cases) == 3
           and any(a1 != a2 for (a1, a2, _, _) in cases)
           and ps.levels == [128, 256, 512] and dt < budget)
@@ -106,14 +106,14 @@ def test_criterion_05_kernel_bounds():
         for row in fit.rows:
             assert np.isfinite(row[-1]) and np.isfinite(row[-2])  # C, kappa
     ok = (kb.drift < 0.2 and km.drift < 0.2 and kd.passed
-          and len(kd.parameters["cases"]) == 6
+          and len(kd.detail["cases"]) == 6
           and kb.levels == [256, 512] and dt < budget)
     _line(5, "kernel_bounds", ok,
           "fit drift %.3f/%.3f domination excess %.2e"
           % (kb.drift, km.drift, kd.constant), dt, budget)
     assert kb.passed and kb.drift < 0.2
     assert km.passed and km.drift < 0.2
-    assert kd.passed and len(kd.parameters["cases"]) == 6
+    assert kd.passed and len(kd.detail["cases"]) == 6
     assert dt < budget
 
 
@@ -140,7 +140,7 @@ def test_criterion_07_nd_solver():
     mc = res["nd_manufactured_convergence"]
     mm = res["nd_mode_vs_monolithic"]
     ok = (mc.detail["order"] >= 1.0 and mm.constant <= 1e-8
-          and mm.parameters["Nx"] == 32 and mm.parameters["J"] == 128
+          and mm.detail["Nx"] == 32 and mm.detail["J"] == 128
           and dt < budget)
     _line(7, "nd_solver", ok,
           "order %.2f mode-vs-monolithic %.2e"
@@ -148,7 +148,7 @@ def test_criterion_07_nd_solver():
     assert mc.detail["order"] >= 1.0
     assert mc.detail["sum_identity"] <= 1e-8
     assert mm.constant <= 1e-8
-    assert mm.parameters["Nx"] == 32 and mm.parameters["J"] == 128
+    assert mm.detail["Nx"] == 32 and mm.detail["J"] == 128
     assert dt < budget
 
 

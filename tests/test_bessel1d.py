@@ -292,8 +292,6 @@ def test_one_operator_product_of_vectors_and_columns():
         scale = np.abs(F).max() * np.abs(U[:, k]).max()
         assert np.abs(FU[:, k] - F @ U[:, k]).max() <= 1e-14 * scale
         assert np.abs(FhU[:, k] - F.conj().T @ U[:, k]).max() <= 1e-14 * scale
-    out = np.empty_like(U)
-    assert one.apply(U, out=out) is out and np.array_equal(out, FU)
 
 
 def test_resolve_batched_rhs_shape():

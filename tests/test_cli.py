@@ -275,10 +275,11 @@ def test_tiny_drift_c_is_config_error(tmp_path, capsys):
 def test_small_drift_c_that_rounds_mixing_to_one_is_config_error(
         tmp_path, capsys, drift_c, code):
     # below the slope bound, the README drift_b's shear rounds |mixing| to
-    # 1 at these three values; at the other two it solves
+    # 1 at these three values; at the other two it solves (on mode 1: the
+    # default mode 2 aliases at num_x 4)
     cfg = _write_config(tmp_path, {
         "operator": dict(README_OPERATOR, drift_c=drift_c),
-        "grid": {"num_cells": 16, "num_x": 4},
+        "grid": {"num_cells": 16, "num_x": 4}, "elliptic": {"mode": 1},
     })
     out_dir = tmp_path / "o"
     assert main(["solve_elliptic", "--config", cfg, "--out",
@@ -313,7 +314,7 @@ def test_manifests_record_the_reduction_chain(tmp_path):
     _, chain = reduce_to_model(*config_to_problem(README_OPERATOR))
     cfg = _write_config(tmp_path, {
         "operator": README_OPERATOR,
-        "grid": {"num_cells": 16, "num_x": 4},
+        "grid": {"num_cells": 16, "num_x": 4}, "elliptic": {"mode": 1},
         "parabolic": {"steps": 2, "snapshot_stride": 2},
     })
     ell, par = tmp_path / "e", tmp_path / "p"
@@ -621,6 +622,26 @@ def test_largest_resolvable_modes_solve(tmp_path, capsys):
     for command in ("solve_elliptic", "solve_parabolic"):
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("num_x", [2, 4])
+@pytest.mark.parametrize("command,key", [("solve_elliptic", "elliptic.mode"),
+                                         ("solve_parabolic",
+                                          "parabolic.forcing_mode")])
+def test_default_mode_of_an_absent_section_is_checked(tmp_path, capsys,
+                                                      command, key, num_x):
+    # the default elliptic mode 2 aliases at num_x 2 and 4, the default
+    # forcing mode 1 at num_x 2; a solve used to run on it and exit 0
+    cfg = _write_config(tmp_path, {"operator": README_OPERATOR,
+                                   "grid": {"num_cells": 64,
+                                            "num_x": num_x}})
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert (rc == 2) == (key == "elliptic.mode" or num_x == 2)
+    assert ("config error: %s must be" % key in err) == (rc == 2)
+    assert "Traceback" not in err
+    assert out_dir.exists() == (rc == 0)
 
 
 @pytest.mark.parametrize("key,value", [

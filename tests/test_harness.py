@@ -17,12 +17,12 @@ from degenpde.grid import make_grid
 
 
 def test_registry_and_suites_consistent():
-    names = [name for name, _, _ in REGISTRY]
+    names = [name for name, _, _, _ in REGISTRY]
     assert len(names) == len(set(names))
     assert SUITES["default"] == names
     # each row names one suite other than default, the only one it is in
-    for name, fn, suite in REGISTRY:
-        assert callable(fn)
+    for name, fn, suite, levels in REGISTRY:
+        assert callable(fn) and isinstance(levels, tuple)
         assert suite != "default" and name in SUITES[suite], (suite, name)
     assert sorted(name for suite, members in SUITES.items()
                   if suite != "default" for name in members) == sorted(names)
@@ -85,15 +85,21 @@ def test_run_suite_rejects_a_bool_seed():
             run_suite({"checks": ["parameter_roundtrip"], "seed": seed})
 
 
+def _register(monkeypatch, name, check, levels=()):
+    """Register a synthetic check and its levels for this test."""
+    monkeypatch.setitem(harness._REGISTRY_MAP, name, check)
+    monkeypatch.setitem(harness._LEVELS, name, levels)
+
+
 def _register_record_check(monkeypatch):
     """A check that records the seed of each run; returns the record."""
     ran = []
 
-    def record(seed):
+    def record(seed, levels):
         ran.append(seed)
-        return EstimateResult("synthetic_record", True)
+        return EstimateResult(True)
 
-    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_record", record)
+    _register(monkeypatch, "synthetic_record", record)
     return ran
 
 
@@ -133,15 +139,17 @@ def test_out_dir_that_is_a_file_raises_before_any_check(monkeypatch,
 
 
 def test_check_exception_is_recorded_not_raised(monkeypatch):
-    def boom(seed):
+    def boom(seed, levels):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_boom", boom)
+    _register(monkeypatch, "synthetic_boom", boom, (8, 16))
     results = run_suite({"checks": ["synthetic_boom"]})
     assert len(results) == 1
     res = results[0]
     assert not res.passed
     assert "RuntimeError: synthetic failure" in res.error
+    # the failed result carries its row's id and levels
+    assert res.estimate_id == "synthetic_boom" and res.levels == [8, 16]
 
 
 def test_run_suite_single_check_and_csv(tmp_path):
@@ -187,7 +195,7 @@ def test_semigroup_structure_fails_on_any_positive_undershoot(monkeypatch):
     # undershoot of 1e-3 at both levels fails the check
     monkeypatch.setattr(harness.semigroup, "positivity_check",
                         lambda model, grid: 1e-3)
-    result = harness._REGISTRY_MAP["semigroup_structure"](0)
+    result = harness._REGISTRY_MAP["semigroup_structure"](0, ())
     assert result.detail["positivity"] == [1e-3, 1e-3]
     assert not result.passed
 
@@ -204,7 +212,7 @@ def test_two_route_identity_passes_on_every_seed(seed):
 
 
 def test_two_route_rows_hold_each_case_own_max():
-    res = harness._check_two_route(0)
+    res = harness._check_two_route(0, ())
     grid = make_grid(256, 1.0, 2.0)
     profs = panels.vertical_panel(
         1.0, count=3, rng=harness._rng_for("resolvent_two_route_identity", 0))
@@ -332,10 +340,21 @@ def test_kernel_fit_fails_on_a_nonfinite_level(monkeypatch):
 
 
 def test_estimate_result_repr_and_defaults():
-    res = EstimateResult("demo", True, constant=1.5, drift=0.01)
+    res = EstimateResult(True, constant=1.5, drift=0.01)
+    res.estimate_id = "demo"
     assert "demo" in repr(res)
     assert res.rows == [] and res.header == () and res.error == ""
     assert res.csv_path == "" and np.isnan(res.seconds)
+    assert res.levels == [] and res.detail == {}
+
+
+@pytest.mark.parametrize("passed", ["some_id", 1, 0.0, None, np.array(True)])
+def test_estimate_result_takes_only_a_bool_verdict(passed):
+    # a call in the old order, EstimateResult("some_id", ...), would
+    # otherwise give a check that always passes
+    with pytest.raises(TypeError, match="passed must be a bool"):
+        EstimateResult(passed)
+    assert EstimateResult(np.bool_(False)).passed is False
 
 
 def _dictionary(g):
@@ -420,10 +439,9 @@ def _report_cores(monkeypatch, cores):
 
 def _register_pid_check(monkeypatch):
     """A check that reports the pid it ran in, outside every CSV."""
-    monkeypatch.setitem(
-        harness._REGISTRY_MAP, "synthetic_pid",
-        lambda seed: EstimateResult("synthetic_pid", True, constant=0.0,
-                                    drift=0.0, detail={"pid": os.getpid()}))
+    _register(monkeypatch, "synthetic_pid",
+              lambda seed, levels: EstimateResult(
+                  True, 0.0, 0.0, detail={"pid": os.getpid()}))
 
 
 def _suite_outputs(out_dir):
@@ -450,15 +468,24 @@ def test_forked_suite_equals_the_serial_suite(tmp_path, monkeypatch):
                                                    b.drift), a.estimate_id
         assert a.rows == b.rows, a.estimate_id
         assert a.seconds > 0.0 and b.seconds > 0.0
+    # each result carries its row's levels, and a J column holds exactly
+    # those levels
+    row_levels = {name: levels for name, _, _, levels in REGISTRY}
+    for res in forked[:-1]:
+        assert res.levels == list(row_levels[res.estimate_id])
+        if "J" in res.header:
+            j = res.header.index("J")
+            assert sorted({row[j] for row in res.rows}) == res.levels, \
+                res.estimate_id
     assert len(forked_csv) == len(_CHEAP) + 1   # estimates plus summary
     assert forked_csv == serial_csv
 
 
 def test_check_exception_in_a_worker_is_recorded_not_raised(monkeypatch):
-    def boom(seed):
+    def boom(seed, levels):
         raise RuntimeError("synthetic failure in %d" % os.getpid())
 
-    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_boom", boom)
+    _register(monkeypatch, "synthetic_boom", boom)
     _report_cores(monkeypatch, {0, 1, 2})
     results = run_suite({"checks": ["xi_derivative_order", "synthetic_boom",
                                     "selfadjoint_spectrum"]})
@@ -468,8 +495,7 @@ def test_check_exception_in_a_worker_is_recorded_not_raised(monkeypatch):
 
 
 def test_dead_worker_raises_and_leaves_no_child(monkeypatch):
-    monkeypatch.setitem(harness._REGISTRY_MAP, "synthetic_exit",
-                        lambda seed: os._exit(3))
+    _register(monkeypatch, "synthetic_exit", lambda seed, levels: os._exit(3))
     _report_cores(monkeypatch, {0, 1, 2})
     with pytest.raises(BrokenProcessPool):
         run_suite({"checks": ["xi_derivative_order", "synthetic_exit",
@@ -521,11 +547,10 @@ def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(
     parent = _blas_thread_counts()
     if not parent:
         pytest.skip("no OpenBLAS thread getter in this process")
-    monkeypatch.setitem(
-        harness._REGISTRY_MAP, "synthetic_blas",
-        lambda seed: EstimateResult("synthetic_blas", True,
-                                    detail={"counts": _blas_thread_counts(),
-                                            "pid": os.getpid()}))
+    _register(monkeypatch, "synthetic_blas",
+              lambda seed, levels: EstimateResult(
+                  True, detail={"counts": _blas_thread_counts(),
+                                "pid": os.getpid()}))
     _report_cores(monkeypatch, {0, 1, 2})
     results = run_suite({"checks": ["synthetic_blas"] * 3})
     for res in results:
