@@ -247,16 +247,24 @@ _STACK_MODES = 32
 _BLOCK = 16384
 
 
-def _factor_batch(sub, diag, sup):
-    """LU factors of the (J, modes) bands (sub, diag, sup) of lam W + F,
-    one matrix per column: one stacked gttrf (_PivotedLU) for at most
-    _STACK_MODES modes, else a Thomas LU (_ThomasLU) that overwrites sub and
-    diag with its factors.  It need not pivot: for Re lam > 0 the Hermitian
+def thomas_batch(modes):
+    """Whether a batch of `modes` modes, and every column range of it, is
+    factored by the Thomas sweep: more than _STACK_MODES modes."""
+    return modes > _STACK_MODES
+
+
+def _factor_batch(sub, diag, sup, modes=None):
+    """LU factors of the (J, columns) bands (sub, diag, sup) of lam W + F,
+    one matrix per column, for a batch of `modes` modes (the columns, unless
+    they are a range of the batch): one stacked gttrf (_PivotedLU) unless
+    thomas_batch(modes), else a Thomas LU (_ThomasLU) that overwrites sub
+    and diag with its factors, so a range's factors are bitwise the batch's
+    columns.  It need not pivot: for Re lam > 0 the Hermitian
     part of lam W + F is positive definite, the form being accretive (Golub
     & Van Loan, section 4.2).  A zero or non-finite pivot raises
-    SingularFormError naming its column.  Either factor's solve(b,
-    overwrite_b=True) writes into b and returns b."""
-    if diag.shape[1] <= _STACK_MODES:
+    SingularFormError naming its column among these.  Either factor's
+    solve(b, overwrite_b=True) writes into b and returns b."""
+    if not thomas_batch(diag.shape[1] if modes is None else modes):
         return _PivotedLU(sub, diag, sup)
     with np.errstate(all="ignore"):
         for i in range(1, diag.shape[0]):
@@ -319,11 +327,6 @@ class _ThomasLU:
         self.sup = sup
         self.mult = mult
         self.inv_piv = inv_piv
-
-    def columns(self, cols):
-        """The factors of the modes in slice `cols`: views, no copy."""
-        return _ThomasLU(self.sup[:, cols], self.mult[:, cols],
-                         self.inv_piv[:, cols])
 
     def solve(self, b, overwrite_b=False):
         """A^(-1) b for (J, modes) b, by one forward and one backward sweep.
@@ -464,23 +467,22 @@ class BatchForm:
                           diag[a:a + step])
         return sub, diag
 
-    def keep_bands(self, cols):
-        """The form of the modes in slice `cols`, sup a view, with its sub
-        and diag built once and kept.  A march applies F at every step, and
-        building the rows per block cost 0.8 ms of a 5.7 ms step at (257,
-        512)."""
-        form = BatchForm(self.ops, self.s[cols], self.k2[cols],
-                         self.sup[:, cols])
+    def keep_bands(self):
+        """This form, sup shared, with its sub and diag built once and kept.
+        A march applies F at every step, and building the rows per block
+        cost 0.8 ms of a 5.7 ms step at (257, 512)."""
+        form = BatchForm(self.ops, self.s, self.k2, self.sup)
         form.sub, form.diag = form._whole()
         return form
 
-    def factor(self, lam):
-        """_factor_batch's LU of lam W + F, its sub and shifted diag built
+    def factor(self, lam, modes=None):
+        """_factor_batch's LU of lam W + F for a batch of `modes` modes (these
+        columns unless they are a range of it), its sub and shifted diag built
         in the arrays a Thomas LU overwrites with its factors."""
         sub, diag = self._whole()
         with np.errstate(all="ignore"):
             diag += lam * self.ops.weight[:, None]
-        return _factor_batch(sub, diag, self.sup)
+        return _factor_batch(sub, diag, self.sup, modes)
 
     def _band(self, name, rows, out):
         """Rows of the band `name`: the stored band's, or built into out."""

@@ -182,8 +182,10 @@ def _grid_for(cfg, model, refine, x_box):
 
 
 # Field-sized complex arrays a solve holds at its peak (see the README); a
-# march also keeps one per kept snapshot and a residual row per step; a
-# sweep (one y-grid) about 115, mostly operator_norm's Lanczos bases.
+# march also keeps one per kept snapshot and a residual row per step, and
+# is counted as one range, which holds the full-width factor (a forked
+# march's ranges each hold their own); a sweep (one y-grid) about 115,
+# mostly operator_norm's Lanczos bases.
 _FIELDS = {"solve_elliptic": 7, "solve_parabolic": 10, "sweep": 115}
 _MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
            if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else None)

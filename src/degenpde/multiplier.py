@@ -11,9 +11,9 @@ plain Bessel solve).  bessel1d.ModeOperators builds the forms F(xi), of one
 mode or of many; FrequencySolvePlan factors lam W + F(xi) of every mode
 once, keeping 48 bytes per grid point, and solves all modes in one batched
 tridiagonal solve, in place.  Every mode is solved on its own, so a
-contiguous range of mode columns is solved by the column views of the form
-and of factors that have them: semigroup.evolve marches a large batch as one
-such range per usable core, in forked processes.
+contiguous range of mode columns is factored and solved alone as well:
+semigroup.evolve marches a large batch as one such range per usable core,
+in forked processes.
 The derived multipliers, per mode:
 
     y^alpha Dxx u   <->  -|xi|^2 y^alpha u(xi)         (exact diagonal),
@@ -108,12 +108,15 @@ class FrequencySolvePlan:
     The mode-space entries work on (J, modes) x-Fourier coefficients:
     `form.apply` is F(xi) u (so L u = -F u / W) and `solve_modes` is one
     mode_step, the sweep with its residual.  `solve` and `apply_operator`
-    wrap them in one forward and one inverse FFT; semigroup.evolve runs
-    mode_step in its own step buffers, on `form` and `lu` or their column
-    views, and stays in mode space between steps.
+    wrap them in one forward and one inverse FFT.  semigroup.evolve alone
+    passes `cols`, a slice of the modes: `form` and `lu` then hold those
+    columns only, factored bit for bit as the whole batch's columns (the
+    LU is chosen by the number of all modes), and only the transforms and
+    mode_step on (J, columns) buffers apply; it marches in its own step
+    buffers and stays in mode space between steps.
     """
 
-    def __init__(self, lam, model, grid):
+    def __init__(self, lam, model, grid, cols=slice(None)):
         if grid.x_box is None:
             raise ValueError("resolvent_nd needs a grid with an x-box")
         if grid.x_box.dim != model.dim:
@@ -126,12 +129,13 @@ class FrequencySolvePlan:
         self.xi_flat = xi_lattice(grid.x_box).reshape(-1, model.dim)
         self.mix_flat = self.xi_flat @ model.mixing
         self.k2_flat = np.sum(self.xi_flat ** 2, axis=1)
-        self.form = self.ops.form(self.mix_flat, self.k2_flat)
+        self.form = self.ops.form(self.mix_flat[cols], self.k2_flat[cols])
         try:
-            self.lu = self.form.factor(self.lam)
+            self.lu = self.form.factor(self.lam, self.k2_flat.size)
         except SingularFormError as exc:
             raise RuntimeError("mode factorisation failed at xi=%r: non-finite"
-                               " or zero pivot" % (self.xi_flat[exc.column],))
+                               " or zero pivot"
+                               % (self.xi_flat[cols][exc.column],))
 
     def _to_modes(self, values):
         """(J, modes) x-Fourier coefficients of grid values: fftn's

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import (Field, XBox, fork_ranges, lp_norm, make_grid,
                    usable_cores, write_field_csv)
-from .bessel1d import ModeOperators, resolvent_pair
+from .bessel1d import ModeOperators, resolvent_pair, thomas_batch
 from .multiplier import (FrequencySolvePlan, mode_step,
                          monolithic_sparse_solve, weighted_residual)
 from .params import ModelParams
@@ -110,23 +110,27 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     time_grid must increase strictly in steps equal up to rounding, a
     spread of at most 8 ulps of max |t| (linspace and t0 + h arange grids
     spread over at most 4), else ValueError names it before anything is
-    built.  One FrequencySolvePlan, lam = 1/(theta h) for the mean step h,
-    serves every step.  u0 is transformed to (J, modes) x-Fourier
-    coefficients once and marched there, one multiplier.mode_step per step
-    (see _march_range).
+    built.  Snapshot 0 holds u0's values themselves when they are complex
+    and C-ordered, else one C-ordered complex copy, so a norm sums them by
+    one layout; nothing may write into a snapshot's values.  lam = 1/(theta
+    h) for the mean step h serves every step.  u0 is transformed to (J,
+    modes) x-Fourier coefficients once and marched there, one
+    multiplier.mode_step per step (see _march_range).
 
-    Every mode column evolves on its own, so a batch whose factors slice by
-    columns (the Thomas path) and whose work reaches _SPLIT_WORK (timings
-    at the constant) is marched as one contiguous range of mode columns per
+    Every mode column evolves on its own, so a batch factored by the Thomas
+    sweep (bessel1d.thomas_batch) whose work reaches _SPLIT_WORK (timings at
+    the constant) is marched as one contiguous range of mode columns per
     usable core, through grid.fork_ranges: this process marches the first
     range, forked children the others.  Any other batch, one core, or a
     platform without os.fork or os.sched_getaffinity marches one range
-    here.  A range runs every step in three (J, columns) buffers and its
-    form's sub and diag, all made once, so a step on the Thomas path
-    allocates only row-block buffers (and the forcing, transformed once per
-    step, whole, in each range).  It writes its kept states, each step's residual row sums and the first step with
-    non-finite values into arrays that, for more than one range, are
-    MAP_SHARED mappings made before the fork.  This process reduces the row sums to the worst weighted residual
+    here.  Each range's FrequencySolvePlan factors only its own columns,
+    all of them here, so a failing pivot raises RuntimeError naming its xi
+    before any fork; then each process drops the other ranges' factors, and
+    uh0 once it has copied its own columns, and its own factors once its
+    range is marched.  A range writes its kept states, each step's residual
+    row sums and the first step with non-finite values into arrays that, for
+    more than one range, are MAP_SHARED mappings made before the fork.  This
+    process reduces the row sums to the worst weighted residual
     (multiplier.weighted_residual, as solve_modes does), transforms back
     only the kept states (every `stride`-th time index and the last),
     dropping each once transformed, and raises RuntimeError for the first
@@ -149,23 +153,25 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     if not (isinstance(stride, (int, np.integer))
             and not isinstance(stride, bool) and stride >= 1):
         raise ValueError("stride must be an integer >= 1, got %r" % (stride,))
-    u = np.asarray(u0.values if isinstance(u0, Field) else u0, dtype=complex)
+    u = np.ascontiguousarray(u0.values if isinstance(u0, Field) else u0,
+                             dtype=complex)
     if u.shape != grid.shape:
         raise ValueError("initial datum shape %r does not match grid %r"
                          % (u.shape, grid.shape))
-    snapshots = [Field(u.copy(), grid)]
+    snapshots = [Field(u, grid)]
     if last == 0:
         return EvolutionRun(times, scheme, snapshots, stride=stride)
     theta = SCHEMES[scheme]
     h = (times[-1] - times[0]) / last
-    plan = FrequencySolvePlan(1.0 / (theta * h), model, grid)
-    uh0 = plan._to_modes(u)
-    J, modes = uh0.shape
+    J, modes = grid.num_y, u.size // grid.num_y
     kept = _kept(last, stride)[1:]
     ranges = 1
-    if hasattr(plan.lu, "columns") and modes * J * last >= _SPLIT_WORK:
+    if thomas_batch(modes) and modes * J * last >= _SPLIT_WORK:
         ranges = min(usable_cores(), modes)
     cuts = [modes * r // ranges for r in range(ranges + 1)]
+    plans = [FrequencySolvePlan(1.0 / (theta * h), model, grid, slice(a, b))
+             for a, b in zip(cuts, cuts[1:])]
+    uh0 = [plans[0]._to_modes(u)]
     # the kept states, each range's per-step residual row sums and its
     # first step with non-finite values (0 for none); one range takes
     # np.zeros, as a mapping each took the parabolic checks' small marches
@@ -175,12 +181,17 @@ def evolve(u0, forcing, model, grid, scheme, time_grid, stride=1):
     rows, bad = new((ranges, last, 2, J), float), new(ranges, int)
 
     def march(r):
+        # each process keeps its own range's factors only, and uh0 only
+        # until it has copied that range's columns
+        plans[:] = [plans[r]]
         cols = slice(cuts[r], cuts[r + 1])
-        lu = plan.lu if ranges == 1 else plan.lu.columns(cols)
-        bad[r] = _march_range(theta, times, forcing, plan, lu, uh0, cols,
+        uh = np.ascontiguousarray(uh0.pop()[:, cols])
+        bad[r] = _march_range(theta, times, forcing, plans[0], uh, cols,
                               dict(zip(kept, states)), rows[r])
 
     statuses = fork_ranges(ranges, march)
+    plan = plans.pop()
+    plan.form = plan.lu = None  # no factor outlives the march
     if any(statuses):
         raise RuntimeError("evolve: march ranges exited with status %r"
                            % (statuses,))
@@ -211,25 +222,27 @@ def _shared(shape, dtype):
     return np.frombuffer(buf, dtype, size).reshape(shape)
 
 
-def _march_range(theta, times, forcing, plan, lu, uh0, cols, kept, rows):
-    """March the mode columns `cols` of uh0 over every step of the
-    theta-scheme; returns the first step with non-finite values, or 0.
+def _march_range(theta, times, forcing, plan, uh, cols, kept, rows):
+    """March uh, the (J, columns) coefficients of the mode columns `cols`,
+    over every step of the theta-scheme, in place; returns the first step
+    with non-finite values, or 0.
 
-    lu is the plan's factors of these columns, whose form keep_bands
-    builds here once, after any fork; the plan gives lam = 1/(theta h), the
-    weights W and the forcing's transform.  Step k solves (lam - L) u_{k+1}
+    plan is the range's FrequencySolvePlan, its form and factors over these
+    columns only; the form's sub and diag are built here once, after any
+    fork.  The plan gives lam = 1/(theta h), the weights W and the
+    forcing's transform.  Step k solves (lam - L) u_{k+1}
     = (lam + (1/theta - 1) L) u_k + f((1 - theta) t_k + theta t_{k+1}) /
     theta: the theta-scheme of step h, so L u = 0 keeps u to rounding
     however far the grid is from t = 0.  The explicit L u_k = -F u_k / W is
     formed only for theta < 1, from the band product F u_k that the
     previous mode_step left in its buffer, then scaled in place.  Each step
     runs mode_step in uh, rhs and (theta < 1) fu, (J, columns) buffers
-    allocated here after any fork (uh is uh0 itself when the range is every
-    column), and writes only into them and into rows[k] and, at a kept
-    step, into its state in `kept`.  The division by W is a product with
-    the reciprocal on the float views.
+    (rhs and fu allocated here after any fork), and writes only into them
+    and into rows[k] and, at a kept step, into columns `cols` of its state
+    in `kept`.  The division by W is a product with the reciprocal on the
+    float views.
     """
-    form, uh = plan.form.keep_bands(cols), np.ascontiguousarray(uh0[:, cols])
+    form = plan.form.keep_bands()
     rhs, fu = np.empty_like(uh), np.empty_like(uh) if theta < 1 else None
     lam, weight = plan.lam.real, plan.ops.weight
     explicit = (1.0 / theta - 1.0) / weight[:, None]
@@ -244,7 +257,7 @@ def _march_range(theta, times, forcing, plan, lu, uh0, cols, kept, rows):
             t = (1.0 - theta) * times[k] + theta * times[k + 1]
             fv = np.asarray(forcing(t), dtype=complex)
             rhs += (1.0 / theta) * plan._to_modes(fv)[:, cols]
-        mode_step(plan.lam, form, lu, weight, rhs, uh, fu, rows[k])
+        mode_step(plan.lam, form, plan.lu, weight, rhs, uh, fu, rows[k])
         # a non-finite entry of uh makes its row of W r non-finite, so the
         # full test runs only when a row sum is not finite
         if not np.isfinite(rows[k, 0]).all() and not np.isfinite(uh).all():

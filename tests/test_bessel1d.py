@@ -260,10 +260,12 @@ def test_one_band_product_is_bitwise_equal_across_block_edges(J, modes):
     step = max(1, b1._BLOCK // modes)
     assert J // step >= 3 and (step == 1 or J % step)
     Fu = form.apply(u)
-    assert np.array_equal(form.keep_bands(slice(None)).apply(u), Fu)
+    assert np.array_equal(form.keep_bands().apply(u), Fu)
+    # the form of a column range, as a march range builds it
     cols = slice(modes // 3, modes)
-    assert np.array_equal(form.keep_bands(cols).apply(
-        np.ascontiguousarray(u[:, cols])), Fu[:, cols])
+    part = ops.form(s[cols], (k2 + s * s)[cols]).keep_bands()
+    assert np.array_equal(part.apply(np.ascontiguousarray(u[:, cols])),
+                          Fu[:, cols])
     # mode_step's F u of its own solution, on the lean form
     lam, uh, fu = 3.0 + 1.0j, np.empty_like(u), np.empty_like(u)
     mode_step(lam, form, form.factor(lam), ops.weight, u, uh, fu,

@@ -1,6 +1,7 @@
 """Frequency decoupling: per-mode solves, derived multipliers, scans."""
 
 import math
+import os
 import re
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 from degenpde import multiplier as mp
 from degenpde import panels
+from degenpde import semigroup as sg
 from degenpde.bessel1d import _PivotedLU, _ThomasLU, sector_angle
 from degenpde.grid import Field, XBox, default_grading, make_grid
 from degenpde.params import (ModelParams, OperatorSpec, SpaceSpec,
@@ -206,13 +208,27 @@ def _wide_march(lam, f, model, grid):
                   np.linspace(0.0, 0.1, 5), stride=4)
 
 
+def _two_range_march(lam, f, model, grid):
+    # two cores reported and every Thomas batch split: this process marches
+    # the first of two ranges, a forked child the second
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sg, "_SPLIT_WORK", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        return _wide_march(lam, f, model, grid)
+
+
 @pytest.mark.parametrize("run,fields", [
     # the plan's sup, multipliers and inverse pivots, the coefficients and
     # the solution (9.2 fields before the plan dropped sub and diag)
     (_wide_solve, 6.5),
     # the plan's three, the march's sub and diag, the coefficients (its uh),
-    # rhs and F u, the kept state and the initial snapshot (12.2 before)
-    (_wide_march, 11.25),
+    # rhs and F u and the kept state; snapshot 0 is f's own array (9.5
+    # measured)
+    (_wide_march, 10.25),
+    # both ranges' factors and the coefficients up to the fork, then this
+    # range's factors, sub, diag, uh, rhs and F u; tracemalloc traces
+    # neither the kept state's shared mapping nor the child (4.5 measured)
+    (_two_range_march, 5.0),
 ])
 def test_wide_solves_hold_the_planned_fields(run, fields):
     # 256 modes on the Thomas path at J = 256: 1 MiB per field, and block

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,24 @@ def test_run_snapshot_bookkeeping():
     for stride in (0, 1.5, "2"):
         with pytest.raises(ValueError, match="stride"):
             sg.evolve(u0, None, MODEL, g, "backward_euler", ts, stride=stride)
+
+
+def test_snapshot_zero_shares_complex_c_ordered_data():
+    # lp_norm sums by layout, so other data are converted once, to C order
+    g = _grid()
+    ts = np.linspace(0.0, 0.1, 3)
+    u0 = np.random.default_rng(4).standard_normal(g.shape) + 0j
+    run = sg.evolve(u0, None, MODEL, g, "backward_euler", ts)
+    assert np.shares_memory(run.snapshots[0].values, u0)
+    for data in (np.asfortranarray(u0), u0.real):
+        snap = sg.evolve(data, None, MODEL, g, "backward_euler",
+                         ts).snapshots[0].values
+        assert not np.shares_memory(snap, data)
+        assert snap.flags.c_contiguous
+        assert snap.tobytes() == np.array(data, dtype=complex).tobytes()
+    assert np.array_equal(
+        sg.evolve(Field(u0, g), None, MODEL, g, "backward_euler",
+                  ts).final.values, run.final.values)
 
 
 def test_evolve_rejects_a_bool_stride():
@@ -454,6 +473,31 @@ def test_forked_ranges_march_bitwise_as_one_range(monkeypatch, scheme,
         assert 0.0 < run.residual <= 1e-12
     del runs
     assert _shared_zero_maps() == maps
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_failing_pivot_in_the_last_range_names_its_xi(monkeypatch, count):
+    # each range factors only its own columns, all before any fork; a NaN
+    # |xi|^2 planted in a column of the last range, as in
+    # test_plan_names_the_xi_of_a_failing_mode, names that column's xi
+    forks = _cores(monkeypatch, count)
+    g, u0, _, ts = _wide_case()
+    xi = mp.xi_lattice(g.x_box).reshape(-1, _WIDE_MODEL.dim)
+    k2_all, modes = np.sum(xi ** 2, axis=1), xi.shape[0]
+    last = modes * (count - 1) // count
+    bad = last + 5
+    form = mp.ModeOperators.form
+
+    def nan_mode(self, s, k2):
+        k2 = np.array(k2)
+        if np.array_equal(k2, k2_all[last:]):
+            k2[bad - last] = np.nan
+        return form(self, s, k2)
+
+    monkeypatch.setattr(mp.ModeOperators, "form", nan_mode)
+    with pytest.raises(RuntimeError, match=re.escape("xi=%r" % (xi[bad],))):
+        sg.evolve(u0, None, _WIDE_MODEL, g, "crank_nicolson", ts)
+    assert forks == []
 
 
 @pytest.mark.parametrize("nx", [4, 8])
